@@ -3,9 +3,6 @@
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 numerical
 failure.  Diagnostics go to stderr; data to stdout or --out.  Every numeric
 printed to stdout uses full round-trippable precision.
-
-Computations are pure with order-fixed reductions, so results are independent
-of --threads (0 means auto); the flag is accepted for interface stability.
 """
 
 from __future__ import annotations
@@ -73,12 +70,6 @@ def _add_global_options(parser: argparse.ArgumentParser, leaf: bool) -> None:
     parser.add_argument("--tol", type=float, default=dflt(None), help="relative quadrature tolerance")
     parser.add_argument("--out", type=str, default=dflt(None), help="write data output to this path")
     parser.add_argument("--format", choices=("csv", "json"), default=dflt("csv"))
-    parser.add_argument(
-        "--threads", type=int, default=dflt(0), help="0 = auto; results are thread-count independent"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=dflt(0), help="reserved; all computations are deterministic"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,15 +1,23 @@
 """Magnetostatic kernel functions for a rectangular film cross-section.
 
-The central object is the single-integral kernel
+The central object is the surface kernel
 
     I(l, d, x) = 2*pi*l*d * int_0^inf sinc^2(t) * g(2*(d/l)*sqrt(t^2 + l^2 x^2)) dt,
 
 with g(u) = (1 - exp(-u))/u, together with its aspect-ratio specialisations
 
-    a_c = int_0^inf sinc^2(t) * g(2 t / c) dt,        b_c = a_{1/c},
+    a_c = int_0^inf sinc^2(t) * g(2 t / c) dt,        b_c = a_{1/c} = pi/2 - a_c,
 
 and the explicit two-sided closed-form bounds on I(d, l, x).  The kernel
 weights the transverse magnetization spectra in the surface-charge energy.
+
+a_c = arctan c + (c/4) ln(1 + 1/c^2) - ln(1 + c^2)/(4c) in closed form.  For
+x != 0, I is the Fourier transform of one face pair's 1/r interaction
+(DLMF 10.32), with (w, s) = (d, l) for I(d, l, x) and (l, d) for I(l, d, x),
+
+    I = (pi/2) int_0^{2w} (2w - u) [K0(|x| u) - K0(|x| sqrt(u^2 + 4 s^2))] du,
+
+which kernel_batch evaluates with one fixed graded rule for many x at once.
 
 Every function here is pure and reentrant; sweep drivers may call them
 concurrently.
@@ -20,13 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .quad import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    QuadratureResult,
-    integrate_finite,
-    integrate_semi_infinite,
-)
+import numpy as np
+from scipy.special import k0, k1
+
+from .errors import QuadratureError
+from .quad import _WG, _WGK, _XGK, DEFAULT_CONFIG, QuadratureConfig
 
 __all__ = [
     "CrossSection",
@@ -36,18 +42,26 @@ __all__ = [
     "a_c",
     "b_c",
     "i_kernel",
+    "kernel_batch",
     "lemma32_bounds",
     "verify_lemma32",
     "a_c_scaling_ratio",
 ]
 
-# Below this aspect ratio the integrand has a boundary layer at t ~ c that a
-# plain adaptive pass over [0, split] can miss; a log-variable pass resolves it.
-_LAYER_THRESHOLD = 0.05
-# exp(-_LOG_SPAN) bounds the relative weight of the skipped [0, t_min] sliver.
-_LOG_SPAN = 40.0
-# 1 - exp(-u) is exactly 1.0 in double precision beyond 40*ln(10).
-_EXP_CUTOFF = 40.0 * math.log(10.0)
+# quad's 15-point Kronrod rule and its embedded 7-point Gauss-Legendre rule
+# (zero weight at the Kronrod-only nodes), mirrored from [0, 1] onto [-1, 1]
+_GK_NODES = np.concatenate([np.negative(_XGK), _XGK[-2::-1]])
+_GK_WEIGHTS = np.concatenate([_WGK, _WGK[-2::-1]])
+_GK_GAUSS = np.zeros(15)
+_GK_GAUSS[1::2] = _WG + _WG[-2::-1]
+
+# Panels [2w/2^(j+1), 2w/2^j] down to _FLOOR*min(w, s) keep the log endpoint, the
+# scales s and 1/|x| a panel width away: Gauss is good to ~1e-11, Kronrod to rounding.
+_FLOOR = 1e-12
+_ZERO_FREQUENCY = 1e-9  # |x| max(w, s) below this: I(x) = I(0) to rounding
+_FAR = 20.0  # see kernel_batch's asymptotic branch
+_ROUNDING = 1e-14  # relative rounding error claimed for every value
+_BLOCK = 16  # frequencies per block; bounds the (block x nodes) temporaries
 
 
 @dataclass(frozen=True)
@@ -97,112 +111,101 @@ def _sinc_sq(t: float) -> float:
     return s * s
 
 
-def _em1_over(u: float) -> float:
-    # (1 - exp(-u))/u for u >= 0; expm1 keeps full precision near 0
-    if u == 0.0:
-        return 1.0
-    if u > _EXP_CUTOFF:
-        return 1.0 / u
-    return -math.expm1(-u) / u
-
-
-def _scaled_config(cfg: QuadratureConfig, scale: float) -> QuadratureConfig:
-    """Tighten abs_tol so a result of magnitude `scale` keeps relative accuracy."""
-    abs_tol = min(cfg.abs_tol, cfg.rel_tol * scale) if cfg.rel_tol > 0 else cfg.abs_tol
-    return QuadratureConfig(
-        abs_tol=abs_tol,
-        rel_tol=cfg.rel_tol,
-        max_subdivisions=cfg.max_subdivisions,
-        semi_infinite_split=cfg.semi_infinite_split,
-    )
-
-
-def _kernel_profile_integral(r: float, sx: float, cfg: QuadratureConfig) -> QuadratureResult:
-    """int_0^inf sinc^2(t) * g(2*r*sqrt(t^2 + sx^2)) dt for r > 0.
-
-    The a_c family is the special case sx = 0.  For small 1/r the integrand
-    has a layer at t ~ 1/r resolved in the log variable; the oscillatory part
-    beyond t = 1 goes through the semi-infinite integrator.
-    """
-    c_eff = 1.0 / r
-
-    def f(t: float) -> float:
-        return _sinc_sq(t) * _em1_over(2.0 * r * math.hypot(t, sx))
-
-    if c_eff < 1.0:
-        scale = 0.5 * c_eff * (3.0 + abs(math.log(c_eff)))
-    else:
-        scale = math.pi / 2.0
-    scfg = _scaled_config(cfg, scale)
-
-    if c_eff >= _LAYER_THRESHOLD:
-        return integrate_semi_infinite(f, 0.0, scfg)
-
-    piece_cfg = QuadratureConfig(
-        abs_tol=scfg.abs_tol / 3.0,
-        rel_tol=scfg.rel_tol / 3.0,
-        max_subdivisions=scfg.max_subdivisions,
-        semi_infinite_split=scfg.semi_infinite_split,
-    )
-    t_min = c_eff * math.exp(-_LOG_SPAN)
-
-    def f_log(u: float) -> float:
-        t = math.exp(u)
-        return f(t) * t
-
-    head = integrate_finite(f_log, math.log(t_min), 0.0, piece_cfg)
-    tail = integrate_semi_infinite(f, 1.0, piece_cfg)
-    # the skipped [0, t_min] sliver is below t_min since the integrand is <= 1
-    return QuadratureResult(
-        value=head.value + tail.value + 0.5 * t_min,
-        error_estimate=head.error_estimate + tail.error_estimate + t_min,
-        subdivisions_used=head.subdivisions_used + tail.subdivisions_used,
-    )
-
-
-def _a_c_result(c: float, cfg: QuadratureConfig) -> QuadratureResult:
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError(f"aspect ratio must be positive and finite, got {c!r}")
-    return _kernel_profile_integral(1.0 / c, 0.0, cfg)
-
-
 def a_c(c: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Surface-charge kernel coefficient (c/2) int sinc^2(t) (1-e^{-2t/c})/t dt.
 
     Strictly increasing in c, with range (0, pi/2).  For c < 1 the value is
     bracketed by (c|ln c|/2)(1 - 5/sqrt(|ln c|)) and (c/2)(3 - ln c).
+    Exact to rounding in closed form; cfg is kept for interface stability.
     """
-    return _a_c_result(c, cfg).value
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError(f"aspect ratio must be positive and finite, got {c!r}")
+    if c > 1.0:
+        return math.pi / 2.0 - a_c(1.0 / c)
+    # log form, free of overflow and cancellation down to c ~ 1e-300 (last -> c/4)
+    c2 = c * c
+    last = math.log1p(c2) / (4.0 * c) if c2 > 1e-16 else 0.25 * c
+    return math.atan(c) + 0.25 * c * (math.log1p(c2) - 2.0 * math.log(c)) - last
 
 
 def b_c(c: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Complementary kernel coefficient, by definition a_{1/c}."""
+    """Complementary kernel coefficient a_{1/c} = pi/2 - a_c, evaluated as
+    a_{1/c} for c >= 1 so that small values do not cancel against pi/2."""
     if not (math.isfinite(c) and c > 0.0):
         raise ValueError(f"aspect ratio must be positive and finite, got {c!r}")
-    return a_c(1.0 / c, cfg)
+    return math.pi / 2.0 - a_c(c) if c < 1.0 else a_c(1.0 / c)
 
 
-def _i_kernel_result(
-    cs: CrossSection, swap: bool, x: float, cfg: QuadratureConfig
-) -> QuadratureResult:
-    if not math.isfinite(x):
-        raise ValueError(f"frequency must be finite, got {x!r}")
-    prefactor = 2.0 * math.pi * cs.l * cs.d
-    if x == 0.0:
-        # the radical reduces to t, so I(d,l,0) = 2*pi*l*d*a_c exactly
-        # (and I(l,d,0) = 2*pi*l*d*b_c)
-        inner = _a_c_result(cs.c if swap else 1.0 / cs.c, cfg)
-    else:
-        if swap:
-            r, s = cs.l / cs.d, cs.d
-        else:
-            r, s = cs.c, cs.l
-        inner = _kernel_profile_integral(r, s * abs(x), cfg)
-    return QuadratureResult(
-        value=prefactor * inner.value,
-        error_estimate=prefactor * inner.error_estimate,
-        subdivisions_used=inner.subdivisions_used,
-    )
+def _k0_gap(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """K0(z) - K0(z + dz) for z > 0, dz >= 0, without cancellation.
+
+    Where dz (1 + 1/z) < 0.05 the direct difference would lose digits, and
+    the gap is the integral of K1 over [z, z + dz] by 7-point Gauss-Legendre.
+    """
+    gap = k0(z) - k0(z + dz)
+    near = np.flatnonzero(dz * (1.0 + 1.0 / z) < 0.05)
+    if near.size:
+        zn, h = z.ravel()[near, None], 0.5 * dz.ravel()[near, None]
+        nodes = zn + h * (1.0 + _GK_NODES[1::2])
+        gap.ravel()[near] = (h * k1(nodes) * _GK_GAUSS[1::2]).sum(axis=1)
+    return gap
+
+
+def kernel_batch(
+    cs: CrossSection, swap: bool, ks, cfg: QuadratureConfig = DEFAULT_CONFIG
+) -> tuple[np.ndarray, np.ndarray]:
+    """Surface kernel I(l, d, k) (swap=False) or I(d, l, k) (swap=True) at
+    every frequency in ks, returned as (values, errors) shaped like ks.
+
+    k = 0 takes the closed forms 2*pi*l*d*a_c and 2*pi*l*d*b_c, very large
+    |k| a closed asymptotic form, all other k the graded Kronrod rule in
+    blocks of _BLOCK, with the error from its embedded Gauss rule.  Rows are
+    reduced one by one in node order: a batch gives bitwise the values of its
+    frequencies evaluated one at a time.  Raises ValueError for a non-finite
+    frequency, QuadratureError when an error estimate is not within cfg's
+    tolerance (relative to the value when cfg.rel_tol > 0).
+    """
+    k = np.abs(np.asarray(ks, dtype=float)).ravel()
+    if not np.all(np.isfinite(k)):
+        raise ValueError("frequencies must be finite")
+    w, s = (cs.d, cs.l) if swap else (cs.l, cs.d)
+    values, errors = np.empty(k.size), np.zeros(k.size)
+    zero = k * max(w, s) < _ZERO_FREQUENCY
+    values[zero] = 2.0 * math.pi * cs.l * cs.d * (a_c(cs.c) if swap else b_c(cs.c))
+    nonzero = np.flatnonzero(~zero)
+    kn = k[nonzero]
+    # far out the integral is (pi/2)(pi w/k - 1/k^2) up to a relative e^-40
+    far = (kn * w >= _FAR) & (kn * s >= _FAR + 0.5 * np.maximum(0.0, np.log(kn) + math.log(w)))
+    values[nonzero[far]] = 0.5 * math.pi * (math.pi * w / kn[far] - 1.0 / kn[far] ** 2)
+    near = nonzero[~far]
+    if near.size and _FLOOR * min(w, s) < np.finfo(float).tiny:
+        raise QuadratureError(f"{cs} is too thin for the kernel rule in double precision")
+    panels = math.ceil(math.log2(2.0 * w) - math.log2(min(w, s)) - math.log2(_FLOOR))
+    edges = np.ldexp(2.0 * w, -np.arange(panels + 1))
+    mid, half = 0.5 * (edges[:-1] + edges[1:])[:, None], 0.5 * (edges[:-1] - edges[1:])[:, None]
+    u = (mid + half * _GK_NODES).ravel()
+    du = 4.0 * s * s / (np.hypot(u, 2.0 * s) + u)  # sqrt(u^2 + 4 s^2) - u
+    kronrod = (half * _GK_WEIGHTS).ravel() * (2.0 * w - u)
+    excess = (half * (_GK_WEIGHTS - _GK_GAUSS)).ravel() * (2.0 * w - u)
+    floor = edges[-1]
+    for start in range(0, near.size, _BLOCK):
+        idx = near[start : start + _BLOCK]
+        kb = k[idx][:, None]
+        gap = _k0_gap(kb * u, kb * du)
+        # int_0^floor (2w - u) [K0(k u) - K0(k r)] du to leading order in floor
+        sliver = 2.0 * w * floor * (
+            1.0 - np.euler_gamma - np.log(0.5 * kb * floor) - k0(kb * math.hypot(floor, 2.0 * s))
+        )
+        values[idx] = 0.5 * math.pi * ((gap * kronrod).sum(axis=1) + sliver[:, 0])
+        per_panel = (gap * excess).reshape(idx.size, -1, _GK_NODES.size).sum(axis=2)
+        errors[idx] = 0.5 * math.pi * np.abs(per_panel).sum(axis=1)
+    errors += _ROUNDING * np.abs(values)
+    bound = cfg.rel_tol * np.abs(values) if cfg.rel_tol > 0 else cfg.abs_tol
+    bad = np.flatnonzero(~(errors <= bound))
+    if bad.size:
+        i = bad[0]
+        raise QuadratureError(f"kernel error {errors[i]:.3e} above tolerance at k={k[i]:.17g}")
+    return values.reshape(np.shape(ks)), errors.reshape(np.shape(ks))
 
 
 def i_kernel(
@@ -214,15 +217,15 @@ def i_kernel(
     component); swap=True computes I(d, l, x) (weights the second).  The
     kernel is even in x, nonnegative, and finite for all x including 0.
     """
-    return _i_kernel_result(cs, swap, x, cfg).value
+    values, _ = kernel_batch(cs, swap, x, cfg)
+    return float(values)
 
 
 def lemma32_bounds(cs: CrossSection, cfg: QuadratureConfig = DEFAULT_CONFIG) -> KernelBoundTriple:
     """Evaluate the three closed-form bound expressions on I(d, l, x).
 
-    The (ii) and (iii) expressions are pure arithmetic; the (i) expression is
-    2*pi*l*d*a_c and needs the one-dimensional a_c quadrature (but never the
-    kernel integral itself).
+    All three are pure arithmetic; the (i) expression is 2*pi*l*d*a_c with
+    the closed-form a_c.
     """
     pld = math.pi * cs.l * cs.d
     c = cs.c
@@ -276,34 +279,33 @@ def verify_lemma32(
     x_samples: list[float],
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> Lemma32Report:
-    """Check the two-sided kernel bounds against quadrature at given samples.
+    """Check the two-sided kernel bounds against the kernel at given samples.
 
     Each sample must satisfy I(d,l,x) <= upper_i and <= upper_ii; samples with
     |x| <= 1/l must additionally satisfy I(d,l,x) >= lower_iii.  Violations
-    beyond the quadrature error budget mark the sample (and the report) as
+    beyond the kernel error budget mark the sample (and the report) as
     failed.
     """
     if len(x_samples) == 0:
         raise ValueError("x_samples must be nonempty")
     bounds = lemma32_bounds(cs, cfg)
-    bound_err = _a_c_result(cs.c, cfg).error_estimate * 2.0 * math.pi * cs.l * cs.d
+    values, errors = kernel_batch(cs, True, x_samples, cfg)
     samples = []
     all_ok = True
-    for x in x_samples:
-        res = _i_kernel_result(cs, True, x, cfg)
-        budget = 10.0 * (res.error_estimate + bound_err) + 1e-14 * bounds.upper_ii
-        m_i = bounds.upper_i - res.value
-        m_ii = bounds.upper_ii - res.value
+    for x, value, error in zip(x_samples, values.tolist(), errors.tolist()):
+        budget = 10.0 * (error + _ROUNDING * bounds.upper_i) + 1e-14 * bounds.upper_ii
+        m_i = bounds.upper_i - value
+        m_ii = bounds.upper_ii - value
         ok = m_i >= -budget and m_ii >= -budget
         m_lo: float | None = None
         if abs(x) <= 1.0 / cs.l:
-            m_lo = res.value - bounds.lower_iii
+            m_lo = value - bounds.lower_iii
             ok = ok and m_lo >= -budget
         all_ok = all_ok and ok
         samples.append(
             Lemma32Sample(
                 x=x,
-                kernel_value=res.value,
+                kernel_value=value,
                 upper_i_margin=m_i,
                 upper_ii_margin=m_ii,
                 lower_margin=m_lo,

@@ -122,27 +122,35 @@ def spectrum(p: Profile1D) -> SpectrumProfile:
 
 
 class KernelCache:
-    """Memoized I(l,d,.) / I(d,l,.) evaluations for one cross-section.
+    """Memoized I(l,d,.) / I(d,l,.) values for one cross-section.
 
-    The kernel depends only on |x|; cached values are exactly the values a
-    fresh i_kernel call would return.  Write once per key, read-mostly after.
+    Per channel it holds the sorted |x| seen so far with their kernel values;
+    the misses of one lookup are filled by one kernels.kernel_batch call.
+    Cached values are exactly the values a fresh i_kernel call would return.
     """
 
     def __init__(self, cs: CrossSection, cfg: QuadratureConfig = DEFAULT_CONFIG):
         self.cross_section = cs
         self.config = cfg
-        self._store: dict[tuple[bool, float], float] = {}
+        self._tables = {swap: (np.empty(0), np.empty(0)) for swap in (True, False)}
+
+    def values(self, swap: bool, xs: np.ndarray) -> np.ndarray:
+        """Kernel values at every frequency of the 1-D array xs."""
+        ax = np.abs(np.asarray(xs, dtype=float))
+        keys, vals = self._tables[swap]
+        new = np.setdiff1d(ax, keys)
+        if new.size:
+            new_vals, _ = kernels.kernel_batch(self.cross_section, swap, new, self.config)
+            keys, vals = np.concatenate([keys, new]), np.concatenate([vals, new_vals])
+            order = np.argsort(keys)
+            keys, vals = self._tables[swap] = keys[order], vals[order]
+        return vals[np.searchsorted(keys, ax)]
 
     def value(self, swap: bool, x: float) -> float:
-        key = (swap, abs(x))
-        v = self._store.get(key)
-        if v is None:
-            v = kernels.i_kernel(self.cross_section, swap, abs(x), self.config)
-            self._store[key] = v
-        return v
+        return float(self.values(swap, np.array([x]))[0])
 
     def __len__(self) -> int:
-        return len(self._store)
+        return sum(keys.size for keys, _ in self._tables.values())
 
 
 def _channel_sum(
@@ -151,11 +159,8 @@ def _channel_sum(
     peak = float(amp2.max()) if amp2.size else 0.0
     if peak == 0.0:
         return 0.0
-    total = 0.0
-    for k, a2 in zip(freqs, amp2):
-        if a2 > _SPECTRAL_FLOOR * peak:
-            total += cache.value(swap, float(k)) * float(a2)
-    return total * dk
+    kept = amp2 > _SPECTRAL_FLOOR * peak
+    return float(np.sum(cache.values(swap, freqs[kept]) * amp2[kept])) * dk
 
 
 def e_s_spectral(

@@ -14,6 +14,12 @@ def test_kernel_a_c_prints_round_trippable_value(capsys):
     assert repr(value) == out
 
 
+def test_kernel_a_c_large_aspect_ratio(capsys):
+    code = run(["kernel", "a_c", "--c", "1e4"])
+    assert code == 0
+    assert 0.0 < math.pi / 2 - float(capsys.readouterr().out) < 1e-3
+
+
 def test_kernel_a_c_rejects_negative(capsys):
     code = run(["kernel", "a_c", "--c", "-1"])
     assert code == 1
@@ -172,6 +178,11 @@ def test_global_flags_accepted_after_subcommand(tmp_path, capsys):
     code = run(["kernel", "a_c", "--c", "1.0", "--tol", "1e-6"])
     assert code == 0
     assert float(capsys.readouterr().out) == pytest.approx(math.pi / 4, rel=1e-6)
+
+
+def test_removed_global_flags_rejected(capsys):
+    assert run(["--threads", "2", "kernel", "a_c", "--c", "1"]) == 1
+    assert run(["kernel", "a_c", "--c", "1", "--seed", "3"]) == 1
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -1,4 +1,6 @@
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,9 @@ from wallscale import (
     lemma32_bounds,
     verify_lemma32,
 )
+from wallscale.errors import QuadratureError
+from wallscale.kernels import kernel_batch
+from wallscale.quad import QuadratureConfig
 
 PI_HALF = math.pi / 2.0
 
@@ -231,3 +236,63 @@ class TestCrossSection:
             CrossSection(l=0.1, d=0.2)
         with pytest.raises(ValueError):
             CrossSection(l=0.1, d=0.0)
+
+
+class TestClosedFormRange:
+    @pytest.mark.parametrize("c", [1e4, 1e5, 1e6, 1e7])
+    def test_a_c_returns_at_large_aspect_ratio(self, c):
+        # pi/2 - a_c = a_{1/c} must sit in the small-c bracket
+        lo, hi = bracket(1.0 / c)
+        assert lo <= PI_HALF - a_c(c) <= hi
+
+    @pytest.mark.parametrize("k", [0.0, 1.0, 100.0])
+    def test_thin_m3_channel_returns(self, k):
+        v = i_kernel(CrossSection(l=1e-3, d=1e-7), False, k)
+        assert math.isfinite(v) and v > 0.0
+
+
+def load_kernel_refs() -> list[tuple[float, float, bool, float, float]]:
+    """(l, d, swap, k, I) rows written by scripts/make_kernel_refs.py."""
+    with open(Path(__file__).parent / "data" / "kernel_refs.csv") as fh:
+        return [
+            (float(r["l"]), float(r["d"]), r["swap"] == "True", float(r["k"]), float(r["value"]))
+            for r in csv.DictReader(fh)
+        ]
+
+
+class TestKernelBatch:
+    def test_matches_mpmath_references(self):
+        rows = load_kernel_refs()
+        assert len(rows) >= 150
+        for l, d, swap, k, ref in rows:
+            cs = CrossSection(l=l, d=d)
+            value = i_kernel(cs, swap, k)
+            _, (error,) = kernel_batch(cs, swap, [k])
+            true_error = abs(value - ref)
+            assert true_error <= 1e-12 * ref, (l, d, swap, k, value, ref)
+            assert true_error <= error, (l, d, swap, k, true_error, error)
+
+    @pytest.mark.parametrize("cs", [CrossSection(l=0.1, d=0.05), CrossSection(l=1e-3, d=1e-9)])
+    @pytest.mark.parametrize("swap", [True, False])
+    def test_batch_size_and_order_do_not_change_values(self, cs, swap):
+        rng = np.random.default_rng(7)
+        ks = np.concatenate([[0.0, -0.0], rng.normal(0.0, 30.0, 45), np.geomspace(1e-6, 1e7, 12)])
+        single = np.array([kernel_batch(cs, swap, [k])[0][0] for k in ks])
+        for size in (2, 7, 16, 17, ks.size):
+            order = rng.permutation(ks.size)
+            for start in range(0, ks.size, size):
+                idx = order[start : start + size]
+                values, _ = kernel_batch(cs, swap, ks[idx])
+                assert np.array_equal(values, single[idx])
+
+    def test_error_estimate_enforces_tolerance(self):
+        cs = CrossSection(l=0.1, d=0.05)
+        _, (error,) = kernel_batch(cs, True, [3.0])
+        value = i_kernel(cs, True, 3.0, QuadratureConfig(rel_tol=1e-9))
+        assert error <= 1e-9 * value
+        with pytest.raises(QuadratureError):
+            i_kernel(cs, True, 3.0, QuadratureConfig(rel_tol=1e-15))
+
+    def test_rejects_nonfinite_frequency(self):
+        with pytest.raises(ValueError):
+            kernel_batch(CrossSection(l=0.1, d=0.05), True, [1.0, math.inf])

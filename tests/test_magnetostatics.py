@@ -109,6 +109,16 @@ class TestKernelCache:
                 assert cached == i_kernel(GOLDEN_CS, swap, x)
                 assert cache.value(swap, -x) == cached
 
+    def test_batched_lookup_fills_misses_once(self, standard_wall_profile):
+        cache = KernelCache(GOLDEN_CS)
+        ks = spectrum(standard_wall_profile).frequencies[::7]
+        first = cache.values(True, ks)
+        size = len(cache)
+        assert size == np.unique(np.abs(ks)).size
+        assert np.array_equal(cache.values(True, ks[::-1]), first[::-1])
+        assert len(cache) == size
+        assert all(v == i_kernel(GOLDEN_CS, True, k) for k, v in zip(ks[:20], first[:20]))
+
 
 class TestSurfaceEnergy:
     def test_zero_without_transverse_charge(self):
@@ -172,6 +182,12 @@ class TestSurfaceEnergy:
         e0 = e_s_boundary_oracle(p0, cs, (256, 16))
         e90 = e_s_boundary_oracle(p90, cs, (256, 16))
         assert e90 == pytest.approx(e0, rel=1e-12)
+
+    def test_thin_film_m3_channel_is_finite(self):
+        # m3-carrying wall at c = 1e-4, where the m3 kernel used to fail
+        wall = ClosedFormWall(alpha=1.0 / math.pi, beta=1.0, theta=math.pi / 4)
+        value = e_s_spectral(sample_wall(wall, 26.0, 513), CrossSection(l=1e-3, d=1e-7))
+        assert math.isfinite(value) and value >= 0.0
 
     def test_m3_channel_spectral_matches_oracle(self):
         # the theta = pi/2 wall puts all transverse charge on the z-faces,
