@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate the mpmath reference table for the surface kernel I.
+"""Regenerate the mpmath reference tables for the surface kernel I and the
+volume kernel K.
 
 Evaluates, in 30-digit arithmetic with mpmath's tanh-sinh quadrature,
 
@@ -11,8 +12,17 @@ geomspace(1e-3, 1e4, 15), both swaps, plus the golden-section case
 l = 0.1, d = 0.05, swap=True, k = 166.4488.  At k = 0 the bracket is its
 limit ln(sqrt(u^2 + 4 s^2)/u), which checks the closed forms of a_c and b_c
 independently.  The working precision absorbs the cancellation of the two
-K0 terms in thin films.  Run from the repository root (takes a few
-minutes):
+K0 terms in thin films.
+
+The volume kernel
+
+    K = (pi/2) int_0^{2l} int_0^{2d} (2l - u) (2d - v) K0(k sqrt(u^2 + v^2)) dv du
+
+goes to a second table, on the square [0, 2d]^2 in Duffy coordinates
+(rho, t) and the strip [2d, 2l] x [0, 2d] in (u, v), by two-dimensional
+tanh-sinh, at the VOLUME_CASES below: square, moderate, thin and very thin
+sections, k from 1e-3 to past the switch to the asymptotic form at
+k d = 20.  Run from the repository root (takes about twenty minutes):
 
     python3 scripts/make_kernel_refs.py
 """
@@ -23,10 +33,26 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 
-OUT = Path(__file__).resolve().parents[1] / "tests" / "data" / "kernel_refs.csv"
+DATA = Path(__file__).resolve().parents[1] / "tests" / "data"
+OUT = DATA / "kernel_refs.csv"
+VOLUME_OUT = DATA / "volume_kernel_refs.csv"
 ASPECT_RATIOS = (1.0, 0.5, 1e-2, 1e-6, 1e-12)
 FREQUENCIES = (0.0,) + tuple(float(k) for k in np.geomspace(1e-3, 1e4, 15))
 GOLDEN = (0.1, 0.05, True, 166.4488)
+VOLUME_CASES = (
+    (0.1, 0.05, 0.5),
+    (0.1, 0.05, 5.0),
+    (0.1, 0.05, 50.0),
+    (0.1, 0.05, 300.0),
+    (0.1, 0.05, 1000.0),
+    (1e-3, 1e-5, 1.0),
+    (1e-3, 1e-4, 10.0),
+    (1.0, 1.0, 0.01),
+    (1.0, 1.0, 3.0),
+    (1.0, 1e-6, 1e-3),
+    (1.0, 1e-6, 1.0),
+    (1.0, 1e-6, 1e3),
+)
 
 
 def bessel_k0(x: mp.mpf) -> mp.mpf:
@@ -78,21 +104,59 @@ def reference(l: float, d: float, swap: bool, k: float) -> tuple[mp.mpf, mp.mpf]
     return scale * value, scale * err
 
 
+def volume_reference(l: float, d: float, k: float) -> tuple[mp.mpf, mp.mpf]:
+    """(K, quadrature error estimate) in working precision, k > 0."""
+    l, d, k = mp.mpf(l), mp.mpf(d), mp.mpf(k)
+
+    def points(lo, hi):
+        # the decay length 1/k, and decades toward the corner's log singularity
+        # (rho -> 0) or away from the corner along the strip
+        pts = {lo, hi} | {p for p in (1 / k, 10 / k, 40 / k) if lo < p < hi}
+        if lo == 0:
+            bottom = min(hi, 1 / k) * mp.mpf(10) ** -6
+            pts |= {hi * mp.mpf(10) ** -j for j in range(1, 60) if hi * mp.mpf(10) ** -j > bottom}
+        else:
+            pts |= {lo * mp.mpf(10) ** j for j in range(1, 60) if lo * mp.mpf(10) ** j < hi}
+        return sorted(pts)
+
+    def corner(t, rho):
+        weight = (2 * l - rho) * (2 * d - rho * t) + (2 * l - rho * t) * (2 * d - rho)
+        return rho * weight * bessel_k0(k * rho * mp.sqrt(1 + t * t))
+
+    def strip(v, u):
+        return (2 * l - u) * (2 * d - v) * bessel_k0(k * mp.sqrt(u * u + v * v))
+
+    # mpmath's stopping test is absolute: integrate K / scale, which is O(1)
+    scale = mp.pi / 2 * l * d * min(d, 1 / k) ** 2
+    value, err = mp.quad(lambda t, r: corner(t, r) * (mp.pi / 2 / scale), [0, 1], points(0, 2 * d), error=True)
+    if l > d:
+        more, more_err = mp.quad(
+            lambda v, u: strip(v, u) * (mp.pi / 2 / scale), [0, 2 * d], points(2 * d, 2 * l), error=True
+        )
+        value, err = value + more, err + more_err
+    return scale * value, scale * err
+
+
+def write_table(path: Path, header: list[str], cases, evaluate) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for case in cases:
+            value, err = evaluate(*case)
+            if not err <= abs(value) * mp.mpf(10) ** -18:
+                raise SystemExit(f"reference not converged at {case}: error {err}")
+            writer.writerow([repr(x) for x in case] + [mp.nstr(value, 25), mp.nstr(err, 3)])
+            print(f"{case}: {mp.nstr(value, 20)} (err {mp.nstr(err, 3)})")
+    print(f"wrote {path}")
+
+
 def main() -> None:
     mp.mp.dps = 30
     cases = [(1.0, c, swap, k) for c in ASPECT_RATIOS for swap in (True, False) for k in FREQUENCIES]
     cases.append(GOLDEN)
-    OUT.parent.mkdir(parents=True, exist_ok=True)
-    with open(OUT, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["l", "d", "swap", "k", "value", "quad_error"])
-        for l, d, swap, k in cases:
-            value, err = reference(l, d, swap, k)
-            if not err <= abs(value) * mp.mpf(10) ** -18:
-                raise SystemExit(f"reference not converged at {(l, d, swap, k)}: error {err}")
-            writer.writerow([repr(l), repr(d), swap, repr(k), mp.nstr(value, 25), mp.nstr(err, 3)])
-            print(f"l={l} d={d} swap={swap} k={k!r}: {mp.nstr(value, 20)} (err {mp.nstr(err, 3)})")
-    print(f"wrote {OUT}")
+    DATA.mkdir(parents=True, exist_ok=True)
+    write_table(OUT, ["l", "d", "swap", "k", "value", "quad_error"], cases, reference)
+    write_table(VOLUME_OUT, ["l", "d", "k", "value", "quad_error"], VOLUME_CASES, volume_reference)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 domain walls in thin rectangular magnetic films.
 
 Modules:
-    quad            adaptive quadrature engine
-    kernels         magnetostatic kernels a_c, b_c, I and their bounds
+    quad            adaptive quadrature (public API, real-space oracle)
+    kernels         magnetostatic kernels a_c, b_c, I, K and bounds on I
     walls           closed-form transverse walls and reduced energies
     minimize        sphere-constrained descent and ansatz-family search
     magnetostatics  spectral/boundary-integral surface and volume energies

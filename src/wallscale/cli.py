@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_kernel(args: argparse.Namespace, cfg: QuadratureConfig) -> int:
     if args.subcommand == "a_c":
-        _emit(_fmt(a_c(args.c, cfg)), args)
+        _emit(_fmt(a_c(args.c)), args)
         return EXIT_OK
     if args.subcommand == "i":
         cs = CrossSection(l=args.l, d=args.d)
@@ -260,7 +260,7 @@ def _cmd_sweep(args: argparse.Namespace, cfg: QuadratureConfig) -> int:
             print("rate bound violated for at least one case", file=sys.stderr)
             return EXIT_VERIFICATION
         return EXIT_OK
-    report = lab.corollary33_report(grid, cfg)
+    report = lab.corollary33_report(grid)
     lines = ["c,ratio,bracket_low,bracket_high,in_bracket"]
     for row in report.rows:
         lines.append(

@@ -15,9 +15,12 @@ a_c = arctan c + (c/4) ln(1 + 1/c^2) - ln(1 + c^2)/(4c) in closed form.  For
 x != 0, I is the Fourier transform of one face pair's 1/r interaction
 (DLMF 10.32), with (w, s) = (d, l) for I(d, l, x) and (l, d) for I(l, d, x),
 
-    I = (pi/2) int_0^{2w} (2w - u) [K0(|x| u) - K0(|x| sqrt(u^2 + 4 s^2))] du,
+    I = (pi/2) int_0^{2w} (2w - u) [K0(|x| u) - K0(|x| sqrt(u^2 + 4 s^2))] du.
 
-which kernel_batch evaluates with one fixed graded rule for many x at once.
+Over the whole cross-section the same transform gives the volume kernel
+K = (pi/2) int_0^{2l} int_0^{2d} (2l - u)(2d - v) K0(|x| sqrt(u^2 + v^2)) dv du,
+which weights the spectrum of d m1/dx.  kernel_batch and volume_kernel_batch
+evaluate them for many x at once with one fixed graded Gauss-Kronrod rule.
 
 Every function here is pure and reentrant; sweep drivers may call them
 concurrently.
@@ -43,6 +46,7 @@ __all__ = [
     "b_c",
     "i_kernel",
     "kernel_batch",
+    "volume_kernel_batch",
     "lemma32_bounds",
     "verify_lemma32",
     "a_c_scaling_ratio",
@@ -59,7 +63,8 @@ _GK_GAUSS[1::2] = _WG + _WG[-2::-1]
 # scales s and 1/|x| a panel width away: Gauss is good to ~1e-11, Kronrod to rounding.
 _FLOOR = 1e-12
 _ZERO_FREQUENCY = 1e-9  # |x| max(w, s) below this: I(x) = I(0) to rounding
-_FAR = 20.0  # see kernel_batch's asymptotic branch
+_FAR = 20.0  # see the asymptotic branches of kernel_batch and volume_kernel_batch
+_CORNER_PANELS = 24  # halvings of the volume rule's corner toward the origin
 _ROUNDING = 1e-14  # relative rounding error claimed for every value
 _BLOCK = 16  # frequencies per block; bounds the (block x nodes) temporaries
 
@@ -102,21 +107,12 @@ class KernelBoundTriple:
     vacuous: bool
 
 
-def _sinc_sq(t: float) -> float:
-    # sin^2(t)/t^2 with the removable singularity at t = 0 filled by series
-    if abs(t) < 1e-4:
-        t2 = t * t
-        return 1.0 - t2 / 3.0 + 2.0 * t2 * t2 / 45.0
-    s = math.sin(t) / t
-    return s * s
-
-
-def a_c(c: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def a_c(c: float) -> float:
     """Surface-charge kernel coefficient (c/2) int sinc^2(t) (1-e^{-2t/c})/t dt.
 
     Strictly increasing in c, with range (0, pi/2).  For c < 1 the value is
     bracketed by (c|ln c|/2)(1 - 5/sqrt(|ln c|)) and (c/2)(3 - ln c).
-    Exact to rounding in closed form; cfg is kept for interface stability.
+    Exact to rounding in closed form.
     """
     if not (math.isfinite(c) and c > 0.0):
         raise ValueError(f"aspect ratio must be positive and finite, got {c!r}")
@@ -128,7 +124,7 @@ def a_c(c: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     return math.atan(c) + 0.25 * c * (math.log1p(c2) - 2.0 * math.log(c)) - last
 
 
-def b_c(c: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def b_c(c: float) -> float:
     """Complementary kernel coefficient a_{1/c} = pi/2 - a_c, evaluated as
     a_{1/c} for c >= 1 so that small values do not cancel against pi/2."""
     if not (math.isfinite(c) and c > 0.0):
@@ -151,6 +147,42 @@ def _k0_gap(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
     return gap
 
 
+def _gk_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """GK15 nodes, Kronrod weights and Kronrod-minus-Gauss weights on the
+    panels between consecutive edges, each shaped (panels, 15)."""
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * np.abs(edges[:-1] - edges[1:])[:, None]
+    return mid + half * _GK_NODES, half * _GK_WEIGHTS, half * (_GK_WEIGHTS - _GK_GAUSS)
+
+
+def _graded_rule(k, values, rows, integrand, kronrod, excess, cfg, shape):
+    """(values, errors) reshaped to shape, with values[rows] filled by pi/2
+    times a panel rule and every error carrying the _ROUNDING term.
+
+    integrand(kb) gives the integrand at the nodes for a column kb of
+    frequencies, and the integral below the rule's floor; each array in
+    excess holds Kronrod-minus-Gauss weights shaped (panels, nodes per
+    panel).  Blocks of _BLOCK frequencies bound the temporaries; each row is
+    reduced on its own, so a batch gives bitwise the values of its
+    frequencies one at a time.  Raises QuadratureError when an error is not
+    within cfg's tolerance (relative to the value when cfg.rel_tol > 0).
+    """
+    errors = np.zeros(k.size)
+    for start in range(0, rows.size, _BLOCK):
+        idx = rows[start : start + _BLOCK]
+        f, sliver = integrand(k[idx][:, None])
+        values[idx] = 0.5 * math.pi * ((f * kronrod).sum(axis=1) + sliver)
+        panels = f.reshape(idx.size, *excess[0].shape)
+        errors[idx] = 0.5 * math.pi * sum(np.abs((panels * e).sum(axis=2)).sum(axis=1) for e in excess)
+    errors += _ROUNDING * np.abs(values)
+    bound = cfg.rel_tol * np.abs(values) if cfg.rel_tol > 0 else cfg.abs_tol
+    bad = np.flatnonzero(~(errors <= bound))
+    if bad.size:
+        i = bad[0]
+        raise QuadratureError(f"kernel error {errors[i]:.3e} above tolerance at k={k[i]:.17g}")
+    return values.reshape(shape), errors.reshape(shape)
+
+
 def kernel_batch(
     cs: CrossSection, swap: bool, ks, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -158,18 +190,17 @@ def kernel_batch(
     every frequency in ks, returned as (values, errors) shaped like ks.
 
     k = 0 takes the closed forms 2*pi*l*d*a_c and 2*pi*l*d*b_c, very large
-    |k| a closed asymptotic form, all other k the graded Kronrod rule in
-    blocks of _BLOCK, with the error from its embedded Gauss rule.  Rows are
-    reduced one by one in node order: a batch gives bitwise the values of its
-    frequencies evaluated one at a time.  Raises ValueError for a non-finite
-    frequency, QuadratureError when an error estimate is not within cfg's
-    tolerance (relative to the value when cfg.rel_tol > 0).
+    |k| a closed asymptotic form, all other k the Kronrod rule on panels
+    halving toward u = 0, with the error from its embedded Gauss rule (see
+    _graded_rule: batches are bitwise consistent).  Raises ValueError for a
+    non-finite frequency, QuadratureError when an error estimate is not
+    within cfg's tolerance.
     """
     k = np.abs(np.asarray(ks, dtype=float)).ravel()
     if not np.all(np.isfinite(k)):
         raise ValueError("frequencies must be finite")
     w, s = (cs.d, cs.l) if swap else (cs.l, cs.d)
-    values, errors = np.empty(k.size), np.zeros(k.size)
+    values = np.empty(k.size)
     zero = k * max(w, s) < _ZERO_FREQUENCY
     values[zero] = 2.0 * math.pi * cs.l * cs.d * (a_c(cs.c) if swap else b_c(cs.c))
     nonzero = np.flatnonzero(~zero)
@@ -182,30 +213,68 @@ def kernel_batch(
         raise QuadratureError(f"{cs} is too thin for the kernel rule in double precision")
     panels = math.ceil(math.log2(2.0 * w) - math.log2(min(w, s)) - math.log2(_FLOOR))
     edges = np.ldexp(2.0 * w, -np.arange(panels + 1))
-    mid, half = 0.5 * (edges[:-1] + edges[1:])[:, None], 0.5 * (edges[:-1] - edges[1:])[:, None]
-    u = (mid + half * _GK_NODES).ravel()
+    u, kronrod, excess = _gk_panels(edges)
+    u = u.ravel()
     du = 4.0 * s * s / (np.hypot(u, 2.0 * s) + u)  # sqrt(u^2 + 4 s^2) - u
-    kronrod = (half * _GK_WEIGHTS).ravel() * (2.0 * w - u)
-    excess = (half * (_GK_WEIGHTS - _GK_GAUSS)).ravel() * (2.0 * w - u)
+    kronrod = kronrod.ravel() * (2.0 * w - u)
+    excess = excess * (2.0 * w - u).reshape(excess.shape)
     floor = edges[-1]
-    for start in range(0, near.size, _BLOCK):
-        idx = near[start : start + _BLOCK]
-        kb = k[idx][:, None]
-        gap = _k0_gap(kb * u, kb * du)
+
+    def integrand(kb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # int_0^floor (2w - u) [K0(k u) - K0(k r)] du to leading order in floor
         sliver = 2.0 * w * floor * (
             1.0 - np.euler_gamma - np.log(0.5 * kb * floor) - k0(kb * math.hypot(floor, 2.0 * s))
         )
-        values[idx] = 0.5 * math.pi * ((gap * kronrod).sum(axis=1) + sliver[:, 0])
-        per_panel = (gap * excess).reshape(idx.size, -1, _GK_NODES.size).sum(axis=2)
-        errors[idx] = 0.5 * math.pi * np.abs(per_panel).sum(axis=1)
-    errors += _ROUNDING * np.abs(values)
-    bound = cfg.rel_tol * np.abs(values) if cfg.rel_tol > 0 else cfg.abs_tol
-    bad = np.flatnonzero(~(errors <= bound))
-    if bad.size:
-        i = bad[0]
-        raise QuadratureError(f"kernel error {errors[i]:.3e} above tolerance at k={k[i]:.17g}")
-    return values.reshape(np.shape(ks)), errors.reshape(np.shape(ks))
+        return _k0_gap(kb * u, kb * du), sliver[:, 0]
+
+    return _graded_rule(k, values, near, integrand, kronrod, (excess,), cfg, np.shape(ks))
+
+
+def volume_kernel_batch(
+    cs: CrossSection, ks, cfg: QuadratureConfig = DEFAULT_CONFIG
+) -> tuple[np.ndarray, np.ndarray]:
+    """Volume kernel K(l, d, k) at every frequency in ks, returned as
+    (values, errors) shaped like ks.
+
+    |k| d >= _FAR takes the quarter-plane form (pi/2)(2 pi l d/k^2 -
+    pi (l + d)/k^3 + 2/k^4), short by a relative e^(-2|k|d)/(2|k|d).  Other k
+    take the Kronrod rule (see _graded_rule) on outer panels x doubling from
+    2d up to 2l and halving from 2d toward 0 times one panel t in [0, 1]:
+    with y = min(x, 2d) t, (u, v) = (x, y) covers the strip [2d, 2l] x [0, 2d]
+    and, with its mirror (y, x), the corner [0, 2d]^2 as two Duffy triangles.
+    The error sums the Gauss estimates of both directions.  Raises ValueError
+    for a zero or non-finite frequency (K diverges like -ln|k|).
+    """
+    k = np.abs(np.asarray(ks, dtype=float)).ravel()
+    if not np.all(np.isfinite(k) & (k > 0.0)):
+        raise ValueError("frequencies must be finite and nonzero")
+    l, d = cs.l, cs.d
+    values = np.empty(k.size)
+    far = k * d >= _FAR
+    kf = k[far]
+    values[far] = 0.5 * math.pi * (2.0 * math.pi * l * d - math.pi * (l + d) / kf + 2.0 / kf**2) / kf**2
+    floor = math.ldexp(2.0 * d, -_CORNER_PANELS)
+    if floor < np.finfo(float).tiny and not np.all(far):
+        raise QuadratureError(f"{cs} is too thin for the kernel rule in double precision")
+    doublings = math.ceil(math.log2(l / d))
+    edges = np.append(2.0 * l, np.ldexp(2.0 * d, np.arange(doublings - 1, -_CORNER_PANELS - 1, -1)))
+    x, w_x, e_x = (a[:, :, None] for a in _gk_panels(edges))
+    t, w_t, e_t = (a[0] for a in _gk_panels(np.array([1.0, 0.0])))
+    side = np.minimum(x, 2.0 * d)
+    y = side * t
+    mirror = np.where(x < 2.0 * d, (2.0 * l - y) * (2.0 * d - x), 0.0)
+    poly = side * ((2.0 * l - x) * (2.0 * d - y) + mirror)
+    r = np.hypot(x, y).ravel()
+    kronrod = (w_x * w_t * poly).ravel()
+    excess = tuple((a * b * poly).reshape(x.shape[0], -1) for a, b in ((e_x, w_t), (w_x, e_t)))
+    log_mean = 0.5 * (math.log(2.0) - 3.0 + 0.5 * math.pi)  # mean of ln|(u, v)| on [0, 1]^2
+
+    def integrand(kb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the square [0, floor]^2 with K0(z) = -ln(z/2) - gamma, to leading order
+        sliver = 4.0 * l * d * floor**2 * (-np.euler_gamma - np.log(0.5 * kb * floor) - log_mean)
+        return k0(kb * r), sliver[:, 0]
+
+    return _graded_rule(k, values, np.flatnonzero(~far), integrand, kronrod, excess, cfg, np.shape(ks))
 
 
 def i_kernel(
@@ -221,7 +290,7 @@ def i_kernel(
     return float(values)
 
 
-def lemma32_bounds(cs: CrossSection, cfg: QuadratureConfig = DEFAULT_CONFIG) -> KernelBoundTriple:
+def lemma32_bounds(cs: CrossSection) -> KernelBoundTriple:
     """Evaluate the three closed-form bound expressions on I(d, l, x).
 
     All three are pure arithmetic; the (i) expression is 2*pi*l*d*a_c with
@@ -229,7 +298,7 @@ def lemma32_bounds(cs: CrossSection, cfg: QuadratureConfig = DEFAULT_CONFIG) -> 
     """
     pld = math.pi * cs.l * cs.d
     c = cs.c
-    upper_i = 2.0 * pld * a_c(c, cfg)
+    upper_i = 2.0 * pld * a_c(c)
     upper_ii = pld * c * (3.0 - math.log(c))
     ln_abs = abs(math.log(c))
     if ln_abs == 0.0:
@@ -288,7 +357,7 @@ def verify_lemma32(
     """
     if len(x_samples) == 0:
         raise ValueError("x_samples must be nonempty")
-    bounds = lemma32_bounds(cs, cfg)
+    bounds = lemma32_bounds(cs)
     values, errors = kernel_batch(cs, True, x_samples, cfg)
     samples = []
     all_ok = True
@@ -318,8 +387,8 @@ def verify_lemma32(
     )
 
 
-def a_c_scaling_ratio(c: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def a_c_scaling_ratio(c: float) -> float:
     """a_c / (c |ln c|), which tends to 1/2 as c -> 0."""
     if not (0.0 < c < 1.0):
         raise ValueError(f"require 0 < c < 1, got {c!r}")
-    return a_c(c, cfg) / (c * abs(math.log(c)))
+    return a_c(c) / (c * abs(math.log(c)))

@@ -167,9 +167,7 @@ class CorollaryReport:
     deviations_decreasing: bool
 
 
-def corollary33_report(
-    c_grid: Sequence[float], cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> CorollaryReport:
+def corollary33_report(c_grid: Sequence[float]) -> CorollaryReport:
     """Tabulate a_c/(c |ln c|) with its closed-form bracket per grid point.
 
     The bracket endpoints come from the two-sided kernel bounds at zero
@@ -184,7 +182,7 @@ def corollary33_report(
     for c in c_grid:
         if not (0.0 < c < 1.0):
             raise ValueError("corollary grid must lie in (0, 1)")
-        ratio = a_c_scaling_ratio(c, cfg)
+        ratio = a_c_scaling_ratio(c)
         ln_abs = abs(math.log(c))
         low = 0.5 * (1.0 - 5.0 / math.sqrt(ln_abs))
         high = (3.0 + ln_abs) / (2.0 * ln_abs)

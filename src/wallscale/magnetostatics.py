@@ -10,8 +10,9 @@ boundary-integral oracle over the four cross-section faces provides an
 independent check of both the constant and the convention.
 
 The volume-charge energy E_v is reported through an explicit closed-form
-upper bound (always) and optionally through a spectral evaluation validated
-against a real-space Green-function oracle.
+upper bound (always) and optionally through the spectral evaluation
+(4/pi^2) int K(l,d,k) |g_hat(k)|^2 dk, g = d m1/dx, with the volume kernel
+K of the kernels module, validated against a real-space Green-function oracle.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 from . import kernels
 from .errors import ResolutionError
 from .kernels import CrossSection
-from .quad import DEFAULT_CONFIG, QuadratureConfig, integrate_finite, integrate_semi_infinite
-from .walls import Profile1D, profile_derivative
+from .quad import DEFAULT_CONFIG, QuadratureConfig, integrate_finite
+from .walls import Profile1D, _trapezoid, exchange_integral, profile_derivative
 
 __all__ = [
     "RescalingParams",
@@ -91,34 +92,33 @@ def offset_m1(p: Profile1D) -> np.ndarray:
     return np.where(p.x <= 0.0, p.m[:, 0] + 1.0, p.m[:, 0] - 1.0)
 
 
-def spectrum(p: Profile1D) -> SpectrumProfile:
-    """Unitary DFT of m2, m3 and m* on the profile grid.
+def _unitary_dft(p: Profile1D, *columns: np.ndarray) -> tuple[np.ndarray, float, list[np.ndarray]]:
+    """Ascending frequencies, their spacing dk and the unitary DFT of each
+    sampled column on p's grid.
 
     The last node is dropped (period 2L), giving dk = pi/L and an exact
-    discrete Plancherel identity sum |f_hat|^2 dk = h sum |f|^2 for the
-    components vanishing at the ends.
+    discrete Plancherel identity sum |f_hat|^2 dk = h sum |f|^2 for columns
+    vanishing at the ends.
     """
-    for idx, name in ((1, "m2"), (2, "m3")):
-        edge = max(abs(p.m[0, idx]), abs(p.m[-1, idx]))
-        if edge > 1e-6:
-            raise ValueError(f"{name} must vanish at the grid ends, got {edge:.3e}")
     h = p.spacing
     M = p.n_nodes - 1
     k = 2.0 * math.pi * np.fft.fftfreq(M, d=h)
     phase = np.exp(-1j * k * p.x[0])
     scale = h / math.sqrt(2.0 * math.pi)
     order = np.argsort(k, kind="stable")
+    transforms = [(scale * phase * np.fft.fft(c[:M]))[order] for c in columns]
+    return k[order], 2.0 * math.pi / (M * h), transforms
 
-    def transform(values: np.ndarray) -> np.ndarray:
-        return (scale * phase * np.fft.fft(values[:M]))[order]
 
-    return SpectrumProfile(
-        frequencies=k[order],
-        m2_hat=transform(p.m[:, 1]),
-        m3_hat=transform(p.m[:, 2]),
-        m1_hat=transform(offset_m1(p)),
-        dk=2.0 * math.pi / (M * h),
-    )
+def spectrum(p: Profile1D) -> SpectrumProfile:
+    """Unitary DFT of m2, m3 and m* on the profile grid (see _unitary_dft);
+    m2 and m3 must vanish at the grid ends."""
+    for idx, name in ((1, "m2"), (2, "m3")):
+        edge = max(abs(p.m[0, idx]), abs(p.m[-1, idx]))
+        if edge > 1e-6:
+            raise ValueError(f"{name} must vanish at the grid ends, got {edge:.3e}")
+    k, dk, (m2_hat, m3_hat, m1_hat) = _unitary_dft(p, p.m[:, 1], p.m[:, 2], offset_m1(p))
+    return SpectrumProfile(frequencies=k, m2_hat=m2_hat, m3_hat=m3_hat, m1_hat=m1_hat, dk=dk)
 
 
 class KernelCache:
@@ -298,12 +298,7 @@ def _l2_norms(p: Profile1D) -> tuple[float, float]:
     """(||d m1/dx||^2, ||m*||^2) by trapezoid on the grid."""
     h = p.spacing
     dm1 = profile_derivative(p)[:, 0]
-    ms = offset_m1(p)
-
-    def trap(v: np.ndarray) -> float:
-        return float(h * (v.sum() - 0.5 * (v[0] + v[-1])))
-
-    return trap(dm1**2), trap(ms**2)
+    return _trapezoid(dm1**2, h), _trapezoid(offset_m1(p) ** 2, h)
 
 
 def e_v_upper_bound(p: Profile1D, cs: CrossSection) -> float:
@@ -321,86 +316,29 @@ def e_v_upper_bound(p: Profile1D, cs: CrossSection) -> float:
     return i1 + i2
 
 
-def _g2(u: float) -> float:
-    # u - 1 + exp(-u), accurate near 0 via series
-    if u < 1e-3:
-        return u * u * (0.5 - u / 6.0 + u * u / 24.0)
-    if u > 745.0:
-        return u - 1.0
-    return u - 1.0 + math.exp(-u)
-
-
-def _k_volume(cs: CrossSection, x: float, cfg: QuadratureConfig) -> float:
-    """Volume-charge kernel K(l,d,x) = pi*l int sinc^2(t) g2(2 d A)/A^3 dt,
-    A = sqrt(x^2 + t^2/l^2).  Diverges logarithmically as x -> 0."""
-    l, d = cs.l, cs.d
-    ax = abs(x)
-    if ax == 0.0:
-        raise ValueError("K(l,d,0) diverges; average over a frequency cell instead")
-
-    def f(t: float) -> float:
-        a = math.hypot(ax, t / l)
-        return kernels._sinc_sq(t) * _g2(2.0 * d * a) / a**3
-
-    piece_cfg = QuadratureConfig(
-        abs_tol=cfg.abs_tol / 3.0,
-        rel_tol=cfg.rel_tol / 3.0,
-        max_subdivisions=cfg.max_subdivisions,
-        semi_infinite_split=cfg.semi_infinite_split,
-    )
-    t_layer = min(l * ax, 1.0)
-    t_min = t_layer * math.exp(-40.0)
-
-    def f_log(u: float) -> float:
-        t = math.exp(u)
-        return f(t) * t
-
-    head = integrate_finite(f_log, math.log(t_min), 0.0, piece_cfg)
-    tail = integrate_semi_infinite(f, 1.0, piece_cfg)
-    sliver = t_min * 2.0 * d * d / ax  # integrand <= 2 d^2/A <= 2 d^2/|x|
-    return math.pi * l * (head.value + tail.value + sliver)
-
-
-def _gauss_legendre_cell_average(cs: CrossSection, half_width: float, cfg: QuadratureConfig) -> float:
-    """Average of K over (0, half_width], absorbing the log endpoint at 0."""
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    x = 0.5 * half_width * (nodes + 1.0)
-    w = 0.5 * weights  # normalized to average
-    return float(sum(wi * _k_volume(cs, xi, cfg) for wi, xi in zip(w, x)))
-
-
 def e_v_spectral(p: Profile1D, cs: CrossSection, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Volume-charge energy (4/pi^2) int K(l,d,k) |g_hat(k)|^2 dk with g the
     sampled derivative of m1.
 
     The k = 0 node (where K has an integrable logarithmic singularity) is
-    replaced by the cell average of K over its frequency cell.
+    replaced by the average of K over (0, dk/2] by 16-point Gauss-Legendre.
+    All kernel values come from one kernels.volume_kernel_batch call.
     """
-    h = p.spacing
-    M = p.n_nodes - 1
-    g = profile_derivative(p)[:, 0]
-    ghat = (h / math.sqrt(2.0 * math.pi)) * np.fft.fft(g[:M])
-    k = 2.0 * math.pi * np.fft.fftfreq(M, d=h)
-    dk = 2.0 * math.pi / (M * h)
-    amp2 = np.abs(ghat) ** 2
+    frequencies, dk, (g_hat,) = _unitary_dft(p, profile_derivative(p)[:, 0])
+    amp2 = np.abs(g_hat) ** 2
     peak = float(amp2.max())
     if peak == 0.0:
         return 0.0
-    cache: dict[float, float] = {}
-    total = 0.0
-    for ki, a2 in zip(k, amp2):
-        if a2 <= _SPECTRAL_FLOOR * peak:
-            continue
-        key = abs(float(ki))
-        kv = cache.get(key)
-        if kv is None:
-            if key == 0.0:
-                kv = _gauss_legendre_cell_average(cs, 0.5 * dk, cfg)
-            else:
-                kv = _k_volume(cs, key, cfg)
-            cache[key] = kv
-        total += kv * float(a2)
-    return (4.0 / math.pi**2) * total * dk
+    kept = amp2 > _SPECTRAL_FLOOR * peak
+    keys, where = np.unique(np.abs(frequencies[kept]), return_inverse=True)
+    has_zero = keys[0] == 0.0
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    values, _ = kernels.volume_kernel_batch(
+        cs, np.concatenate([0.25 * dk * (nodes + 1.0), keys[1:] if has_zero else keys]), cfg
+    )
+    cell_average = np.sum(0.5 * weights * values[:16])
+    table = np.concatenate([[cell_average], values[16:]]) if has_zero else values[16:]
+    return (4.0 / math.pi**2) * float(np.sum(table[where] * amp2[kept])) * dk
 
 
 def _rect_pair_green(cs: CrossSection, s: float) -> float:
@@ -479,8 +417,6 @@ def full_energy(
     cross-section.  e_v_exact is evaluated only on request; the closed-form
     bound is always reported and enters the rescaled upper total.
     """
-    from .walls import exchange_integral
-
     exchange = 4.0 * cs.l * cs.d * exchange_integral(p)
     e_s = e_s_spectral(p, cs, cfg, cache=cache)
     e_v_bound = e_v_upper_bound(p, cs)
@@ -530,10 +466,7 @@ def emag_lipschitz_check(
     if include_e_v_exact:
         e1 += e_v_spectral(p1, cs, cfg)
         e2 += e_v_spectral(p2, cs, cfg)
-    h = p1.spacing
-    diff_sq = np.sum((p1.m - p2.m) ** 2, axis=1)
-    line_norm_sq = float(h * (diff_sq.sum() - 0.5 * (diff_sq[0] + diff_sq[-1])))
-    norm_sq = 4.0 * cs.l * cs.d * line_norm_sq
+    norm_sq = 4.0 * cs.l * cs.d * _trapezoid(np.sum((p1.m - p2.m) ** 2, axis=1), p1.spacing)
     norm = math.sqrt(norm_sq)
     lhs = abs(e1 - e2)
     margin_fwd = norm_sq + 2.0 * norm * math.sqrt(e1) - lhs

@@ -26,6 +26,7 @@ from .walls import (
     M3_TOLERANCE,
     Profile1D,
     ReducedEnergyWeights,
+    _derivative,
     sample_wall,
 )
 
@@ -74,9 +75,9 @@ class DiscreteReducedEnergy:
     """Discrete reduced energy w_ex*int|dm/dx|^2 + w2*int m2^2 + w3*int m3^2
     on a fixed uniform grid, with its exact gradient.
 
-    The derivative stencil (centered inside, one-sided at the ends) and the
-    trapezoid weights match the walls-module energies, so values agree with
-    reduced_energy_alpha / reduced_energy_E0 identically.
+    The derivative stencil is the walls module's and the trapezoid weights
+    match its energies, so values agree with reduced_energy_alpha /
+    reduced_energy_E0 identically.
     """
 
     def __init__(self, x: np.ndarray, w_ex: float, w2: float, w3: float):
@@ -87,27 +88,22 @@ class DiscreteReducedEnergy:
         self.trap[0] = self.trap[-1] = 0.5
         self.w_ex, self.w2, self.w3 = w_ex, w2, w3
 
-    def energy(self, m: np.ndarray) -> float:
+    def _energy(self, m: np.ndarray) -> tuple[float, np.ndarray]:
+        """(energy, derivative of m) on the grid."""
         h = self.h
-        d = np.empty_like(m)
-        d[1:-1] = (m[2:] - m[:-2]) / (2.0 * h)
-        d[0] = (m[1] - m[0]) / h
-        d[-1] = (m[-1] - m[-2]) / h
+        d = _derivative(m, h)
         dsq = np.einsum("ij,ij->i", d, d)
         e = self.w_ex * float(h * np.dot(self.trap, dsq))
         e += self.w2 * float(h * np.dot(self.trap, m[:, 1] ** 2))
         e += self.w3 * float(h * np.dot(self.trap, m[:, 2] ** 2))
-        return e
+        return e, d
+
+    def energy(self, m: np.ndarray) -> float:
+        return self._energy(m)[0]
 
     def energy_grad(self, m: np.ndarray) -> tuple[float, np.ndarray]:
         h = self.h
-        d = np.empty_like(m)
-        d[1:-1] = (m[2:] - m[:-2]) / (2.0 * h)
-        d[0] = (m[1] - m[0]) / h
-        d[-1] = (m[-1] - m[-2]) / h
-        dsq = np.einsum("ij,ij->i", d, d)
-        e = self.w_ex * float(h * np.dot(self.trap, dsq))
-
+        e, d = self._energy(m)
         g = np.zeros_like(m)
         wd = (self.trap[:, None] * d) * (2.0 * h)
         # centered interior differences: d_j couples m_{j+1} and m_{j-1}
@@ -119,9 +115,6 @@ class DiscreteReducedEnergy:
         g[-1] += wd[-1] / h
         g[-2] -= wd[-1] / h
         g *= self.w_ex
-
-        e += self.w2 * float(h * np.dot(self.trap, m[:, 1] ** 2))
-        e += self.w3 * float(h * np.dot(self.trap, m[:, 2] ** 2))
         g[:, 1] += 2.0 * h * self.w2 * self.trap * m[:, 1]
         g[:, 2] += 2.0 * h * self.w3 * self.trap * m[:, 2]
         return e, g

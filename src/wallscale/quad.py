@@ -3,10 +3,10 @@
 Finite intervals go to QUADPACK (adaptive 21-point Gauss-Kronrod, scipy's
 ``quad``).  Semi-infinite integrals are split at ``a + semi_infinite_split``;
 the head is handled by QUADPACK and the tail by fixed Gauss-Kronrod panels of
-length pi whose partial sums are extrapolated to infinity (Neville in the
-reciprocal endpoint).  The pi panel length matches the sin^2-type oscillations
-this package integrates, and the extrapolation handles envelopes decaying as
-slowly as 1/t^2.
+length pi, matching sin^2-type oscillations, whose partial sums are
+extrapolated to infinity (Neville in the reciprocal endpoint) for envelopes
+decaying as slowly as 1/t^2.  The public API and the real-space volume oracle
+use these integrators; the kernels share only the GK15 table below.
 
 All routines are pure functions of their inputs: identical calls produce
 bit-identical results.

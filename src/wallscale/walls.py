@@ -199,15 +199,19 @@ class ReducedEnergyWeights:
     forbid_m3: bool = False
 
 
-def profile_derivative(p: Profile1D) -> np.ndarray:
-    """d m / d x: centered differences inside, one-sided at the ends."""
-    m = p.m
-    h = p.spacing
+def _derivative(m: np.ndarray, h: float) -> np.ndarray:
+    """Rows of m differentiated along a grid of spacing h: centered
+    differences inside, one-sided at the ends."""
     d = np.empty_like(m)
     d[1:-1] = (m[2:] - m[:-2]) / (2.0 * h)
     d[0] = (m[1] - m[0]) / h
     d[-1] = (m[-1] - m[-2]) / h
     return d
+
+
+def profile_derivative(p: Profile1D) -> np.ndarray:
+    """d m / d x: centered differences inside, one-sided at the ends."""
+    return _derivative(p.m, p.spacing)
 
 
 def _trapezoid(values: np.ndarray, h: float) -> float:

@@ -104,6 +104,23 @@ def test_energy_full_breakdown(tmp_path, capsys):
     assert float(fields["total_upper"]) > 0
 
 
+def test_energy_full_e_v_exact_thin_section(tmp_path, capsys):
+    profile_path = tmp_path / "wall.csv"
+    run(
+        ["--out", str(profile_path), "wall", "sample", "--alpha", str(1.0 / math.pi),
+         "--half-length", "26.0", "--nodes", "257"]
+    )
+    capsys.readouterr()
+    code = run(
+        ["energy", "full", "--profile", str(profile_path), "--l", "1e-3", "--d", "1e-5",
+         "--e-v-exact"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    fields = {key: float(value) for key, value in (line.split(",") for line in out.strip().splitlines())}
+    assert 0.0 < fields["e_v_exact"] <= fields["e_v_bound"]
+
+
 def test_minimize_reduced(capsys):
     code = run(
         ["minimize", "reduced", "--alpha", "1.0", "--half-length", "20.0", "--nodes", "257"]
@@ -194,7 +211,7 @@ def test_verification_failure_maps_to_exit_2(monkeypatch, capsys):
     import wallscale.cli as cli_mod
     from wallscale.errors import VerificationError
 
-    def boom(grid, cfg):
+    def boom(grid):
         raise VerificationError("synthetic bracket violation")
 
     monkeypatch.setattr(cli_mod.lab, "corollary33_report", boom)
@@ -206,7 +223,7 @@ def test_numerical_failure_maps_to_exit_3(monkeypatch, capsys):
     import wallscale.cli as cli_mod
     from wallscale.errors import QuadratureError
 
-    def boom(c, cfg):
+    def boom(c):
         raise QuadratureError("synthetic nonconvergence")
 
     monkeypatch.setattr(cli_mod, "a_c", boom)

@@ -15,7 +15,7 @@ from wallscale import (
     verify_lemma32,
 )
 from wallscale.errors import QuadratureError
-from wallscale.kernels import kernel_batch
+from wallscale.kernels import kernel_batch, volume_kernel_batch
 from wallscale.quad import QuadratureConfig
 
 PI_HALF = math.pi / 2.0
@@ -260,6 +260,15 @@ def load_kernel_refs() -> list[tuple[float, float, bool, float, float]]:
         ]
 
 
+def load_volume_kernel_refs() -> list[tuple[float, float, float, float]]:
+    """(l, d, k, K) rows written by scripts/make_kernel_refs.py."""
+    with open(Path(__file__).parent / "data" / "volume_kernel_refs.csv") as fh:
+        return [
+            (float(r["l"]), float(r["d"]), float(r["k"]), float(r["value"]))
+            for r in csv.DictReader(fh)
+        ]
+
+
 class TestKernelBatch:
     def test_matches_mpmath_references(self):
         rows = load_kernel_refs()
@@ -296,3 +305,48 @@ class TestKernelBatch:
     def test_rejects_nonfinite_frequency(self):
         with pytest.raises(ValueError):
             kernel_batch(CrossSection(l=0.1, d=0.05), True, [1.0, math.inf])
+
+    def test_volume_matches_mpmath_references(self):
+        rows = load_volume_kernel_refs()
+        assert len(rows) >= 12
+        for l, d, k, ref in rows:
+            (value,), (error,) = volume_kernel_batch(CrossSection(l=l, d=d), [k])
+            true_error = abs(value - ref)
+            assert true_error <= 1e-12 * ref, (l, d, k, value, ref)
+            assert true_error <= error, (l, d, k, true_error, error)
+
+    @pytest.mark.parametrize("cs", [CrossSection(l=0.1, d=0.05), CrossSection(l=0.05, d=0.05)])
+    def test_volume_kernel_completes_the_demag_trace(self, cs):
+        # K k^2 + I(l,d,k) + I(d,l,k) = pi^2 l d; the sum cancels where K k^2
+        # is small, so only frequencies carrying 1% of the trace are checked
+        ks = np.geomspace(5.0, 5000.0, 61)
+        volume, _ = volume_kernel_batch(cs, ks)
+        trace = math.pi**2 * cs.l * cs.d
+        total = volume * ks**2 + kernel_batch(cs, False, ks)[0] + kernel_batch(cs, True, ks)[0]
+        checked = volume * ks**2 >= 0.01 * trace
+        assert checked.sum() >= 40
+        assert np.all(np.abs(total[checked] - trace) <= 1e-12 * trace)
+
+    @pytest.mark.parametrize("cs", [CrossSection(l=0.1, d=0.05), CrossSection(l=1e-3, d=1e-9)])
+    def test_volume_batch_size_and_order_do_not_change_values(self, cs):
+        rng = np.random.default_rng(11)
+        ks = np.concatenate([rng.normal(0.0, 30.0, 40), np.geomspace(1e-6, 1e12, 14)])
+        single = np.array([volume_kernel_batch(cs, [k])[0][0] for k in ks])
+        for size in (2, 16, 17, ks.size):
+            order = rng.permutation(ks.size)
+            for start in range(0, ks.size, size):
+                idx = order[start : start + size]
+                values, _ = volume_kernel_batch(cs, ks[idx])
+                assert np.array_equal(values, single[idx])
+
+    def test_volume_error_estimate_enforces_tolerance(self):
+        cs = CrossSection(l=0.1, d=0.05)
+        (value,), (error,) = volume_kernel_batch(cs, [3.0], QuadratureConfig(rel_tol=1e-9))
+        assert error <= 1e-9 * value
+        with pytest.raises(QuadratureError):
+            volume_kernel_batch(cs, [3.0], QuadratureConfig(rel_tol=1e-15))
+
+    @pytest.mark.parametrize("k", [math.inf, math.nan, 0.0])
+    def test_volume_rejects_nonfinite_or_zero_frequency(self, k):
+        with pytest.raises(ValueError):
+            volume_kernel_batch(CrossSection(l=0.1, d=0.05), [1.0, k])
