@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -75,19 +75,7 @@ class SweepRecord:
     vacuous_bound: bool
 
     def as_row(self) -> tuple:
-        return (
-            self.l,
-            self.d,
-            self.c,
-            self.lam,
-            self.mu,
-            self.rescaled_min_upper,
-            self.gamma_limit,
-            self.gap,
-            self.rate_rhs,
-            self.passed,
-            self.vacuous_bound,
-        )
+        return astuple(self)
 
 
 def _rate_rhs(c: float, l: float) -> float:
@@ -112,28 +100,11 @@ def rate_sweep(
         rhs = _rate_rhs(cs.c, cs.l)
         params = RescalingParams.from_cross_section(cs)
         try:
-            result = minimize_full_ansatz(cs, scale_grid=scale_grid, cfg=cfg, n_nodes=n_nodes)
+            value = minimize_full_ansatz(cs, scale_grid=scale_grid, cfg=cfg, n_nodes=n_nodes).energy
         except Exception:
             logger.exception("sweep case l=%g d=%g failed", cs.l, cs.d)
-            records.append(
-                SweepRecord(
-                    l=cs.l,
-                    d=cs.d,
-                    c=cs.c,
-                    lam=params.lam,
-                    mu=params.mu,
-                    rescaled_min_upper=math.nan,
-                    gamma_limit=GAMMA_LIMIT,
-                    gap=math.nan,
-                    rate_rhs=rhs,
-                    passed=False,
-                    vacuous_bound=rhs > GAMMA_LIMIT,
-                )
-            )
-            continue
-        value = result.energy
+            value = math.nan  # a NaN row fails both comparisons below
         gap = value - GAMMA_LIMIT
-        passed = (gap <= rhs) and (value >= GAMMA_LIMIT - rhs)
         records.append(
             SweepRecord(
                 l=cs.l,
@@ -145,7 +116,7 @@ def rate_sweep(
                 gamma_limit=GAMMA_LIMIT,
                 gap=gap,
                 rate_rhs=rhs,
-                passed=passed,
+                passed=(gap <= rhs) and (value >= GAMMA_LIMIT - rhs),
                 vacuous_bound=rhs > GAMMA_LIMIT,
             )
         )
@@ -233,21 +204,4 @@ def emit_report(records: Sequence[SweepRecord], format: str, path: str | Path) -
 def read_report_json(path: str | Path) -> list[SweepRecord]:
     """Parse a JSON report back into records (round-trip inverse of emit)."""
     payload = json.loads(Path(path).read_text())
-    records = []
-    for obj in payload:
-        records.append(
-            SweepRecord(
-                l=obj["l"],
-                d=obj["d"],
-                c=obj["c"],
-                lam=obj["lambda"],
-                mu=obj["mu"],
-                rescaled_min_upper=obj["rescaled_min_upper"],
-                gamma_limit=obj["gamma_limit"],
-                gap=obj["gap"],
-                rate_rhs=obj["rate_rhs"],
-                passed=obj["pass"],
-                vacuous_bound=obj["vacuous_bound"],
-            )
-        )
-    return records
+    return [SweepRecord(*(obj[col] for col in _CSV_COLUMNS)) for obj in payload]

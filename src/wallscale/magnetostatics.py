@@ -92,22 +92,37 @@ def offset_m1(p: Profile1D) -> np.ndarray:
     return np.where(p.x <= 0.0, p.m[:, 0] + 1.0, p.m[:, 0] - 1.0)
 
 
+# (grid key, sorted frequencies, sorted scale*phase, sort order) of the last
+# grid transformed; one plan suffices, as all probes of a search share a grid
+_dft_plan: tuple = (None,)
+
+
 def _unitary_dft(p: Profile1D, *columns: np.ndarray) -> tuple[np.ndarray, float, list[np.ndarray]]:
     """Ascending frequencies, their spacing dk and the unitary DFT of each
     sampled column on p's grid.
 
     The last node is dropped (period 2L), giving dk = pi/L and an exact
     discrete Plancherel identity sum |f_hat|^2 dk = h sum |f|^2 for columns
-    vanishing at the ends.
+    vanishing at the ends.  The frequencies, phases and sort order of the
+    last grid seen are kept; an all-zero column transforms to exact zeros.
     """
+    global _dft_plan
     h = p.spacing
     M = p.n_nodes - 1
-    k = 2.0 * math.pi * np.fft.fftfreq(M, d=h)
-    phase = np.exp(-1j * k * p.x[0])
-    scale = h / math.sqrt(2.0 * math.pi)
-    order = np.argsort(k, kind="stable")
-    transforms = [(scale * phase * np.fft.fft(c[:M]))[order] for c in columns]
-    return k[order], 2.0 * math.pi / (M * h), transforms
+    key = (M, h, float(p.x[0]))
+    plan = _dft_plan  # one read, so a concurrent replacement cannot mix grids
+    if plan[0] != key:
+        k = 2.0 * math.pi * np.fft.fftfreq(M, d=h)
+        phase = (h / math.sqrt(2.0 * math.pi)) * np.exp(-1j * k * p.x[0])
+        order = np.argsort(k, kind="stable")
+        k, phase = k[order], phase[order]
+        k.setflags(write=False)  # handed out as SpectrumProfile.frequencies
+        plan = _dft_plan = (key, k, phase, order)
+    _, k, phase, order = plan
+    transforms = [
+        phase * np.fft.fft(c[:M])[order] if c[:M].any() else np.zeros(M, complex) for c in columns
+    ]
+    return k, 2.0 * math.pi / (M * h), transforms
 
 
 def spectrum(p: Profile1D) -> SpectrumProfile:
@@ -369,8 +384,16 @@ def e_v_volume_oracle(p: Profile1D, cs: CrossSection) -> float:
 
     with g = d m1/dx and F the transverse pair integral of 1/r over the
     cross-section (computed by quadrature, independent of the spectral path).
+
+    Raises:
+        ResolutionError: the grid spacing exceeds the half-width l, so the lag
+            sum cannot resolve F, which varies on the scale of the section.
     """
     h = p.spacing
+    if h > cs.l:
+        raise ResolutionError(
+            f"grid spacing {h:.3e} exceeds the section half-width {cs.l:.3e}; refine the grid"
+        )
     g = profile_derivative(p)[:, 0]
     n = g.size
     corr = np.correlate(g, g, "full")[n - 1 :]  # lag m >= 0

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .errors import StallError, WallscaleError
 from .kernels import CrossSection
@@ -228,9 +229,9 @@ def arc_profile(L: float, N: int) -> Profile1D:
     return Profile1D(x, m)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFERENCE_ALPHA = 1.0 / math.pi
 _WINDOW_HALF_WIDTHS = 15.0  # grid half-length in units of the widest wall width
+_SCALE_XATOL = 1e-8  # Brent stopping width, relative to the best grid scale
 
 
 def minimize_full_ansatz(
@@ -238,15 +239,16 @@ def minimize_full_ansatz(
     scale_grid: Optional[np.ndarray] = None,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     n_nodes: int = 4097,
-    refine_iters: int = 30,
 ) -> AnsatzSearchResult:
     """Minimize the full rescaled energy over the recovery family m0(x/s).
 
     Every probed scale s builds the closed-form limit wall stretched by s
     (m3 = 0, beta = 1) on one shared grid sized to the largest probed scale,
-    evaluates (E_ex + E_s + E_v_bound)/mu, and a golden-section refinement
-    around the best grid point finishes the scalar search.  The result is an
-    upper bound for the rescaled minimal energy.
+    evaluates (E_ex + E_s + E_v_bound)/mu, and a bounded Brent search
+    (parabolic steps, golden-section fallback) between the neighbours of the
+    best grid point finishes the scalar search to 1e-8 of that scale.  The
+    result, the best of all probes, is an upper bound for the rescaled
+    minimal energy.
     """
     if cs.c >= 1.0:
         raise ValueError("ansatz search requires aspect ratio c < 1")
@@ -271,27 +273,23 @@ def minimize_full_ansatz(
         evaluations += 1
         e = full_energy(p, cs, cfg, cache=cache).rescaled_upper
         if e < best_e:
-            best_s, best_e = s, e
+            best_s, best_e = float(s), e
         return e
 
     values = [rescaled(float(s)) for s in scales]
     i_best = int(np.argmin(values))
 
     if scales.size > 1:
-        a = float(scales[max(i_best - 1, 0)])
-        b = float(scales[min(i_best + 1, scales.size - 1)])
-        c1 = b - _GOLDEN * (b - a)
-        c2 = a + _GOLDEN * (b - a)
-        f1, f2 = rescaled(c1), rescaled(c2)
-        for _ in range(refine_iters):
-            if f1 < f2:
-                b, c2, f2 = c2, c1, f1
-                c1 = b - _GOLDEN * (b - a)
-                f1 = rescaled(c1)
-            else:
-                a, c1, f1 = c1, c2, f2
-                c2 = a + _GOLDEN * (b - a)
-                f2 = rescaled(c2)
+        bracket = (
+            float(scales[max(i_best - 1, 0)]),
+            float(scales[min(i_best + 1, scales.size - 1)]),
+        )
+        minimize_scalar(
+            rescaled,
+            bounds=bracket,
+            method="bounded",
+            options={"xatol": _SCALE_XATOL * float(scales[i_best])},
+        )
 
     return AnsatzSearchResult(
         best_scale=best_s, best_beta=1.0, energy=best_e, evaluations=evaluations

@@ -93,6 +93,25 @@ class TestSpectrum:
         peak_k = abs(spec.frequencies[int(np.argmax(np.abs(spec.m2_hat)))])
         assert peak_k == pytest.approx(k0, abs=2.0 * spec.dk)
 
+    def test_interleaved_grids_match_fresh_transforms_bitwise(self):
+        # the kept DFT plan must follow every change of node count or
+        # spacing, never serving a stale grid; the first two grids differ in
+        # spacing only and follow each other in both orders; the third has
+        # m3 = 0, whose transform skips the FFT
+        wall = ClosedFormWall(alpha=1.0 / math.pi, beta=1.0, theta=0.4)
+        grids = [sample_wall(wall, L, 1025) for L in (26.0, 30.0)]
+        grids.append(sample_wall(GOLDEN_WALL, GOLDEN_L, 513))
+        for p in grids + grids[::-1] + grids:
+            h, M = p.spacing, p.n_nodes - 1
+            k = 2.0 * math.pi * np.fft.fftfreq(M, d=h)
+            phase = np.exp(-1j * k * p.x[0])
+            order = np.argsort(k, kind="stable")
+            spec = spectrum(p)
+            assert np.array_equal(spec.frequencies, k[order])
+            for col, got in ((p.m[:, 1], spec.m2_hat), (p.m[:, 2], spec.m3_hat)):
+                fresh = (h / math.sqrt(2.0 * math.pi) * phase * np.fft.fft(col[:M]))[order]
+                assert np.array_equal(got, fresh)
+
     def test_frequency_spacing(self):
         p = sample_wall(GOLDEN_WALL, GOLDEN_L, GOLDEN_N)
         spec = spectrum(p)
@@ -253,6 +272,14 @@ class TestVolumeSpectral:
         spectral = e_v_spectral(p, GOLDEN_CS)
         oracle = e_v_volume_oracle(p, GOLDEN_CS)
         assert spectral == pytest.approx(oracle, rel=0.05)
+
+    @pytest.mark.parametrize("n_nodes", [1025, 2049])
+    def test_volume_oracle_rejects_spacing_above_half_width(self, n_nodes):
+        # h = 0.05 / 0.025 cannot resolve F on the scale l = 1e-3; unchecked,
+        # the lag sum returned 2.90e-14 / 1.51e-14 against a spectral 1.756e-15
+        p = sample_wall(GOLDEN_WALL, GOLDEN_L, n_nodes)
+        with pytest.raises(ResolutionError):
+            e_v_volume_oracle(p, CrossSection(l=1e-3, d=1e-5))
 
     def test_below_closed_form_bound(self):
         p = sample_wall(GOLDEN_WALL, GOLDEN_L, 513)

@@ -8,10 +8,12 @@ from wallscale import (
     CrossSection,
     DescentConfig,
     ReducedEnergyWeights,
+    StallError,
     arc_profile,
     eval_wall,
     minimize_full_ansatz,
     minimize_reduced,
+    rate_sweep,
     reduced_energy_alpha,
     sample_wall,
 )
@@ -111,6 +113,13 @@ class TestDescent:
         assert len(t1) == len(t2)
         assert max(abs(a - b) for a, b in zip(t1, t2)) <= 1e-10
 
+    def test_unreachable_tolerance_stalls(self):
+        # at the exact minimizer the energy decrease falls below rounding long
+        # before grad_tol = 1e-300, so backtracking runs out and must raise
+        init = sample_wall(ClosedFormWall(alpha=1.0, beta=1.0, theta=0.0), 20.0, 257)
+        with pytest.raises(StallError):
+            minimize_reduced(init, 1.0, DescentConfig(grad_tol=1e-300))
+
     def test_forbidden_m3_init_rejected(self):
         init = arc_profile(20.0, 257)
         rot = init.m.copy()
@@ -160,6 +169,19 @@ class TestAnsatzSearch:
             res = minimize_full_ansatz(cs, n_nodes=2049)
             gaps.append(res.energy - GAMMA_LIMIT)
         assert gaps[0] > gaps[1] > 0.0
+
+    def test_probe_count_gate(self):
+        # seven grid probes plus about ten bounded Brent steps
+        res = minimize_full_ansatz(self.CS, n_nodes=1025)
+        assert res.evaluations <= 20
+
+    def test_matches_golden_section_values_on_criterion_8_grid(self):
+        # reference minima from a 30-step golden-section search on the same
+        # brackets; the Brent search must find the same minimum
+        reference = (10.489482163285082, 9.822427865657591, 9.591352766318462)
+        cases = [CrossSection(l=1e-3, d=c * 1e-3) for c in (1e-2, 1e-4, 1e-6)]
+        for record, ref in zip(rate_sweep(cases), reference):
+            assert abs(record.rescaled_min_upper - ref) <= 1e-13 * ref
 
     def test_rejects_square_section(self):
         with pytest.raises(ValueError):
