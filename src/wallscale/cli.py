@@ -16,7 +16,6 @@ import numpy as np
 from . import lab, magnetostatics, minimize, walls
 from .errors import VerificationError, WallscaleError
 from .kernels import CrossSection, a_c, i_kernel, verify_lemma32
-from .quad import QuadratureConfig
 
 __all__ = ["run", "main", "build_parser"]
 
@@ -46,12 +45,6 @@ def _parse_grid(text: str) -> list[float]:
         raise _UsageError(f"bad numeric list {text!r}") from exc
 
 
-def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
-    if args.tol is None:
-        return QuadratureConfig()
-    return QuadratureConfig(abs_tol=args.tol * 1e-2, rel_tol=args.tol)
-
-
 def _emit(text: str, args: argparse.Namespace) -> None:
     if args.out:
         Path(args.out).write_text(text if text.endswith("\n") else text + "\n")
@@ -67,7 +60,6 @@ def _add_global_options(parser: argparse.ArgumentParser, leaf: bool) -> None:
     def dflt(value):
         return sup if leaf else value
 
-    parser.add_argument("--tol", type=float, default=dflt(None), help="relative quadrature tolerance")
     parser.add_argument("--out", type=str, default=dflt(None), help="write data output to this path")
     parser.add_argument("--format", choices=("csv", "json"), default=dflt("csv"))
 
@@ -149,13 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_kernel(args: argparse.Namespace, cfg: QuadratureConfig) -> int:
+def _cmd_kernel(args: argparse.Namespace) -> int:
     if args.subcommand == "a_c":
         _emit(_fmt(a_c(args.c)), args)
         return EXIT_OK
     if args.subcommand == "i":
         cs = CrossSection(l=args.l, d=args.d)
-        _emit(_fmt(i_kernel(cs, args.swap, args.x, cfg)), args)
+        _emit(_fmt(i_kernel(cs, args.swap, args.x)), args)
         return EXIT_OK
     cs = CrossSection(l=args.l, d=args.d)
     if args.x_samples is None:
@@ -163,7 +155,7 @@ def _cmd_kernel(args: argparse.Namespace, cfg: QuadratureConfig) -> int:
         samples = [0.0, 0.5 * inv_l, -0.5 * inv_l, inv_l, -inv_l]
     else:
         samples = _parse_grid(args.x_samples)
-    report = verify_lemma32(cs, samples, cfg)
+    report = verify_lemma32(cs, samples)
     lines = ["x,kernel_value,upper_i_margin,upper_ii_margin,lower_margin,passed"]
     for s in report.samples:
         lower = "" if s.lower_margin is None else _fmt(s.lower_margin)
@@ -195,7 +187,7 @@ def _cmd_wall(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_energy(args: argparse.Namespace, cfg: QuadratureConfig) -> int:
+def _cmd_energy(args: argparse.Namespace) -> int:
     p = walls.Profile1D.from_csv(args.profile)
     if args.subcommand == "reduced":
         if args.e0:
@@ -206,7 +198,7 @@ def _cmd_energy(args: argparse.Namespace, cfg: QuadratureConfig) -> int:
         _emit(_fmt(value) if value != float("inf") else "inf", args)
         return EXIT_OK
     cs = CrossSection(l=args.l, d=args.d)
-    br = magnetostatics.full_energy(p, cs, cfg, include_e_v_exact=args.e_v_exact)
+    br = magnetostatics.full_energy(p, cs, include_e_v_exact=args.e_v_exact)
     lines = [
         f"exchange,{_fmt(br.exchange)}",
         f"e_s,{_fmt(br.e_s)}",
@@ -222,7 +214,7 @@ def _cmd_energy(args: argparse.Namespace, cfg: QuadratureConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_minimize(args: argparse.Namespace, cfg: QuadratureConfig) -> int:
+def _cmd_minimize(args: argparse.Namespace) -> int:
     if args.subcommand == "reduced":
         init = minimize.arc_profile(args.half_length, args.nodes)
         weights = walls.ReducedEnergyWeights(forbid_m3=True) if args.e0 else args.alpha
@@ -237,7 +229,7 @@ def _cmd_minimize(args: argparse.Namespace, cfg: QuadratureConfig) -> int:
         return EXIT_OK
     cs = CrossSection(l=args.l, d=args.d)
     scales = None if args.scales is None else np.asarray(_parse_grid(args.scales))
-    res = minimize.minimize_full_ansatz(cs, scale_grid=scales, cfg=cfg, n_nodes=args.nodes)
+    res = minimize.minimize_full_ansatz(cs, scale_grid=scales, n_nodes=args.nodes)
     _emit(
         f"best_scale,{_fmt(res.best_scale)}\nbest_beta,{_fmt(res.best_beta)}\n"
         f"energy,{_fmt(res.energy)}\nevaluations,{res.evaluations}",
@@ -246,13 +238,13 @@ def _cmd_minimize(args: argparse.Namespace, cfg: QuadratureConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace, cfg: QuadratureConfig) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.c_grid)
     if args.subcommand == "rate":
         cases = [
             CrossSection(l=l, d=c * l) for l in _parse_grid(args.l) for c in grid
         ]
-        records = lab.rate_sweep(cases, cfg, n_nodes=args.nodes)
+        records = lab.rate_sweep(cases, n_nodes=args.nodes)
         out_path = args.out or "rate_sweep." + args.format
         lab.emit_report(records, args.format, out_path)
         sys.stdout.write(f"{out_path}\n")
@@ -279,17 +271,16 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _quad_config(args)
         if args.command == "kernel":
-            return _cmd_kernel(args, cfg)
+            return _cmd_kernel(args)
         if args.command == "wall":
             return _cmd_wall(args)
         if args.command == "energy":
-            return _cmd_energy(args, cfg)
+            return _cmd_energy(args)
         if args.command == "minimize":
-            return _cmd_minimize(args, cfg)
+            return _cmd_minimize(args)
         if args.command == "sweep":
-            return _cmd_sweep(args, cfg)
+            return _cmd_sweep(args)
         raise _UsageError(f"unknown command {args.command!r}")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -20,7 +20,10 @@ x != 0, I is the Fourier transform of one face pair's 1/r interaction
 Over the whole cross-section the same transform gives the volume kernel
 K = (pi/2) int_0^{2l} int_0^{2d} (2l - u)(2d - v) K0(|x| sqrt(u^2 + v^2)) dv du,
 which weights the spectrum of d m1/dx.  kernel_batch and volume_kernel_batch
-evaluate them for many x at once with one fixed graded Gauss-Kronrod rule.
+evaluate them for many x at once with one fixed graded Gauss-Kronrod rule,
+whose embedded Gauss rule gives an error estimate.  Every kernel value is
+returned only when that estimate is within 1e-8 of the value (_REL_TOL);
+otherwise the call raises QuadratureError.
 
 Every function here is pure and reentrant; sweep drivers may call them
 concurrently.
@@ -35,7 +38,7 @@ import numpy as np
 from scipy.special import k0, k1
 
 from .errors import QuadratureError
-from .quad import _WG, _WGK, _XGK, DEFAULT_CONFIG, QuadratureConfig
+from .quad import _WG, _WGK, _XGK
 
 __all__ = [
     "CrossSection",
@@ -66,6 +69,7 @@ _ZERO_FREQUENCY = 1e-9  # |x| max(w, s) below this: I(x) = I(0) to rounding
 _FAR = 20.0  # see the asymptotic branches of kernel_batch and volume_kernel_batch
 _CORNER_PANELS = 24  # halvings of the volume rule's corner toward the origin
 _ROUNDING = 1e-14  # relative rounding error claimed for every value
+_REL_TOL = 1e-8  # bound on every returned value's error estimate, relative to the value
 _BLOCK = 16  # frequencies per block; bounds the (block x nodes) temporaries
 
 
@@ -155,7 +159,7 @@ def _gk_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mid + half * _GK_NODES, half * _GK_WEIGHTS, half * (_GK_WEIGHTS - _GK_GAUSS)
 
 
-def _graded_rule(k, values, rows, integrand, kronrod, excess, cfg, shape):
+def _graded_rule(k, values, rows, integrand, kronrod, excess, shape):
     """(values, errors) reshaped to shape, with values[rows] filled by pi/2
     times a panel rule and every error carrying the _ROUNDING term.
 
@@ -165,7 +169,7 @@ def _graded_rule(k, values, rows, integrand, kronrod, excess, cfg, shape):
     panel).  Blocks of _BLOCK frequencies bound the temporaries; each row is
     reduced on its own, so a batch gives bitwise the values of its
     frequencies one at a time.  Raises QuadratureError when an error is not
-    within cfg's tolerance (relative to the value when cfg.rel_tol > 0).
+    within _REL_TOL of its value.
     """
     errors = np.zeros(k.size)
     for start in range(0, rows.size, _BLOCK):
@@ -175,17 +179,14 @@ def _graded_rule(k, values, rows, integrand, kronrod, excess, cfg, shape):
         panels = f.reshape(idx.size, *excess[0].shape)
         errors[idx] = 0.5 * math.pi * sum(np.abs((panels * e).sum(axis=2)).sum(axis=1) for e in excess)
     errors += _ROUNDING * np.abs(values)
-    bound = cfg.rel_tol * np.abs(values) if cfg.rel_tol > 0 else cfg.abs_tol
-    bad = np.flatnonzero(~(errors <= bound))
+    bad = np.flatnonzero(~(errors <= _REL_TOL * np.abs(values)))
     if bad.size:
         i = bad[0]
         raise QuadratureError(f"kernel error {errors[i]:.3e} above tolerance at k={k[i]:.17g}")
     return values.reshape(shape), errors.reshape(shape)
 
 
-def kernel_batch(
-    cs: CrossSection, swap: bool, ks, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> tuple[np.ndarray, np.ndarray]:
+def kernel_batch(cs: CrossSection, swap: bool, ks) -> tuple[np.ndarray, np.ndarray]:
     """Surface kernel I(l, d, k) (swap=False) or I(d, l, k) (swap=True) at
     every frequency in ks, returned as (values, errors) shaped like ks.
 
@@ -194,7 +195,7 @@ def kernel_batch(
     halving toward u = 0, with the error from its embedded Gauss rule (see
     _graded_rule: batches are bitwise consistent).  Raises ValueError for a
     non-finite frequency, QuadratureError when an error estimate is not
-    within cfg's tolerance.
+    within _REL_TOL of its value.
     """
     k = np.abs(np.asarray(ks, dtype=float)).ravel()
     if not np.all(np.isfinite(k)):
@@ -227,12 +228,10 @@ def kernel_batch(
         )
         return _k0_gap(kb * u, kb * du), sliver[:, 0]
 
-    return _graded_rule(k, values, near, integrand, kronrod, (excess,), cfg, np.shape(ks))
+    return _graded_rule(k, values, near, integrand, kronrod, (excess,), np.shape(ks))
 
 
-def volume_kernel_batch(
-    cs: CrossSection, ks, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> tuple[np.ndarray, np.ndarray]:
+def volume_kernel_batch(cs: CrossSection, ks) -> tuple[np.ndarray, np.ndarray]:
     """Volume kernel K(l, d, k) at every frequency in ks, returned as
     (values, errors) shaped like ks.
 
@@ -274,19 +273,17 @@ def volume_kernel_batch(
         sliver = 4.0 * l * d * floor**2 * (-np.euler_gamma - np.log(0.5 * kb * floor) - log_mean)
         return k0(kb * r), sliver[:, 0]
 
-    return _graded_rule(k, values, np.flatnonzero(~far), integrand, kronrod, excess, cfg, np.shape(ks))
+    return _graded_rule(k, values, np.flatnonzero(~far), integrand, kronrod, excess, np.shape(ks))
 
 
-def i_kernel(
-    cs: CrossSection, swap: bool, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
+def i_kernel(cs: CrossSection, swap: bool, x: float) -> float:
     """Surface-charge kernel I at frequency x.
 
     swap=False computes I(l, d, x) (weights the third magnetization
     component); swap=True computes I(d, l, x) (weights the second).  The
     kernel is even in x, nonnegative, and finite for all x including 0.
     """
-    values, _ = kernel_batch(cs, swap, x, cfg)
+    values, _ = kernel_batch(cs, swap, x)
     return float(values)
 
 
@@ -343,11 +340,7 @@ class Lemma32Report:
         return [s for s in self.samples if not s.passed]
 
 
-def verify_lemma32(
-    cs: CrossSection,
-    x_samples: list[float],
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> Lemma32Report:
+def verify_lemma32(cs: CrossSection, x_samples: list[float]) -> Lemma32Report:
     """Check the two-sided kernel bounds against the kernel at given samples.
 
     Each sample must satisfy I(d,l,x) <= upper_i and <= upper_ii; samples with
@@ -358,7 +351,7 @@ def verify_lemma32(
     if len(x_samples) == 0:
         raise ValueError("x_samples must be nonempty")
     bounds = lemma32_bounds(cs)
-    values, errors = kernel_batch(cs, True, x_samples, cfg)
+    values, errors = kernel_batch(cs, True, x_samples)
     samples = []
     all_ok = True
     for x, value, error in zip(x_samples, values.tolist(), errors.tolist()):

@@ -8,7 +8,8 @@ rate-of-convergence inequality
 from above (a true check, since the ansatz value is an upper bound) and from
 below (a sanity implication).  Whenever the right-hand side exceeds
 16/sqrt(pi) itself the record is flagged `vacuous_bound` instead of
-pretending precision.
+pretending precision.  The sweep takes no tolerance: its energies use kernel
+values whose error estimates the kernels module holds to a relative 1e-8.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .errors import VerificationError
 from .kernels import CrossSection, a_c_scaling_ratio
 from .magnetostatics import GAMMA_LIMIT, RescalingParams
 from .minimize import minimize_full_ansatz
-from .quad import DEFAULT_CONFIG, QuadratureConfig
 
 __all__ = [
     "SweepRecord",
@@ -84,7 +84,6 @@ def _rate_rhs(c: float, l: float) -> float:
 
 def rate_sweep(
     cases: Sequence[CrossSection],
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
     scale_grid: Optional[np.ndarray] = None,
     n_nodes: int = 4097,
 ) -> list[SweepRecord]:
@@ -100,7 +99,7 @@ def rate_sweep(
         rhs = _rate_rhs(cs.c, cs.l)
         params = RescalingParams.from_cross_section(cs)
         try:
-            value = minimize_full_ansatz(cs, scale_grid=scale_grid, cfg=cfg, n_nodes=n_nodes).energy
+            value = minimize_full_ansatz(cs, scale_grid=scale_grid, n_nodes=n_nodes).energy
         except Exception:
             logger.exception("sweep case l=%g d=%g failed", cs.l, cs.d)
             value = math.nan  # a NaN row fails both comparisons below

@@ -21,7 +21,6 @@ from scipy.optimize import minimize_scalar
 from .errors import StallError, WallscaleError
 from .kernels import CrossSection
 from .magnetostatics import KernelCache, RescalingParams, full_energy
-from .quad import DEFAULT_CONFIG, QuadratureConfig
 from .walls import (
     ClosedFormWall,
     M3_TOLERANCE,
@@ -144,7 +143,7 @@ def _renormalized(m: np.ndarray) -> np.ndarray:
 def minimize_reduced(
     init: Profile1D,
     weights: Union[float, ReducedEnergyWeights],
-    cfg: DescentConfig = DescentConfig(),
+    config: DescentConfig = DescentConfig(),
     trace_path: Optional[str | Path] = None,
 ) -> tuple[Profile1D, float]:
     """Projected gradient descent of a reduced energy from a pinned profile.
@@ -169,10 +168,10 @@ def minimize_reduced(
 
     trace_rows: list[tuple[int, float, float]] = []
     h = model.h
-    step = cfg.step
+    step = config.step
     prev_m: Optional[np.ndarray] = None
     prev_g: Optional[np.ndarray] = None
-    for iteration in range(cfg.max_iters):
+    for iteration in range(config.max_iters):
         p = g - np.einsum("ij,ij->i", g, m)[:, None] * m
         p[0] = 0.0
         p[-1] = 0.0
@@ -180,7 +179,7 @@ def minimize_reduced(
         gnorm = math.sqrt(h * psq)
         if trace_path is not None:
             trace_rows.append((iteration, e, gnorm))
-        if gnorm < cfg.grad_tol:
+        if gnorm < config.grad_tol:
             break
         if prev_m is not None:
             s = m - prev_m
@@ -199,7 +198,7 @@ def minimize_reduced(
                 raise WallscaleError("non-finite energy during descent")
             if e_trial <= e - _ARMIJO_C * t * psq:
                 break
-            t *= cfg.backtrack_factor
+            t *= config.backtrack_factor
         else:
             raise StallError(
                 f"no sufficient decrease after {_MAX_BACKTRACKS} backtracks "
@@ -237,7 +236,6 @@ _SCALE_XATOL = 1e-8  # Brent stopping width, relative to the best grid scale
 def minimize_full_ansatz(
     cs: CrossSection,
     scale_grid: Optional[np.ndarray] = None,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
     n_nodes: int = 4097,
 ) -> AnsatzSearchResult:
     """Minimize the full rescaled energy over the recovery family m0(x/s).
@@ -261,7 +259,7 @@ def minimize_full_ansatz(
 
     width = math.sqrt(math.pi)  # reference wall width (alpha = 1/pi)
     L = _WINDOW_HALF_WIDTHS * width * float(scales.max())
-    cache = KernelCache(cs, cfg)
+    cache = KernelCache(cs)
     evaluations = 0
     best_s = math.nan
     best_e = math.inf
@@ -271,7 +269,7 @@ def minimize_full_ansatz(
         wall = ClosedFormWall(alpha=_REFERENCE_ALPHA / (s * s), beta=1.0, theta=0.0)
         p = sample_wall(wall, L, n_nodes)
         evaluations += 1
-        e = full_energy(p, cs, cfg, cache=cache).rescaled_upper
+        e = full_energy(p, cs, cache=cache).rescaled_upper
         if e < best_e:
             best_s, best_e = float(s), e
         return e

@@ -192,14 +192,18 @@ def test_global_flags_accepted_after_subcommand(tmp_path, capsys):
     assert code == 0
     assert out_path.exists()
     capsys.readouterr()
-    code = run(["kernel", "a_c", "--c", "1.0", "--tol", "1e-6"])
+    a_c_path = tmp_path / "a_c.out"
+    code = run(["kernel", "a_c", "--c", "1.0", "--format", "json", "--out", str(a_c_path)])
     assert code == 0
-    assert float(capsys.readouterr().out) == pytest.approx(math.pi / 4, rel=1e-6)
+    assert capsys.readouterr().out == ""
+    assert float(a_c_path.read_text()) == pytest.approx(math.pi / 4, rel=1e-6)
 
 
 def test_removed_global_flags_rejected(capsys):
     assert run(["--threads", "2", "kernel", "a_c", "--c", "1"]) == 1
     assert run(["kernel", "a_c", "--c", "1", "--seed", "3"]) == 1
+    assert run(["--tol", "1e-6", "kernel", "a_c", "--c", "1"]) == 1
+    assert run(["kernel", "a_c", "--c", "1", "--tol", "1e-6"]) == 1
 
 
 def test_missing_subcommand_is_usage_error(capsys):

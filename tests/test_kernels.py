@@ -14,9 +14,9 @@ from wallscale import (
     lemma32_bounds,
     verify_lemma32,
 )
+from wallscale import kernels
 from wallscale.errors import QuadratureError
 from wallscale.kernels import kernel_batch, volume_kernel_batch
-from wallscale.quad import QuadratureConfig
 
 PI_HALF = math.pi / 2.0
 
@@ -298,13 +298,14 @@ class TestKernelBatch:
                 values, _ = kernel_batch(cs, swap, ks[idx])
                 assert np.array_equal(values, single[idx])
 
-    def test_error_estimate_enforces_tolerance(self):
+    def test_error_estimate_enforces_tolerance(self, monkeypatch):
         cs = CrossSection(l=0.1, d=0.05)
         _, (error,) = kernel_batch(cs, True, [3.0])
-        value = i_kernel(cs, True, 3.0, QuadratureConfig(rel_tol=1e-9))
+        value = i_kernel(cs, True, 3.0)
         assert error <= 1e-9 * value
+        monkeypatch.setattr(kernels, "_REL_TOL", 1e-15)
         with pytest.raises(QuadratureError):
-            i_kernel(cs, True, 3.0, QuadratureConfig(rel_tol=1e-15))
+            i_kernel(cs, True, 3.0)
 
     def test_rejects_nonfinite_frequency(self):
         with pytest.raises(ValueError):
@@ -343,12 +344,13 @@ class TestKernelBatch:
                 values, _ = volume_kernel_batch(cs, ks[idx])
                 assert np.array_equal(values, single[idx])
 
-    def test_volume_error_estimate_enforces_tolerance(self):
+    def test_volume_error_estimate_enforces_tolerance(self, monkeypatch):
         cs = CrossSection(l=0.1, d=0.05)
-        (value,), (error,) = volume_kernel_batch(cs, [3.0], QuadratureConfig(rel_tol=1e-9))
+        (value,), (error,) = volume_kernel_batch(cs, [3.0])
         assert error <= 1e-9 * value
+        monkeypatch.setattr(kernels, "_REL_TOL", 1e-15)
         with pytest.raises(QuadratureError):
-            volume_kernel_batch(cs, [3.0], QuadratureConfig(rel_tol=1e-15))
+            volume_kernel_batch(cs, [3.0])
 
     @pytest.mark.parametrize("k", [math.inf, math.nan, 0.0])
     def test_volume_rejects_nonfinite_or_zero_frequency(self, k):

@@ -281,6 +281,12 @@ class TestVolumeSpectral:
         with pytest.raises(ResolutionError):
             e_v_volume_oracle(p, CrossSection(l=1e-3, d=1e-5))
 
+    def test_volume_oracle_rejects_spacing_above_half_of_half_width(self):
+        # h = 0.508 l: the lag sum is off its own N = 16385 value by 1.45%
+        p = sample_wall(GOLDEN_WALL, GOLDEN_L, 1025)
+        with pytest.raises(ResolutionError):
+            e_v_volume_oracle(p, GOLDEN_CS)
+
     def test_below_closed_form_bound(self):
         p = sample_wall(GOLDEN_WALL, GOLDEN_L, 513)
         assert e_v_spectral(p, GOLDEN_CS) <= e_v_upper_bound(p, GOLDEN_CS)
