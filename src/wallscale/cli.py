@@ -122,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     m_a.add_argument("--l", type=float, required=True)
     m_a.add_argument("--d", type=float, required=True)
     m_a.add_argument("--scales", type=str, default=None, help="comma list of probed scales")
-    m_a.add_argument("--nodes", type=int, default=4097)
 
     sweep = sub.add_parser("sweep", help="parameter sweeps")
     ssub = sweep.add_subparsers(dest="subcommand", required=True)
@@ -132,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--l", type=str, required=True,
         help="half-width, or comma list of half-widths to separate the two rate terms",
     )
-    s_r.add_argument("--nodes", type=int, default=4097)
     s_c = ssub.add_parser("corollary", help="a_c/(c|ln c|) -> 1/2 trend table")
     s_c.add_argument("--c-grid", type=str, required=True)
 
@@ -229,10 +227,10 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
         return EXIT_OK
     cs = CrossSection(l=args.l, d=args.d)
     scales = None if args.scales is None else np.asarray(_parse_grid(args.scales))
-    res = minimize.minimize_full_ansatz(cs, scale_grid=scales, n_nodes=args.nodes)
+    res = minimize.minimize_full_ansatz(cs, scale_grid=scales)
     _emit(
         f"best_scale,{_fmt(res.best_scale)}\nbest_beta,{_fmt(res.best_beta)}\n"
-        f"energy,{_fmt(res.energy)}\nevaluations,{res.evaluations}",
+        f"energy,{_fmt(res.energy)}\nevaluations,{res.evaluations}\nkernel_nodes,{res.kernel_nodes}",
         args,
     )
     return EXIT_OK
@@ -244,10 +242,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cases = [
             CrossSection(l=l, d=c * l) for l in _parse_grid(args.l) for c in grid
         ]
-        records = lab.rate_sweep(cases, n_nodes=args.nodes)
+        records = lab.rate_sweep(cases)
         out_path = args.out or "rate_sweep." + args.format
         lab.emit_report(records, args.format, out_path)
         sys.stdout.write(f"{out_path}\n")
+        if any(np.isnan(r.rescaled_min_upper) for r in records):
+            print("numerical failure: no energy for at least one case", file=sys.stderr)
+            return EXIT_NUMERICAL
         if not all(r.passed for r in records):
             print("rate bound violated for at least one case", file=sys.stderr)
             return EXIT_VERIFICATION

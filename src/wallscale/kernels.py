@@ -22,8 +22,8 @@ K = (pi/2) int_0^{2l} int_0^{2d} (2l - u)(2d - v) K0(|x| sqrt(u^2 + v^2)) dv du,
 which weights the spectrum of d m1/dx.  kernel_batch and volume_kernel_batch
 evaluate them for many x at once with one fixed graded Gauss-Kronrod rule,
 whose embedded Gauss rule gives an error estimate.  Every kernel value is
-returned only when that estimate is within 1e-8 of the value (_REL_TOL);
-otherwise the call raises QuadratureError.
+returned only when that estimate is within 1e-8 of the value (_REL_TOL)
+and the value is a normal double; otherwise the call raises QuadratureError.
 
 Every function here is pure and reentrant; sweep drivers may call them
 concurrently.
@@ -168,8 +168,8 @@ def _graded_rule(k, values, rows, integrand, kronrod, excess, shape):
     excess holds Kronrod-minus-Gauss weights shaped (panels, nodes per
     panel).  Blocks of _BLOCK frequencies bound the temporaries; each row is
     reduced on its own, so a batch gives bitwise the values of its
-    frequencies one at a time.  Raises QuadratureError when an error is not
-    within _REL_TOL of its value.
+    frequencies one at a time.  Raises QuadratureError when a value is
+    subnormal or zero, or its error is not within _REL_TOL of it.
     """
     errors = np.zeros(k.size)
     for start in range(0, rows.size, _BLOCK):
@@ -179,10 +179,12 @@ def _graded_rule(k, values, rows, integrand, kronrod, excess, shape):
         panels = f.reshape(idx.size, *excess[0].shape)
         errors[idx] = 0.5 * math.pi * sum(np.abs((panels * e).sum(axis=2)).sum(axis=1) for e in excess)
     errors += _ROUNDING * np.abs(values)
-    bad = np.flatnonzero(~(errors <= _REL_TOL * np.abs(values)))
+    small = np.abs(values) < np.finfo(float).tiny  # where the _ROUNDING term underflows too
+    bad = np.flatnonzero(small | ~(errors <= _REL_TOL * np.abs(values)))
     if bad.size:
         i = bad[0]
-        raise QuadratureError(f"kernel error {errors[i]:.3e} above tolerance at k={k[i]:.17g}")
+        what = "below the normal range" if small[i] else f"with error {errors[i]:.3e} above tolerance"
+        raise QuadratureError(f"kernel value {values[i]:.3e} {what} at k={k[i]:.17g}")
     return values.reshape(shape), errors.reshape(shape)
 
 
@@ -194,8 +196,8 @@ def kernel_batch(cs: CrossSection, swap: bool, ks) -> tuple[np.ndarray, np.ndarr
     |k| a closed asymptotic form, all other k the Kronrod rule on panels
     halving toward u = 0, with the error from its embedded Gauss rule (see
     _graded_rule: batches are bitwise consistent).  Raises ValueError for a
-    non-finite frequency, QuadratureError when an error estimate is not
-    within _REL_TOL of its value.
+    non-finite frequency, QuadratureError when a value is below the smallest
+    normal double or an error estimate is not within _REL_TOL of its value.
     """
     k = np.abs(np.asarray(ks, dtype=float)).ravel()
     if not np.all(np.isfinite(k)):

@@ -85,21 +85,23 @@ def _rate_rhs(c: float, l: float) -> float:
 def rate_sweep(
     cases: Sequence[CrossSection],
     scale_grid: Optional[np.ndarray] = None,
-    n_nodes: int = 4097,
+    n_nodes: Optional[int] = None,
 ) -> list[SweepRecord]:
     """Run the ansatz minimization per case and fill the rate-check records.
 
     Per-case failures are recorded as NaN rows with passed=False and the
-    sweep continues.
+    sweep continues.  n_nodes is ignored, as the ansatz energies sample no
+    grid; perfbench/workloads.py still passes it.
     """
     records: list[SweepRecord] = []
     for cs in cases:
         if cs.c >= 1.0:
             raise ValueError("rate sweep requires aspect ratio c < 1 for every case")
         rhs = _rate_rhs(cs.c, cs.l)
-        params = RescalingParams.from_cross_section(cs)
+        params = RescalingParams(lam=math.nan, mu=math.nan)
         try:
-            value = minimize_full_ansatz(cs, scale_grid=scale_grid, n_nodes=n_nodes).energy
+            params = RescalingParams.from_cross_section(cs)
+            value = minimize_full_ansatz(cs, scale_grid=scale_grid).energy
         except Exception:
             logger.exception("sweep case l=%g d=%g failed", cs.l, cs.d)
             value = math.nan  # a NaN row fails both comparisons below

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import ResolutionError
+from .errors import ResolutionError, WallscaleError
 from .kernels import CrossSection
 from .quad import QuadratureConfig, integrate_finite
 from .walls import Profile1D, _trapezoid, exchange_integral, profile_derivative
@@ -73,7 +73,10 @@ class RescalingParams:
             raise ValueError("rescaling requires aspect ratio c < 1")
         q = cs.c * abs(math.log(cs.c))
         lam = 1.0 / math.sqrt(q)
-        return RescalingParams(lam=lam, mu=cs.l * cs.d / lam)
+        mu = cs.l * cs.d / lam
+        if not mu >= np.finfo(float).tiny:  # every rescaled energy divides by mu
+            raise WallscaleError(f"energy scale mu = {mu!r} below the normal range at {cs}")
+        return RescalingParams(lam=lam, mu=mu)
 
 
 @dataclass(frozen=True)
@@ -94,35 +97,20 @@ def offset_m1(p: Profile1D) -> np.ndarray:
     return np.where(p.x <= 0.0, p.m[:, 0] + 1.0, p.m[:, 0] - 1.0)
 
 
-# (grid key, sorted frequencies, sorted scale*phase, sort order) of the last
-# grid transformed; one plan suffices, as all probes of a search share a grid
-_dft_plan: tuple = (None,)
-
-
 def _unitary_dft(p: Profile1D, *columns: np.ndarray) -> tuple[np.ndarray, float, list[np.ndarray]]:
     """Ascending frequencies, their spacing dk and the unitary DFT of each
     sampled column on p's grid.
 
     The last node is dropped (period 2L), giving dk = pi/L and an exact
     discrete Plancherel identity sum |f_hat|^2 dk = h sum |f|^2 for columns
-    vanishing at the ends.  The frequencies, phases and sort order of the
-    last grid seen are kept; an all-zero column transforms to exact zeros.
+    vanishing at the ends.  An all-zero column transforms to exact zeros.
     """
-    global _dft_plan
     h = p.spacing
     M = p.n_nodes - 1
-    key = (M, h, float(p.x[0]))
-    plan = _dft_plan  # one read, so a concurrent replacement cannot mix grids
-    if plan[0] != key:
-        k = 2.0 * math.pi * np.fft.fftfreq(M, d=h)
-        phase = (h / math.sqrt(2.0 * math.pi)) * np.exp(-1j * k * p.x[0])
-        order = np.argsort(k, kind="stable")
-        k, phase = k[order], phase[order]
-        k.setflags(write=False)  # handed out as SpectrumProfile.frequencies
-        plan = _dft_plan = (key, k, phase, order)
-    _, k, phase, order = plan
+    k = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(M, d=h))
+    phase = (h / math.sqrt(2.0 * math.pi)) * np.exp(-1j * k * p.x[0])
     transforms = [
-        phase * np.fft.fft(c[:M])[order] if c[:M].any() else np.zeros(M, complex) for c in columns
+        phase * np.fft.fftshift(np.fft.fft(c[:M])) if c[:M].any() else np.zeros(M, complex) for c in columns
     ]
     return k, 2.0 * math.pi / (M * h), transforms
 
@@ -305,22 +293,21 @@ def richardson_boundary_oracle(
     return second[-1], raw
 
 
-def _l2_norms(p: Profile1D) -> tuple[float, float]:
-    """(||d m1/dx||^2, ||m*||^2) by trapezoid on the grid."""
-    h = p.spacing
-    dm1 = profile_derivative(p)[:, 0]
-    return _trapezoid(dm1**2, h), _trapezoid(offset_m1(p) ** 2, h)
-
-
 def e_v_upper_bound(p: Profile1D, cs: CrossSection) -> float:
     """Closed-form upper bound on the volume-charge energy.
 
-    Sum of the two explicit estimates
+    Sum of the two explicit estimates, with norms by trapezoid on the grid,
 
         (4/pi) ||d m1||^2 l^2 d^2  +  10 l d^2 (1 + ln(l/d))
       + 20 pi l d^2 (1 + ln(l/d)) (||m*||^2 + ||d m1||^2)
     """
-    dm1_sq, mstar_sq = _l2_norms(p)
+    h = p.spacing
+    dm1_sq = _trapezoid(profile_derivative(p)[:, 0] ** 2, h)
+    return _e_v_bound(cs, dm1_sq, _trapezoid(offset_m1(p) ** 2, h))
+
+
+def _e_v_bound(cs: CrossSection, dm1_sq: float, mstar_sq: float) -> float:
+    """e_v_upper_bound from the norms ||d m1/dx||^2 and ||m*||^2."""
     log_term = 1.0 + math.log(cs.l / cs.d)
     i1 = (4.0 / math.pi) * dm1_sq * cs.l**2 * cs.d**2 + 10.0 * cs.l * cs.d**2 * log_term
     i2 = 20.0 * math.pi * cs.l * cs.d**2 * log_term * (mstar_sq + dm1_sq)

@@ -18,17 +18,11 @@ from typing import Optional, Union
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from . import kernels
 from .errors import StallError, WallscaleError
 from .kernels import CrossSection
-from .magnetostatics import KernelCache, RescalingParams, full_energy
-from .walls import (
-    ClosedFormWall,
-    M3_TOLERANCE,
-    Profile1D,
-    ReducedEnergyWeights,
-    _derivative,
-    sample_wall,
-)
+from .magnetostatics import RescalingParams, _e_v_bound
+from .walls import M3_TOLERANCE, Profile1D, ReducedEnergyWeights, _derivative, _sech
 
 __all__ = [
     "DescentConfig",
@@ -68,7 +62,8 @@ class AnsatzSearchResult:
     best_scale: float
     best_beta: float
     energy: float
-    evaluations: int
+    evaluations: int  # probed scales
+    kernel_nodes: int  # frequencies sent to kernels.kernel_batch
 
 
 class DiscreteReducedEnergy:
@@ -228,50 +223,63 @@ def arc_profile(L: float, N: int) -> Profile1D:
     return Profile1D(x, m)
 
 
-_REFERENCE_ALPHA = 1.0 / math.pi
-_WINDOW_HALF_WIDTHS = 15.0  # grid half-length in units of the widest wall width
 _SCALE_XATOL = 1e-8  # Brent stopping width, relative to the best grid scale
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def minimize_full_ansatz(
-    cs: CrossSection,
-    scale_grid: Optional[np.ndarray] = None,
-    n_nodes: int = 4097,
-) -> AnsatzSearchResult:
+def _k_rule(a_min: float, a_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre panels between K 4^-j and 0 that integrate sech^2(pi k/(2a))
+    to 5e-15 for a in [a_min, a_max]: beyond K = 40 a_max/pi it is below 4 e^-40,
+    and a first panel within 1.6 a_min keeps its poles k = +-i a off the panels."""
+    cutoff = 40.0 / math.pi * a_max
+    halvings = math.ceil(math.log(cutoff / (1.6 * a_min), 4.0))
+    edges = np.append(np.ldexp(cutoff, -2 * np.arange(halvings + 1)), 0.0)[:, None]
+    half = 0.5 * (edges[:-1] - edges[1:])
+    return (edges[1:] + half * (1.0 + _GL_NODES)).ravel(), (half * _GL_WEIGHTS).ravel()
+
+
+def minimize_full_ansatz(cs: CrossSection, scale_grid: Optional[np.ndarray] = None) -> AnsatzSearchResult:
     """Minimize the full rescaled energy over the recovery family m0(x/s).
 
-    Every probed scale s builds the closed-form limit wall stretched by s
-    (m3 = 0, beta = 1) on one shared grid sized to the largest probed scale,
-    evaluates (E_ex + E_s + E_v_bound)/mu, and a bounded Brent search
-    (parabolic steps, golden-section fallback) between the neighbours of the
-    best grid point finishes the scalar search to 1e-8 of that scale.  The
-    result, the best of all probes, is an upper bound for the rescaled
-    minimal energy.
+    Every probed scale s takes the exact (E_ex + E_s + E_v_bound)/mu of
+    m1 = tanh(ax), m2 = sech(ax), a = 1/(s sqrt(pi)): E_ex = 8 l d a, the E_v
+    bound with ||d m1||^2 = 4a/3 and ||m*||^2 = 2(2 ln 2 - 1)/a, and E_s =
+    (8/pi^2) int I(d,l,k) (pi/(2a^2)) sech^2(pi k/(2a)) dk over k > 0 on one
+    k-rule for all probes (one kernel_batch call).  A bounded Brent search
+    between the neighbours of the best grid scale finishes to 1e-8 of it.
+    The best probe is an upper bound for the rescaled minimal energy.
+    Raises WallscaleError when a term leaves the normal double range.
     """
     if cs.c >= 1.0:
         raise ValueError("ansatz search requires aspect ratio c < 1")
-    lam = RescalingParams.from_cross_section(cs).lam
+    params = RescalingParams.from_cross_section(cs)
     if scale_grid is None:
-        scale_grid = lam * np.geomspace(0.5, 2.0, 7)
+        scale_grid = params.lam * np.geomspace(0.5, 2.0, 7)
     scales = np.asarray(scale_grid, dtype=float)
     if scales.size == 0 or np.any(scales <= 0):
         raise ValueError("scale_grid must contain positive scales")
 
-    width = math.sqrt(math.pi)  # reference wall width (alpha = 1/pi)
-    L = _WINDOW_HALF_WIDTHS * width * float(scales.max())
-    cache = KernelCache(cs)
+    root_pi = math.sqrt(math.pi)
+    k, weights = _k_rule(1.0 / (root_pi * float(scales.max())), 1.0 / (root_pi * float(scales.min())))
+    kernel, _ = kernels.kernel_batch(cs, True, k)
     evaluations = 0
     best_s = math.nan
     best_e = math.inf
 
     def rescaled(s: float) -> float:
         nonlocal evaluations, best_s, best_e
-        wall = ClosedFormWall(alpha=_REFERENCE_ALPHA / (s * s), beta=1.0, theta=0.0)
-        p = sample_wall(wall, L, n_nodes)
+        a = 1.0 / (root_pi * s)
         evaluations += 1
-        e = full_energy(p, cs, cache=cache).rescaled_upper
+        exchange = 8.0 * cs.l * cs.d * a
+        # 4 s^2 = 4/(pi a^2) times the weights first: weights times kernel values can underflow
+        weight = 4.0 * s * s * weights * _sech((0.5 * math.pi / a) * k) ** 2
+        e_s = float(np.dot(weight, kernel))
+        e_v = _e_v_bound(cs, 4.0 * a / 3.0, 2.0 * (2.0 * math.log(2.0) - 1.0) / a)
+        if not all(np.finfo(float).tiny <= t < math.inf for t in (exchange, e_s, e_v)):
+            raise WallscaleError(f"ansatz energy term outside the normal range at {cs}, s={s!r}")
+        e = (exchange + e_s + e_v) / params.mu
         if e < best_e:
-            best_s, best_e = float(s), e
+            best_s, best_e = s, e
         return e
 
     values = [rescaled(float(s)) for s in scales]
@@ -289,6 +297,4 @@ def minimize_full_ansatz(
             options={"xatol": _SCALE_XATOL * float(scales[i_best])},
         )
 
-    return AnsatzSearchResult(
-        best_scale=best_s, best_beta=1.0, energy=best_e, evaluations=evaluations
-    )
+    return AnsatzSearchResult(float(best_s), 1.0, float(best_e), evaluations, kernel_nodes=k.size)

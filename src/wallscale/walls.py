@@ -9,9 +9,9 @@ reformulation
 which is algebraically identical to the rational exponential form for
 beta > 0; negative beta amounts to the rotation theta -> theta + pi.
 
-Discretization conventions, shared by every energy in the package: centered
-differences in the interior, one-sided differences at the ends, composite
-trapezoid for integrals.
+Discretization conventions, shared by every sampled energy in the package:
+centered differences in the interior, one-sided differences at the ends,
+composite trapezoid for integrals.
 """
 
 from __future__ import annotations

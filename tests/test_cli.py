@@ -131,12 +131,33 @@ def test_minimize_reduced(capsys):
 
 
 def test_minimize_ansatz(capsys):
-    code = run(["minimize", "ansatz", "--l", "1e-3", "--d", "1e-6", "--nodes", "513"])
+    code = run(["minimize", "ansatz", "--l", "1e-3", "--d", "1e-6"])
     out = capsys.readouterr().out
     assert code == 0
     fields = dict(line.split(",") for line in out.strip().splitlines())
     assert float(fields["energy"]) > 0
     assert int(fields["evaluations"]) > 0
+    assert 0 < int(fields["kernel_nodes"]) <= 64
+
+
+def test_ansatz_commands_reject_removed_nodes_flag(tmp_path, capsys):
+    assert run(["minimize", "ansatz", "--l", "1e-3", "--d", "1e-6", "--nodes", "513"]) == 1
+    out_path = tmp_path / "sweep.csv"
+    code = run(
+        ["sweep", "rate", "--c-grid", "1e-2", "--l", "1e-3", "--nodes", "513", "--out", str(out_path)]
+    )
+    assert code == 1
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("c", ["1e-155", "1e-160", "1e-214"])
+def test_sweep_rate_below_double_range_exits_3(tmp_path, capsys, c):
+    out_path = tmp_path / "thin.csv"
+    code = run(["sweep", "rate", "--c-grid", c, "--l", "1e-3", "--out", str(out_path)])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+    row = out_path.read_text().strip().splitlines()[1].split(",")
+    assert row[5] == "nan" and row[9] == "false"
 
 
 def test_sweep_rate_emits_csv(tmp_path, capsys):
@@ -153,8 +174,6 @@ def test_sweep_rate_emits_csv(tmp_path, capsys):
             "1e-2,1e-4",
             "--l",
             "1e-3",
-            "--nodes",
-            "513",
         ]
     )
     assert code == 0
@@ -173,8 +192,7 @@ def test_sweep_corollary(capsys):
 def test_sweep_rate_accepts_width_list(tmp_path):
     out_path = tmp_path / "two_widths.csv"
     code = run(
-        ["sweep", "rate", "--c-grid", "1e-2,1e-4", "--l", "1e-3,5e-3",
-         "--nodes", "513", "--out", str(out_path)]
+        ["sweep", "rate", "--c-grid", "1e-2,1e-4", "--l", "1e-3,5e-3", "--out", str(out_path)]
     )
     assert code == 0
     lines = out_path.read_text().strip().splitlines()
@@ -186,8 +204,7 @@ def test_sweep_rate_accepts_width_list(tmp_path):
 def test_global_flags_accepted_after_subcommand(tmp_path, capsys):
     out_path = tmp_path / "trailing.csv"
     code = run(
-        ["sweep", "rate", "--c-grid", "1e-2", "--l", "1e-3", "--nodes", "513",
-         "--format", "csv", "--out", str(out_path)]
+        ["sweep", "rate", "--c-grid", "1e-2", "--l", "1e-3", "--format", "csv", "--out", str(out_path)]
     )
     assert code == 0
     assert out_path.exists()

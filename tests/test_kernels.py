@@ -352,6 +352,25 @@ class TestKernelBatch:
         with pytest.raises(QuadratureError):
             volume_kernel_batch(cs, [3.0])
 
+    @pytest.mark.parametrize("c", [1e-155, 1e-160, 1e-214])
+    def test_values_below_normal_range_raise(self, c):
+        # at l = 1e-3, I(d,l,.) ~ d^2 |ln c| and K ~ l^2 d^2 leave the normal
+        # double range near c = 1e-152, where the rule's _ROUNDING term
+        # underflows too and every error estimate read 0
+        cs = CrossSection(l=1e-3, d=c * 1e-3)
+        for ks in ([0.0], [1.0], [1e-3, 1e6]):
+            with pytest.raises(QuadratureError, match="normal range"):
+                kernel_batch(cs, True, ks)
+        with pytest.raises(QuadratureError, match="normal range"):
+            volume_kernel_batch(cs, [1.0])
+        assert kernel_batch(cs, False, [0.0, 1.0])[0].min() >= np.finfo(float).tiny
+
+    def test_values_just_inside_normal_range_return(self):
+        cs = CrossSection(l=1e-3, d=1e-153)
+        values, errors = kernel_batch(cs, True, [0.0, 1.0, 100.0])
+        assert np.all(values >= np.finfo(float).tiny)
+        assert np.all((errors > 0.0) & (errors <= 1e-8 * values))
+
     @pytest.mark.parametrize("k", [math.inf, math.nan, 0.0])
     def test_volume_rejects_nonfinite_or_zero_frequency(self, k):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import pytest
 
@@ -9,9 +10,7 @@ from wallscale.magnetostatics import GAMMA_LIMIT
 
 
 def make_records() -> list[SweepRecord]:
-    return rate_sweep(
-        [CrossSection(l=1e-3, d=1e-5), CrossSection(l=1e-3, d=1e-7)], n_nodes=1025
-    )
+    return rate_sweep([CrossSection(l=1e-3, d=1e-5), CrossSection(l=1e-3, d=1e-7)])
 
 
 class TestRateSweep:
@@ -29,7 +28,7 @@ class TestRateSweep:
         assert records[0].gap > records[1].gap
 
     def test_vacuous_bound_flagged_in_loose_regime(self):
-        records = rate_sweep([CrossSection(l=0.5, d=0.25)], n_nodes=513)
+        records = rate_sweep([CrossSection(l=0.5, d=0.25)])
         (r,) = records
         assert r.rate_rhs > GAMMA_LIMIT
         assert r.vacuous_bound
@@ -39,9 +38,24 @@ class TestRateSweep:
         assert rate_sweep([]) == []
 
     def test_determinism(self):
-        a = rate_sweep([CrossSection(l=1e-3, d=1e-6)], n_nodes=513)
-        b = rate_sweep([CrossSection(l=1e-3, d=1e-6)], n_nodes=513)
+        a = rate_sweep([CrossSection(l=1e-3, d=1e-6)])
+        b = rate_sweep([CrossSection(l=1e-3, d=1e-6)])
         assert a == b
+
+    def test_n_nodes_accepted_and_ignored(self):
+        cases = [CrossSection(l=1e-3, d=1e-5), CrossSection(l=1e-3, d=1e-9)]
+        plain = rate_sweep(cases)
+        for n_nodes in (4097, 257):
+            bits = [struct.pack("11d", *r.as_row()) for r in rate_sweep(cases, n_nodes=n_nodes)]
+            assert bits == [struct.pack("11d", *r.as_row()) for r in plain]
+
+    @pytest.mark.parametrize("c", [1e-155, 1e-160, 1e-214])
+    def test_case_below_double_range_is_a_nan_row(self, c):
+        # the kernels leave the normal double range near c = 1e-152 at l = 1e-3
+        # and mu = l d / lambda underflows to 0 near c = 1e-202
+        (r,) = rate_sweep([CrossSection(l=1e-3, d=c * 1e-3)])
+        assert math.isnan(r.rescaled_min_upper) and math.isnan(r.gap)
+        assert not r.passed
 
     def test_failed_case_recorded_and_sweep_continues(self, monkeypatch):
         import wallscale.lab as lab_module
@@ -55,7 +69,7 @@ class TestRateSweep:
             return real(cs, **kwargs)
 
         monkeypatch.setattr(lab_module, "minimize_full_ansatz", flaky)
-        records = lab_module.rate_sweep([bad, CrossSection(l=1e-3, d=1e-6)], n_nodes=513)
+        records = lab_module.rate_sweep([bad, CrossSection(l=1e-3, d=1e-6)])
         assert len(records) == 2
         assert math.isnan(records[0].rescaled_min_upper) and not records[0].passed
         assert records[1].passed

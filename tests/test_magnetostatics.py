@@ -20,7 +20,7 @@ from wallscale import (
     sample_wall,
     spectrum,
 )
-from wallscale.errors import ResolutionError
+from wallscale.errors import ResolutionError, WallscaleError
 from wallscale.magnetostatics import e_v_volume_oracle, offset_m1, richardson_boundary_oracle
 from wallscale.walls import profile_derivative, transverse_integrals
 
@@ -54,6 +54,13 @@ class TestRescaling:
     def test_requires_strictly_thin(self):
         with pytest.raises(ValueError):
             RescalingParams.from_cross_section(CrossSection(l=1.0, d=1.0))
+
+    def test_mu_below_normal_range_raises(self):
+        # mu = l d / lambda underflowed to 0.0 here, and rescaled energies
+        # divided by it
+        with pytest.raises(WallscaleError, match="normal range"):
+            RescalingParams.from_cross_section(CrossSection(l=1e-3, d=1e-217))
+        assert RescalingParams.from_cross_section(CrossSection(l=1e-3, d=1e-200)).mu > 0.0
 
 
 class TestSpectrum:

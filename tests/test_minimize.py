@@ -7,18 +7,24 @@ from wallscale import (
     ClosedFormWall,
     CrossSection,
     DescentConfig,
+    KernelCache,
     ReducedEnergyWeights,
     StallError,
     arc_profile,
     eval_wall,
+    kernels,
     minimize_full_ansatz,
     minimize_reduced,
     rate_sweep,
     reduced_energy_alpha,
     sample_wall,
 )
+from wallscale.errors import QuadratureError, WallscaleError
 from wallscale.magnetostatics import GAMMA_LIMIT, RescalingParams
-from wallscale.minimize import DiscreteReducedEnergy
+from wallscale.minimize import DiscreteReducedEnergy, _k_rule
+from wallscale.walls import _sech
+
+from conftest import sampled_ansatz_energy
 
 
 class TestDiscreteGradient:
@@ -148,15 +154,15 @@ class TestAnsatzSearch:
 
     def test_degenerate_grid_dominated_by_search(self):
         lam = RescalingParams.from_cross_section(self.CS).lam
-        single = minimize_full_ansatz(self.CS, scale_grid=np.array([lam]), n_nodes=1025)
-        multi = minimize_full_ansatz(self.CS, n_nodes=1025)
+        single = minimize_full_ansatz(self.CS, scale_grid=np.array([lam]))
+        multi = minimize_full_ansatz(self.CS)
         assert math.isfinite(single.energy)
         assert multi.energy <= single.energy
         assert single.evaluations == 1
         assert multi.evaluations > 7
 
     def test_rescaled_minimum_within_rate_window(self):
-        res = minimize_full_ansatz(self.CS, n_nodes=2049)
+        res = minimize_full_ansatz(self.CS)
         rhs = 200.0 / math.sqrt(abs(math.log(self.CS.c))) + 20.0 * self.CS.l
         assert GAMMA_LIMIT - rhs <= res.energy <= GAMMA_LIMIT + rhs
         assert res.best_beta == 1.0
@@ -166,22 +172,82 @@ class TestAnsatzSearch:
         gaps = []
         for c in (1e-3, 1e-6):
             cs = CrossSection(l=1e-3, d=c * 1e-3)
-            res = minimize_full_ansatz(cs, n_nodes=2049)
+            res = minimize_full_ansatz(cs)
             gaps.append(res.energy - GAMMA_LIMIT)
         assert gaps[0] > gaps[1] > 0.0
 
     def test_probe_count_gate(self):
         # seven grid probes plus about ten bounded Brent steps
-        res = minimize_full_ansatz(self.CS, n_nodes=1025)
+        res = minimize_full_ansatz(self.CS)
         assert res.evaluations <= 20
 
+    def test_kernel_node_gate(self):
+        # one kernel batch per search: 64 nodes for the default bracket
+        # [lambda/2, 2 lambda], 48 for one scale (the sampled search sent 219)
+        assert minimize_full_ansatz(self.CS).kernel_nodes <= 64
+        lam = RescalingParams.from_cross_section(self.CS).lam
+        assert minimize_full_ansatz(self.CS, scale_grid=np.array([lam])).kernel_nodes == 48
+
+    def test_kernel_batch_called_once(self, monkeypatch):
+        calls = []
+        real = kernels.kernel_batch
+
+        def counted(cs, swap, ks):
+            calls.append((swap, np.size(ks)))
+            return real(cs, swap, ks)
+
+        monkeypatch.setattr(kernels, "kernel_batch", counted)
+        res = minimize_full_ansatz(self.CS)
+        assert calls == [(True, res.kernel_nodes)]
+
+    @pytest.mark.parametrize("ratio", [1.0, 4.0, 100.0])
+    def test_k_rule_integrates_the_weight_over_the_probed_range(self, ratio):
+        # int_0^inf sech^2(pi k/(2a)) dk = 2a/pi for every a the search probes
+        a_max = 0.37
+        k, weights = _k_rule(a_max / ratio, a_max)
+        for a in a_max * np.geomspace(1.0 / ratio, 1.0, 25):
+            value = float(np.dot(weights, _sech(0.5 * math.pi * k / a) ** 2))
+            assert abs(value - 2.0 * a / math.pi) <= 1e-14 * (2.0 * a / math.pi)
+
     def test_matches_golden_section_values_on_criterion_8_grid(self):
-        # reference minima from a 30-step golden-section search on the same
-        # brackets; the Brent search must find the same minimum
-        reference = (10.489482163285082, 9.822427865657591, 9.591352766318462)
+        # closed-form minima; a two-stage Richardson extrapolation of the
+        # sampled oracle at N = 8193, 16385 and 32769 on the best scales
+        # agrees with them to 1.5e-13 relative
+        reference = (10.489976523831716, 9.822834200513755, 9.591731002974695)
         cases = [CrossSection(l=1e-3, d=c * 1e-3) for c in (1e-2, 1e-4, 1e-6)]
         for record, ref in zip(rate_sweep(cases), reference):
             assert abs(record.rescaled_min_upper - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("c", [1e-3, 1e-125, 1e-150])
+    def test_sampled_oracle_converges_like_h2_from_below(self, c):
+        # c = 1e-125 and 1e-150: the k-rule weights times the kernel values
+        # underflow there, so the energy must not form that product
+        cs = CrossSection(l=1e-3, d=c * 1e-3)
+        lam = RescalingParams.from_cross_section(cs).lam
+        exact = minimize_full_ansatz(cs, scale_grid=np.array([lam])).energy
+        cache = KernelCache(cs)
+        sampled = [sampled_ansatz_energy(cs, lam, n, cache) for n in (1025, 2049, 4097)]
+        gaps = [exact - v for v in sampled]
+        assert gaps[0] > gaps[1] > gaps[2] > 0.0
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 3.99 <= coarse / fine <= 4.01
+        first = [(4.0 * fine - coarse) / 3.0 for coarse, fine in zip(sampled, sampled[1:])]
+        second = (16.0 * first[1] - first[0]) / 15.0
+        assert abs(second - exact) <= 1e-10 * exact
+
+    @pytest.mark.parametrize("c", [1e-155, 1e-160])
+    def test_kernel_underflow_raises_typed_error(self, c):
+        with pytest.raises(QuadratureError, match="normal range"):
+            minimize_full_ansatz(CrossSection(l=1e-3, d=c * 1e-3))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_energy_term_outside_normal_range_raises_typed_error(self, scale):
+        with pytest.raises(WallscaleError, match="normal range"):
+            minimize_full_ansatz(self.CS, scale_grid=np.array([scale]))
+
+    def test_mu_underflow_raises_typed_error(self):
+        with pytest.raises(WallscaleError, match="normal range"):
+            minimize_full_ansatz(CrossSection(l=1e-3, d=1e-217))
 
     def test_rejects_square_section(self):
         with pytest.raises(ValueError):
