@@ -29,7 +29,7 @@ def main() -> None:
     profile = sample_wall(wall, 26.0, 2049)
 
     t0 = time.perf_counter()
-    extrapolated, raw = richardson_boundary_oracle(cs=cs, p=profile, base_resolution=(512, 16), levels=3)
+    extrapolated, raw = richardson_boundary_oracle(profile, cs)
     oracle_seconds = time.perf_counter() - t0
     spectral = e_s_spectral(profile, cs)
 

@@ -210,7 +210,8 @@ def kernel_batch(cs: CrossSection, swap: bool, ks) -> tuple[np.ndarray, np.ndarr
     kn = k[nonzero]
     # far out the integral is (pi/2)(pi w/k - 1/k^2) up to a relative e^-40
     far = (kn * w >= _FAR) & (kn * s >= _FAR + 0.5 * np.maximum(0.0, np.log(kn) + math.log(w)))
-    values[nonzero[far]] = 0.5 * math.pi * (math.pi * w / kn[far] - 1.0 / kn[far] ** 2)
+    inv = 1.0 / kn[far]  # squaring k itself overflows above |k| ~ 1e154
+    values[nonzero[far]] = 0.5 * math.pi * (math.pi * w * inv - inv**2)
     near = nonzero[~far]
     if near.size and _FLOOR * min(w, s) < np.finfo(float).tiny:
         raise QuadratureError(f"{cs} is too thin for the kernel rule in double precision")
@@ -252,8 +253,8 @@ def volume_kernel_batch(cs: CrossSection, ks) -> tuple[np.ndarray, np.ndarray]:
     l, d = cs.l, cs.d
     values = np.empty(k.size)
     far = k * d >= _FAR
-    kf = k[far]
-    values[far] = 0.5 * math.pi * (2.0 * math.pi * l * d - math.pi * (l + d) / kf + 2.0 / kf**2) / kf**2
+    inv = 1.0 / k[far]  # squaring k itself overflows above |k| ~ 1e154
+    values[far] = 0.5 * math.pi * (2.0 * math.pi * l * d - math.pi * (l + d) * inv + 2.0 * inv**2) * inv**2
     floor = math.ldexp(2.0 * d, -_CORNER_PANELS)
     if floor < np.finfo(float).tiny and not np.all(far):
         raise QuadratureError(f"{cs} is too thin for the kernel rule in double precision")

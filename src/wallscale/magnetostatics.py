@@ -192,44 +192,38 @@ def _self_patch(a: float, b: float) -> float:
     return 4.0 * (t1 - t2 - t3 + t4)
 
 
+def _lag_weights(g: np.ndarray) -> np.ndarray:
+    """Autocorrelation of g at lags m >= 0 with the lags m > 0 doubled, so
+    that sum_m w[m] f(m) = sum_{i,j} g[i] g[j] f(|i - j|)."""
+    w = np.correlate(g, g, "full")[g.size - 1 :]
+    w[1:] *= 2.0
+    return w
+
+
 def _face_family_energy(
     sigma: np.ndarray, dx: float, half_across: float, n_across: int, separation: float
 ) -> tuple[float, float]:
-    """Same-face plus opposite-face interaction of one face pair family.
+    """Same-face minus opposite-face interaction of one face pair family.
 
     Returns (energy_contribution, diagonal_part).  `sigma` holds the charge
     at the axial cell centers; cells across the face have width
     2*half_across/n_across; the two faces of the family sit `separation`
-    apart with opposite charge sign.
+    apart with opposite charge sign.  The pair table holds, per axial lag,
+    the panel-pair sum of 1/r_same - 1/r_cross over the transverse offsets;
+    the singular self cell takes the analytic flat-cell integral instead.
     """
-    nx = sigma.size
     dz = 2.0 * half_across / n_across
-    area = dx * dz
-    corr = np.correlate(sigma, sigma, "full")[nx - 1 :]
-    zdiffs = np.arange(-(n_across - 1), n_across) * dz
-    zcounts = np.array([n_across - abs(m) for m in range(-(n_across - 1), n_across)], dtype=float)
-    patch = _self_patch(dx, dz)
-
-    def pair_sum(sep2: float, with_patch: bool) -> float:
-        total = 0.0
-        for m in range(nx):
-            w = corr[m] * (2.0 if m > 0 else 1.0)
-            if w == 0.0:
-                continue
-            r2 = (m * dx) ** 2 + zdiffs**2 + sep2
-            if m == 0 and with_patch:
-                nz = zdiffs != 0.0
-                val = float(np.sum(zcounts[nz] / np.sqrt(r2[nz]))) * area * area
-                val += n_across * patch
-                total += w * val
-            else:
-                total += w * float(np.sum(zcounts / np.sqrt(r2))) * area * area
-        return total / (4.0 * math.pi)
-
-    same = pair_sum(0.0, True)
-    cross = pair_sum(separation**2, False)
-    diagonal = float(np.sum(sigma**2)) * n_across * patch / (4.0 * math.pi)
-    return 2.0 * (same - cross), 2.0 * diagonal
+    lag2 = (np.arange(sigma.size) * dx) ** 2
+    sep2 = separation**2
+    pair = np.zeros(sigma.size)
+    # transverse offsets o >= 0 with their panel-pair counts (n - |o| per sign)
+    for o, count in enumerate(_lag_weights(np.ones(n_across))):
+        r2 = lag2 + (o * dz) ** 2
+        same = np.divide(1.0, np.sqrt(r2), out=np.zeros_like(r2), where=r2 > 0.0)
+        pair += count * (same - 1.0 / np.sqrt(r2 + sep2))
+    w = _lag_weights(sigma)
+    diagonal = w[0] * n_across * _self_patch(dx, dz) / (2.0 * math.pi)
+    return float(w @ pair) * (dx * dz) ** 2 / (2.0 * math.pi) + diagonal, diagonal
 
 
 def e_s_boundary_oracle(
@@ -237,8 +231,9 @@ def e_s_boundary_oracle(
 ) -> float:
     """Direct double-surface-integral oracle for the surface-charge energy.
 
-    Midpoint panels over the four faces of the cross-section boundary, with
-    the singular same-cell interaction replaced by the analytic flat-cell
+    Midpoint panels over the four faces of the cross-section boundary
+    (`resolution` = panels along x, panels across each face), with the
+    singular same-cell interaction replaced by the analytic flat-cell
     integral.  Mixed pairs between the y-faces (charge m2) and z-faces
     (charge m3) cancel exactly by the reflection symmetry of the rectangle
     and are not computed.
@@ -254,18 +249,15 @@ def e_s_boundary_oracle(
         raise ValueError("resolution too small")
     dx = (p.x[-1] - p.x[0]) / n_axial
     centers = p.x[0] + (np.arange(n_axial) + 0.5) * dx
-    sigma2 = np.interp(centers, p.x, p.m[:, 1])
-    sigma3 = np.interp(centers, p.x, p.m[:, 2])
     total = 0.0
     diag = 0.0
-    if np.any(sigma2 != 0.0):
-        e, dg = _face_family_energy(sigma2, dx, cs.d, n_across, 2.0 * cs.l)
-        total += e
-        diag += dg
-    if np.any(sigma3 != 0.0):
-        e, dg = _face_family_energy(sigma3, dx, cs.l, n_across, 2.0 * cs.d)
-        total += e
-        diag += dg
+    # (charge column, face half-width across, face separation) per family
+    for column, half_across, separation in ((1, cs.d, 2.0 * cs.l), (2, cs.l, 2.0 * cs.d)):
+        sigma = np.interp(centers, p.x, p.m[:, column])
+        if sigma.any():
+            e, dg = _face_family_energy(sigma, dx, half_across, n_across, separation)
+            total += e
+            diag += dg
     if total != 0.0 and diag > 0.2 * abs(total):
         raise ResolutionError(
             f"self-patch diagonal is {diag / abs(total):.1%} of the oracle total; "
@@ -274,23 +266,19 @@ def e_s_boundary_oracle(
     return float(total)
 
 
-def richardson_boundary_oracle(
-    p: Profile1D, cs: CrossSection, base_resolution: tuple[int, int] = (512, 16), levels: int = 3
-) -> tuple[float, list[float]]:
-    """Boundary oracle at `levels` doubling resolutions, Richardson-extrapolated.
+# the three doubling resolutions of the Richardson boundary oracle
+_RICHARDSON_RESOLUTIONS = ((512, 16), (1024, 32), (2048, 64))
+
+
+def richardson_boundary_oracle(p: Profile1D, cs: CrossSection) -> tuple[float, list[float]]:
+    """Boundary oracle at three doubling resolutions, Richardson-extrapolated.
 
     The leading error is O(h); two extrapolation stages remove the first two
     orders.  Returns (extrapolated_value, raw_values).
     """
-    if levels < 3:
-        raise ValueError("need at least 3 levels to extrapolate twice")
-    nx, nc = base_resolution
-    raw = [
-        float(e_s_boundary_oracle(p, cs, (nx * 2**j, nc * 2**j))) for j in range(levels)
-    ]
-    first = [2.0 * raw[j + 1] - raw[j] for j in range(len(raw) - 1)]
-    second = [first[j + 1] + (first[j + 1] - first[j]) / 3.0 for j in range(len(first) - 1)]
-    return second[-1], raw
+    raw = [e_s_boundary_oracle(p, cs, resolution) for resolution in _RICHARDSON_RESOLUTIONS]
+    first = [2.0 * raw[1] - raw[0], 2.0 * raw[2] - raw[1]]
+    return first[1] + (first[1] - first[0]) / 3.0, raw
 
 
 def e_v_upper_bound(p: Profile1D, cs: CrossSection) -> float:
@@ -380,16 +368,11 @@ def e_v_volume_oracle(p: Profile1D, cs: CrossSection) -> float:
         raise ResolutionError(
             f"grid spacing {h:.3e} exceeds half the section half-width {cs.l:.3e}; refine the grid"
         )
-    g = profile_derivative(p)[:, 0]
-    n = g.size
-    corr = np.correlate(g, g, "full")[n - 1 :]  # lag m >= 0
+    w = _lag_weights(profile_derivative(p)[:, 0])
     total = 0.0
-    for m in range(n):
-        if corr[m] == 0.0:
-            continue
-        w = 2.0 if m > 0 else 1.0
-        total += w * corr[m] * _rect_pair_green(cs, m * h)
-    return total * h * h / (4.0 * math.pi)
+    for m in np.flatnonzero(w):
+        total += w[m] * _rect_pair_green(cs, m * h)
+    return float(total * h * h / (4.0 * math.pi))
 
 
 @dataclass(frozen=True)

@@ -35,24 +35,20 @@ __all__ = [
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
+_FIRST_STEP = 0.25  # trial step before the first Barzilai-Borwein step
+_BACKTRACK_FACTOR = 0.5
 
 
 @dataclass(frozen=True)
 class DescentConfig:
-    step: float = 0.25
     grad_tol: float = 1e-5
     max_iters: int = 200_000
-    backtrack_factor: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.step <= 0:
-            raise ValueError("step must be positive")
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (0.0 < self.backtrack_factor < 1.0):
-            raise ValueError("backtrack_factor must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -163,7 +159,7 @@ def minimize_reduced(
 
     trace_rows: list[tuple[int, float, float]] = []
     h = model.h
-    step = config.step
+    step = _FIRST_STEP
     prev_m: Optional[np.ndarray] = None
     prev_g: Optional[np.ndarray] = None
     for iteration in range(config.max_iters):
@@ -193,7 +189,7 @@ def minimize_reduced(
                 raise WallscaleError("non-finite energy during descent")
             if e_trial <= e - _ARMIJO_C * t * psq:
                 break
-            t *= config.backtrack_factor
+            t *= _BACKTRACK_FACTOR
         else:
             raise StallError(
                 f"no sufficient decrease after {_MAX_BACKTRACKS} backtracks "

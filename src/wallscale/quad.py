@@ -1,8 +1,8 @@
 """Deterministic adaptive quadrature for smooth, oscillatory integrands.
 
 Finite intervals go to QUADPACK (adaptive 21-point Gauss-Kronrod, scipy's
-``quad``).  Semi-infinite integrals are split at ``a + semi_infinite_split``;
-the head is handled by QUADPACK and the tail by fixed Gauss-Kronrod panels of
+``quad``).  Semi-infinite integrals over [a, inf) are split at a + 60; the
+head is handled by QUADPACK and the tail by fixed Gauss-Kronrod panels of
 length pi, matching sin^2-type oscillations, whose partial sums are
 extrapolated to infinity (Neville in the reciprocal endpoint) for envelopes
 decaying as slowly as 1/t^2.  The public API and the real-space volume oracle
@@ -47,15 +47,11 @@ class QuadratureConfig:
 
     max_subdivisions bounds the adaptive refinement; exhausting it is an
     error, never a silent truncation.
-
-    semi_infinite_split is the abscissa offset past which the integrand tail
-    switches to the panel-extrapolated scheme.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_subdivisions: int = 2000
-    semi_infinite_split: float = 60.0
 
     def __post_init__(self) -> None:
         if self.abs_tol < 0 or self.rel_tol < 0:
@@ -64,8 +60,6 @@ class QuadratureConfig:
             raise ValueError("at least one of abs_tol, rel_tol must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.semi_infinite_split <= 0:
-            raise ValueError("semi_infinite_split must be positive")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -151,6 +145,8 @@ _WG = (
     0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
 )
 
+# abscissa offset past which a semi-infinite tail takes the panel scheme
+_SEMI_INFINITE_SPLIT = 60.0
 _PANEL = math.pi
 _TAIL_BASE_PANELS = 8
 _TAIL_MAX_DOUBLINGS = 12
@@ -232,19 +228,18 @@ def integrate_semi_infinite(
     """Integrate f over [a, infinity).
 
     The integrand must decay at least like 1/t^2.  The finite part up to
-    ``a + cfg.semi_infinite_split`` is integrated adaptively; the remainder by
+    ``a + _SEMI_INFINITE_SPLIT`` is integrated adaptively; the remainder by
     the extrapolated panel scheme.
 
     Raises:
         TailNonconvergenceError: tail estimate not shrinking under refinement.
         (plus the integrate_finite error modes for the head)
     """
-    split = a + cfg.semi_infinite_split
+    split = a + _SEMI_INFINITE_SPLIT
     head_cfg = QuadratureConfig(
         abs_tol=0.5 * cfg.abs_tol,
         rel_tol=0.5 * cfg.rel_tol,
         max_subdivisions=cfg.max_subdivisions,
-        semi_infinite_split=cfg.semi_infinite_split,
     )
     head = integrate_finite(f, a, split, head_cfg)
     tail_budget = 0.5 * max(cfg.abs_tol, cfg.rel_tol * abs(head.value))

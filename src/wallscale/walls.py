@@ -167,8 +167,9 @@ def sample_wall(w: ClosedFormWall, L: float, N: int) -> Profile1D:
     """Sample the closed-form wall on N nodes spanning [-L, L].
 
     N must be odd (keeps a node at x = 0).  Boundary nodes are snapped to
-    -/+e_x; a snap larger than 1e-6 means the window is too short for the
-    given wall width and raises with that advice.
+    -/+e_x; a snap larger than 1e-6 in any component means the window is too
+    short for the given wall width and raises with that advice.  The
+    transverse tails, about sqrt(2 |m1 -/+ 1|), bind first.
     """
     if L <= 0:
         raise ValueError("L must be positive")
@@ -176,15 +177,15 @@ def sample_wall(w: ClosedFormWall, L: float, N: int) -> Profile1D:
         raise ValueError("N must be odd and >= 3")
     x = np.linspace(-L, L, N)
     m = eval_wall(w, x)
-    # snap magnitude = longitudinal tail left at the window ends
-    snap = max(abs(m[0, 0] + 1.0), abs(m[-1, 0] - 1.0))
+    ends = np.array([(-1.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
+    # snap magnitude = largest component tail left at the window ends
+    snap = float(np.max(np.abs(m[[0, -1]] - ends)))
     if snap > SNAP_LIMIT:
         raise ValueError(
             f"boundary snap {snap:.3e} exceeds {SNAP_LIMIT}; "
             f"increase L (wall width ~ {1.0 / math.sqrt(w.alpha):.3g})"
         )
-    m[0] = (-1.0, 0.0, 0.0)
-    m[-1] = (1.0, 0.0, 0.0)
+    m[[0, -1]] = ends
     return Profile1D(x, m)
 
 

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -310,6 +311,16 @@ class TestKernelBatch:
     def test_rejects_nonfinite_frequency(self):
         with pytest.raises(ValueError):
             kernel_batch(CrossSection(l=0.1, d=0.05), True, [1.0, math.inf])
+
+    def test_far_branch_does_not_overflow(self):
+        # k^2 overflows above |k| ~ 1e154, so the far forms must square 1/k
+        cs = CrossSection(l=1.0, d=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (value,), _ = kernel_batch(cs, False, [1e200])
+            assert value == pytest.approx(4.934802200544679e-200, rel=1e-15)
+            with pytest.raises(QuadratureError, match="normal range"):
+                volume_kernel_batch(cs, [1e200])
 
     def test_volume_matches_mpmath_references(self):
         rows = load_volume_kernel_refs()

@@ -167,12 +167,33 @@ class TestSurfaceEnergy:
         assert value == 123.0 and tol == 0.5
 
     def test_live_richardson_oracle_agrees(self, standard_wall_profile):
-        extrapolated, raw = richardson_boundary_oracle(
-            standard_wall_profile, GOLDEN_CS, base_resolution=(512, 16), levels=3
-        )
+        extrapolated, raw = richardson_boundary_oracle(standard_wall_profile, GOLDEN_CS)
         value = e_s_spectral(standard_wall_profile, GOLDEN_CS)
         assert abs(value - extrapolated) / extrapolated <= 0.02
         assert raw[0] > raw[1] > raw[2] > 0.0  # O(h) convergence from above
+
+    @pytest.mark.parametrize(
+        "theta, raw, extrapolated",
+        [
+            (
+                0.0,
+                [0.03573229831577866, 0.030728430060929963, 0.02792842754964718],
+                0.024929712782458775,
+            ),
+            (
+                math.pi / 2,
+                [0.05723808516150555, 0.051892713600078855, 0.048963964719820036],
+                0.0458645071065309,
+            ),
+        ],
+    )
+    def test_richardson_oracle_pinned(self, theta, raw, extrapolated):
+        # the golden file holds only a 2% tolerance; these pins catch any
+        # drift of the oracle itself (m2 faces at theta = 0, m3 at pi/2)
+        wall = ClosedFormWall(alpha=1.0 / math.pi, beta=1.0, theta=theta)
+        got, got_raw = richardson_boundary_oracle(sample_wall(wall, GOLDEN_L, GOLDEN_N), GOLDEN_CS)
+        assert got_raw == pytest.approx(raw, rel=1e-13)
+        assert got == pytest.approx(extrapolated, rel=1e-13)
 
     def test_mirror_symmetry_in_m2(self, standard_wall_profile):
         p = standard_wall_profile
@@ -220,9 +241,7 @@ class TestSurfaceEnergy:
         # exercising the swap=False kernel channel end to end
         wall = ClosedFormWall(alpha=1.0 / math.pi, beta=1.0, theta=math.pi / 2)
         p = sample_wall(wall, GOLDEN_L, GOLDEN_N)
-        extrapolated, _ = richardson_boundary_oracle(
-            p, GOLDEN_CS, base_resolution=(512, 16), levels=3
-        )
+        extrapolated, _ = richardson_boundary_oracle(p, GOLDEN_CS)
         value = e_s_spectral(p, GOLDEN_CS)
         assert abs(value - extrapolated) / extrapolated <= 0.02
 
@@ -279,6 +298,10 @@ class TestVolumeSpectral:
         spectral = e_v_spectral(p, GOLDEN_CS)
         oracle = e_v_volume_oracle(p, GOLDEN_CS)
         assert spectral == pytest.approx(oracle, rel=0.05)
+
+    def test_volume_oracle_pinned(self, standard_wall_profile):
+        value = e_v_volume_oracle(standard_wall_profile, GOLDEN_CS)
+        assert value == pytest.approx(0.000201134408600817, rel=1e-13)
 
     @pytest.mark.parametrize("n_nodes", [1025, 2049])
     def test_volume_oracle_rejects_spacing_above_half_width(self, n_nodes):

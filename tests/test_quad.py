@@ -26,8 +26,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=0)
     with pytest.raises(ValueError):
-        QuadratureConfig(semi_infinite_split=0.0)
-    with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=-1e-10)
 
 

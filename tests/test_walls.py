@@ -90,6 +90,14 @@ class TestSampleWall:
         with pytest.raises(ValueError, match="snap"):
             sample_wall(ClosedFormWall(alpha=1.0, beta=1.0, theta=0.0), 1.0, 3)
 
+    def test_transverse_tail_counts_in_snap(self):
+        # at L = 10 the alpha = 1 wall leaves m1 + 1 = 4e-9 but m2 = 9.1e-5 at
+        # the ends; setting that m2 to 0 is a snap too
+        with pytest.raises(ValueError, match="snap"):
+            sample_wall(ClosedFormWall(alpha=1.0, beta=1.0, theta=0.0), 10.0, 257)
+        # the golden window (14.7 wall widths) leaves m2 = 8.5e-7
+        sample_wall(ClosedFormWall(alpha=1.0 / math.pi, beta=1.0, theta=0.0), 26.0, 2049)
+
     def test_center_node_transverse_peak(self):
         p = sample_wall(ClosedFormWall(alpha=4.0, beta=1.0, theta=0.0), 10.0, 4097)
         mid = p.n_nodes // 2
