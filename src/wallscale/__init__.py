@@ -2,7 +2,7 @@
 domain walls in thin rectangular magnetic films.
 
 Modules:
-    quad            adaptive quadrature (public API, real-space oracle)
+    quad            adaptive quadrature (public API); the GK15 table of every fixed rule
     kernels         magnetostatic kernels a_c, b_c, I, K and bounds on I
     walls           closed-form transverse walls and reduced energies
     minimize        sphere-constrained descent and ansatz-family search

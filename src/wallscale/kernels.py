@@ -20,8 +20,8 @@ x != 0, I is the Fourier transform of one face pair's 1/r interaction
 Over the whole cross-section the same transform gives the volume kernel
 K = (pi/2) int_0^{2l} int_0^{2d} (2l - u)(2d - v) K0(|x| sqrt(u^2 + v^2)) dv du,
 which weights the spectrum of d m1/dx.  kernel_batch and volume_kernel_batch
-evaluate them for many x at once with one fixed graded Gauss-Kronrod rule,
-whose embedded Gauss rule gives an error estimate.  Every kernel value is
+evaluate them for many x at once with quad's 15-point Gauss-Kronrod table on
+graded panels, whose embedded Gauss rule gives an error estimate.  Every kernel value is
 returned only when that estimate is within 1e-8 of the value (_REL_TOL)
 and the value is a normal double; otherwise the call raises QuadratureError.
 
@@ -38,7 +38,7 @@ import numpy as np
 from scipy.special import k0, k1
 
 from .errors import QuadratureError
-from .quad import _WG, _WGK, _XGK
+from .quad import _GK_GAUSS, _GK_NODES, _gk_panels
 
 __all__ = [
     "CrossSection",
@@ -54,13 +54,6 @@ __all__ = [
     "verify_lemma32",
     "a_c_scaling_ratio",
 ]
-
-# quad's 15-point Kronrod rule and its embedded 7-point Gauss-Legendre rule
-# (zero weight at the Kronrod-only nodes), mirrored from [0, 1] onto [-1, 1]
-_GK_NODES = np.concatenate([np.negative(_XGK), _XGK[-2::-1]])
-_GK_WEIGHTS = np.concatenate([_WGK, _WGK[-2::-1]])
-_GK_GAUSS = np.zeros(15)
-_GK_GAUSS[1::2] = _WG + _WG[-2::-1]
 
 # Panels [2w/2^(j+1), 2w/2^j] down to _FLOOR*min(w, s) keep the log endpoint, the
 # scales s and 1/|x| a panel width away: Gauss is good to ~1e-11, Kronrod to rounding.
@@ -149,14 +142,6 @@ def _k0_gap(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
         nodes = zn + h * (1.0 + _GK_NODES[1::2])
         gap.ravel()[near] = (h * k1(nodes) * _GK_GAUSS[1::2]).sum(axis=1)
     return gap
-
-
-def _gk_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """GK15 nodes, Kronrod weights and Kronrod-minus-Gauss weights on the
-    panels between consecutive edges, each shaped (panels, 15)."""
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * np.abs(edges[:-1] - edges[1:])[:, None]
-    return mid + half * _GK_NODES, half * _GK_WEIGHTS, half * (_GK_WEIGHTS - _GK_GAUSS)
 
 
 def _graded_rule(k, values, rows, integrand, kronrod, excess, shape):

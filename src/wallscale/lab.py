@@ -21,7 +21,6 @@ from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
 
 from .errors import VerificationError
 from .kernels import CrossSection, a_c_scaling_ratio
@@ -82,11 +81,7 @@ def _rate_rhs(c: float, l: float) -> float:
     return 200.0 / math.sqrt(abs(math.log(c))) + 20.0 * l
 
 
-def rate_sweep(
-    cases: Sequence[CrossSection],
-    scale_grid: Optional[np.ndarray] = None,
-    n_nodes: Optional[int] = None,
-) -> list[SweepRecord]:
+def rate_sweep(cases: Sequence[CrossSection], n_nodes: Optional[int] = None) -> list[SweepRecord]:
     """Run the ansatz minimization per case and fill the rate-check records.
 
     Per-case failures are recorded as NaN rows with passed=False and the
@@ -101,7 +96,7 @@ def rate_sweep(
         params = RescalingParams(lam=math.nan, mu=math.nan)
         try:
             params = RescalingParams.from_cross_section(cs)
-            value = minimize_full_ansatz(cs, scale_grid=scale_grid).energy
+            value = minimize_full_ansatz(cs).energy
         except Exception:
             logger.exception("sweep case l=%g d=%g failed", cs.l, cs.d)
             value = math.nan  # a NaN row fails both comparisons below

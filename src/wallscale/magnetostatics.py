@@ -15,8 +15,9 @@ upper bound (always) and optionally through the spectral evaluation
 K of the kernels module, validated against a real-space Green-function oracle.
 
 Both spectral energies take their kernel values from the fixed rules of the
-kernels module, whose error estimates are held to a relative 1e-8; only the
-real-space volume oracle sets a quadrature tolerance of its own.
+kernels module, whose error estimates are held to a relative 1e-8; the
+real-space volume oracle holds its pair integrals, on quad's GK15 table, to a
+relative 1e-9.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import ResolutionError, WallscaleError
+from .errors import QuadratureError, ResolutionError, WallscaleError
 from .kernels import CrossSection
-from .quad import QuadratureConfig, integrate_finite
+from .quad import _gk_panels
 from .walls import Profile1D, _trapezoid, exchange_integral, profile_derivative
 
 __all__ = [
@@ -57,6 +58,8 @@ GAMMA_LIMIT = 16.0 / math.sqrt(math.pi)
 # kernel-weighted spectrum; with kernels bounded by 2*pi*l*d*a_c the skipped
 # mass is below 1e-12 of the total
 _SPECTRAL_FLOOR = 1e-15
+# bound on every pair integral's error estimate, relative to the integral
+_PAIR_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -327,25 +330,34 @@ def e_v_spectral(p: Profile1D, cs: CrossSection) -> float:
     return (4.0 / math.pi**2) * float(np.sum(table[where] * amp2[kept])) * dk
 
 
-def _rect_pair_green(cs: CrossSection, s: float) -> float:
-    """F(s) = int_{R x R} 1/sqrt(s^2 + (y-y1)^2 + (z-z1)^2): the cross-section
-    pair Green integral at axial separation s, via autocorrelation reduction
-    to one dimension (the inner transverse integral is closed-form)."""
+def _section_pair_green(cs: CrossSection, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, errors) of the cross-section pair Green integral
+
+        F(s) = int_{R x R} 1/sqrt(s^2 + (y-y1)^2 + (z-z1)^2)
+             = 4 int_0^{2l} (2l - u) [2d asinh(2d/k) - (sqrt(k^2 + 4d^2) - k)] du,
+
+    k = hypot(s, u), at every axial separation s > 0: the autocorrelation
+    reduction to one dimension with the inner transverse integral in closed
+    form, its last term written without cancellation.  quad's GK15 rule runs
+    on panels halving from 2l toward u = 0 until the last is at most min(s);
+    the errors sum each panel's Kronrod-minus-Gauss estimate.  Raises
+    QuadratureError when an error is not within _PAIR_REL_TOL of its value.
+    """
     tl, td = 2.0 * cs.l, 2.0 * cs.d
-    if s == 0.0:
-        return _self_patch(tl, td)
-
-    def inner(u: float) -> float:
-        kk = math.hypot(s, u)
-        return td * math.asinh(td / kk) - math.hypot(kk, td) + kk
-
-    res = integrate_finite(
-        lambda u: (tl - u) * inner(u),
-        0.0,
-        tl,
-        QuadratureConfig(abs_tol=1e-12, rel_tol=1e-9, max_subdivisions=400),
-    )
-    return 4.0 * res.value
+    halvings = math.ceil(math.log2(tl / s.min()))
+    nodes, kronrod, excess = _gk_panels(np.append(np.ldexp(tl, -np.arange(halvings + 1)), 0.0))
+    values = np.zeros(s.size)
+    errors = np.zeros(s.size)
+    for u, wk, we in zip(nodes, kronrod, excess):
+        kappa = np.hypot(s[:, None], u)
+        f = (tl - u) * (td * np.arcsinh(td / kappa) - td * td / (np.hypot(kappa, td) + kappa))
+        values += 4.0 * (f @ wk)
+        errors += 4.0 * np.abs(f @ we)
+    bad = np.flatnonzero(~(errors <= _PAIR_REL_TOL * values))
+    if bad.size:
+        i = bad[0]
+        raise QuadratureError(f"pair integral {values[i]:.3e} with error {errors[i]:.3e} at s={s[i]:.17g}")
+    return values, errors
 
 
 def e_v_volume_oracle(p: Profile1D, cs: CrossSection) -> float:
@@ -354,7 +366,7 @@ def e_v_volume_oracle(p: Profile1D, cs: CrossSection) -> float:
         E_v = (1/4 pi) int int g(x) g(x') F(x - x') dx dx'
 
     with g = d m1/dx and F the transverse pair integral of 1/r over the
-    cross-section (computed by quadrature, independent of the spectral path).
+    cross-section (_section_pair_green, independent of the spectral path).
 
     The lag sum samples F at multiples of h and converges like h^2: on the
     golden wall it is off by 1.45% at h = 0.51 l and 0.38% at h = 0.25 l.
@@ -369,9 +381,8 @@ def e_v_volume_oracle(p: Profile1D, cs: CrossSection) -> float:
             f"grid spacing {h:.3e} exceeds half the section half-width {cs.l:.3e}; refine the grid"
         )
     w = _lag_weights(profile_derivative(p)[:, 0])
-    total = 0.0
-    for m in np.flatnonzero(w):
-        total += w[m] * _rect_pair_green(cs, m * h)
+    pair, _ = _section_pair_green(cs, h * np.arange(1, w.size))
+    total = w[0] * _self_patch(2.0 * cs.l, 2.0 * cs.d) + w[1:] @ pair
     return float(total * h * h / (4.0 * math.pi))
 
 

@@ -5,8 +5,9 @@ Finite intervals go to QUADPACK (adaptive 21-point Gauss-Kronrod, scipy's
 head is handled by QUADPACK and the tail by fixed Gauss-Kronrod panels of
 length pi, matching sin^2-type oscillations, whose partial sums are
 extrapolated to infinity (Neville in the reciprocal endpoint) for envelopes
-decaying as slowly as 1/t^2.  The public API and the real-space volume oracle
-use these integrators; the kernels share only the GK15 table below.
+decaying as slowly as 1/t^2.  Only the public API uses these integrators.
+The GK15 table below (_gk_panels) is the one fixed rule of the package: the
+tail panels, both kernel rules and the volume oracle's pair function use it.
 
 All routines are pure functions of their inputs: identical calls produce
 bit-identical results.
@@ -144,6 +145,12 @@ _WG = (
     0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
     0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
 )
+# the same rule mirrored from [0, 1] onto [-1, 1], with the Gauss weights
+# zero at the Kronrod-only nodes; every fixed rule of the package uses these
+_GK_NODES = np.concatenate([np.negative(_XGK), _XGK[-2::-1]])
+_GK_WEIGHTS = np.concatenate([_WGK, _WGK[-2::-1]])
+_GK_GAUSS = np.zeros(15)
+_GK_GAUSS[1::2] = _WG + _WG[-2::-1]
 
 # abscissa offset past which a semi-infinite tail takes the panel scheme
 _SEMI_INFINITE_SPLIT = 60.0
@@ -153,20 +160,18 @@ _TAIL_MAX_DOUBLINGS = 12
 _TAIL_MAX_ORDER = 8
 
 
+def _gk_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """GK15 nodes, Kronrod weights and Kronrod-minus-Gauss weights on the
+    panels between consecutive edges, each shaped (panels, 15)."""
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * np.abs(edges[:-1] - edges[1:])[:, None]
+    return mid + half * _GK_NODES, half * _GK_WEIGHTS, half * (_GK_WEIGHTS - _GK_GAUSS)
+
+
 def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fc = f(c)
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    for j in range(7):
-        x = h * _XGK[j]
-        f1 = f(c - x)
-        f2 = f(c + x)
-        resk += _WGK[j] * (f1 + f2)
-        if j % 2 == 1:
-            resg += _WG[j // 2] * (f1 + f2)
-    return resk * h, abs(resk - resg) * h
+    nodes, kronrod, excess = (x[0] for x in _gk_panels(np.array([a, b])))
+    fx = np.array([f(t) for t in nodes.tolist()])
+    return float(fx @ kronrod), abs(float(fx @ excess))
 
 
 def _tail_extrapolation(

@@ -140,10 +140,6 @@ class Profile1D:
     def spacing(self) -> float:
         return float(self.x[1] - self.x[0])
 
-    @property
-    def half_length(self) -> float:
-        return float(self.x[-1])
-
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wallscale import (
     ClosedFormWall,
@@ -15,18 +18,29 @@ from wallscale import (
     e_v_spectral,
     e_v_upper_bound,
     emag_lipschitz_check,
+    QuadratureConfig,
     full_energy,
     i_kernel,
+    integrate_finite,
     sample_wall,
     spectrum,
 )
-from wallscale.errors import ResolutionError, WallscaleError
-from wallscale.magnetostatics import e_v_volume_oracle, offset_m1, richardson_boundary_oracle
+from wallscale import magnetostatics
+from wallscale.errors import QuadratureError, ResolutionError, WallscaleError
+from wallscale.magnetostatics import (
+    _section_pair_green,
+    e_v_volume_oracle,
+    offset_m1,
+    richardson_boundary_oracle,
+)
 from wallscale.walls import profile_derivative, transverse_integrals
 
 from conftest import GOLDEN_CS, GOLDEN_WALL, GOLDEN_L, GOLDEN_N, load_golden
 
 SQRT_PI = math.sqrt(math.pi)
+
+# E_v of the golden wall from its closed-form spectrum |g_hat|^2 against K
+GOLDEN_E_V = 2.0036953923e-4
 
 
 def uniform_bulk_profile(L=10.0, N=257) -> Profile1D:
@@ -286,18 +300,107 @@ class TestVolumeBound:
         assert values[1] / values[2] == pytest.approx(1e3, rel=0.05)
 
 
+@pytest.fixture(scope="module")
+def volume_oracle_levels():
+    """The volume oracle on the golden wall at N = 2049, 4097 and 8193."""
+    return [e_v_volume_oracle(sample_wall(GOLDEN_WALL, GOLDEN_L, n), GOLDEN_CS) for n in (2049, 4097, 8193)]
+
+
+def richardson_h2_h3(raw):
+    """Two Richardson stages removing the h^2 and h^3 terms of three levels
+    at halving h."""
+    first = [(4.0 * fine - coarse) / 3.0 for coarse, fine in zip(raw, raw[1:])]
+    return (8.0 * first[1] - first[0]) / 7.0
+
+
+def pair_green_mpmath(cs, s):
+    """F(s) in 30-digit arithmetic, from the integrand as first written."""
+    with mpmath.workdps(30):
+        tl, td, s = mpmath.mpf(2.0 * cs.l), mpmath.mpf(2.0 * cs.d), mpmath.mpf(s)
+
+        def f(u):
+            k = mpmath.hypot(s, u)
+            return (tl - u) * (td * mpmath.asinh(td / k) - mpmath.hypot(k, td) + k)
+
+        return float(4 * mpmath.quad(f, [0, s, tl] if s < tl else [0, tl]))
+
+
+_QUADPACK = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-12, max_subdivisions=200)
+
+
+def pair_green_quadpack(cs, s, h):
+    """Test oracle for _section_pair_green, the slower path it replaced:
+    one adaptive QUADPACK call per panel on the cancellation-free integrand,
+    split at the same halving edges."""
+    tl, td = 2.0 * cs.l, 2.0 * cs.d
+
+    def f(u):
+        k = math.hypot(s, u)
+        return (tl - u) * (td * math.asinh(td / k) - td * td / (math.hypot(k, td) + k))
+
+    edges = [math.ldexp(tl, -j) for j in range(math.ceil(math.log2(tl / h)) + 1)] + [0.0]
+    return 4.0 * sum(integrate_finite(f, lo, hi, _QUADPACK).value for hi, lo in zip(edges, edges[1:]))
+
+
+class TestSectionPairGreen:
+    H = 2.0 * GOLDEN_L / (GOLDEN_N - 1)
+
+    def test_matches_mpmath(self):
+        # up to the largest crosscheck lag 520 l, where the old QUADPACK
+        # value on the cancelling integrand was off by 1.3e-11
+        s = np.array([self.H, GOLDEN_CS.l, 10.0 * GOLDEN_CS.l, 520.0 * GOLDEN_CS.l])
+        values, _ = _section_pair_green(GOLDEN_CS, s)
+        for si, value in zip(s, values):
+            assert value == pytest.approx(pair_green_mpmath(GOLDEN_CS, si), rel=1e-15, abs=0.0)
+
+    def test_error_above_tolerance_raises(self, monkeypatch, standard_wall_profile):
+        monkeypatch.setattr(magnetostatics, "_PAIR_REL_TOL", 1e-18)
+        with pytest.raises(QuadratureError):
+            e_v_volume_oracle(standard_wall_profile, GOLDEN_CS)
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(
+        st.floats(min_value=-3.0, max_value=0.0),
+        st.floats(min_value=-6.0, max_value=0.0),
+        st.floats(min_value=-4.0, max_value=math.log10(0.5)),
+        st.lists(st.integers(min_value=1, max_value=100_000), max_size=4),
+    )
+    def test_within_tolerance_and_matches_quadpack(self, log_l, log_c, log_h, lags):
+        cs = CrossSection(l=10.0**log_l, d=10.0**(log_l + log_c))
+        h = 10.0**log_h * cs.l
+        s = h * np.array([1] + lags, dtype=float)
+        values, errors = _section_pair_green(cs, s)
+        assert np.all(errors <= magnetostatics._PAIR_REL_TOL * values)
+        reference = [pair_green_quadpack(cs, si, h) for si in s]
+        np.testing.assert_allclose(values, reference, rtol=1e-13, atol=0.0)
+
+
 class TestVolumeSpectral:
     def test_zero_without_volume_charge(self):
         p = uniform_bulk_profile()
         assert e_v_spectral(p, GOLDEN_CS) == 0.0
 
-    def test_against_volume_oracle(self):
-        # the real-space oracle carries an O(h) kink error at zero separation,
-        # so the coarse comparison uses the 2049-node grid
-        p = sample_wall(GOLDEN_WALL, GOLDEN_L, 2049)
-        spectral = e_v_spectral(p, GOLDEN_CS)
-        oracle = e_v_volume_oracle(p, GOLDEN_CS)
-        assert spectral == pytest.approx(oracle, rel=0.05)
+    def test_against_volume_oracle(self, volume_oracle_levels):
+        # the raw oracle is h^2-high by 3.8e-3 at N = 2049, so the referee is
+        # its Richardson value; spectral E_v sits 3.58e-3 below it, the 1/L
+        # bias of its k = 0 cell
+        spectral = e_v_spectral(sample_wall(GOLDEN_WALL, GOLDEN_L, 2049), GOLDEN_CS)
+        assert spectral == pytest.approx(richardson_h2_h3(volume_oracle_levels), rel=5e-3)
+
+    def test_volume_oracle_converges_like_h2(self, volume_oracle_levels):
+        # the kink |s| of F at s = 0 gives the h^2 term; its s^2 ln|s| term
+        # (from the section's edges) gives an h^3 term, which the residuals
+        # of the first Richardson stage show
+        raw = volume_oracle_levels
+        assert (raw[0] - raw[1]) / (raw[1] - raw[2]) == pytest.approx(4.0, abs=0.15)
+        errors = [value - GOLDEN_E_V for value in raw]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine == pytest.approx(4.0, abs=0.15)
+        first = [(4.0 * fine - coarse) / 3.0 - GOLDEN_E_V for coarse, fine in zip(raw, raw[1:])]
+        assert first[0] / first[1] == pytest.approx(8.0, abs=0.3)
+
+    def test_richardson_volume_oracle_matches_closed_form(self, volume_oracle_levels):
+        assert richardson_h2_h3(volume_oracle_levels) == pytest.approx(GOLDEN_E_V, rel=2e-7)
 
     def test_volume_oracle_pinned(self, standard_wall_profile):
         value = e_v_volume_oracle(standard_wall_profile, GOLDEN_CS)

@@ -1,7 +1,9 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad as scipy_quad
 
 from wallscale import (
     NonFiniteIntegrandError,
@@ -9,7 +11,9 @@ from wallscale import (
     SubdivisionLimitError,
     integrate_finite,
     integrate_semi_infinite,
+    quad,
 )
+from wallscale.quad import _gk15, _gk_panels
 
 PI_HALF = math.pi / 2.0
 
@@ -135,3 +139,35 @@ def test_tail_nonconvergence_raises():
     # estimate stops shrinking and the call must fail loudly
     with pytest.raises(TailNonconvergenceError):
         integrate_semi_infinite(lambda t: 1.0 / (1.0 + t) ** 1.2, 0.0)
+
+
+def test_gk15_panel_weights_are_exact_on_monomials():
+    # Kronrod weights integrate degree <= 22 exactly; the Kronrod-minus-Gauss
+    # weights annihilate degree <= 13, where the embedded Gauss rule is exact;
+    # on panels inside [-1, 1] every monomial and integral is at most 1
+    edges = np.sort(np.random.default_rng(7).uniform(-1.0, 1.0, 12))
+    nodes, kronrod, excess = _gk_panels(edges)
+    for p in range(23):
+        exact = (edges[1:] ** (p + 1) - edges[:-1] ** (p + 1)) / (p + 1)
+        assert np.all(np.abs((nodes**p * kronrod).sum(axis=1) - exact) <= 1e-15)
+        if p <= 13:
+            assert np.all(np.abs((nodes**p * excess).sum(axis=1)) <= 1e-15)
+
+
+def test_gk15_is_the_one_panel_sum():
+    def f(t):
+        return t * t * t - 2.0 * t + 0.5
+
+    nodes, kronrod, excess = (a[0] for a in _gk_panels(np.array([0.3, 1.7])))
+    fx = f(nodes)
+    assert _gk15(f, 0.3, 1.7) == (fx @ kronrod, abs(fx @ excess))
+
+
+@pytest.mark.parametrize("name", ["kernels", "walls", "minimize", "magnetostatics", "lab", "cli"])
+def test_physics_modules_bind_no_adaptive_integrator(name):
+    # adaptive quadrature serves quad's public API only; the physics stack
+    # shares nothing with it but the GK15 table
+    forbidden = (quad.integrate_finite, quad.integrate_semi_infinite, quad.QuadratureConfig, scipy_quad)
+    module = importlib.import_module(f"wallscale.{name}")
+    bound = [key for key, value in vars(module).items() if any(value is f for f in forbidden)]
+    assert bound == []
