@@ -21,8 +21,11 @@ Over the whole cross-section the same transform gives the volume kernel
 K = (pi/2) int_0^{2l} int_0^{2d} (2l - u)(2d - v) K0(|x| sqrt(u^2 + v^2)) dv du,
 which weights the spectrum of d m1/dx.  kernel_batch and volume_kernel_batch
 evaluate them for many x at once with quad's 15-point Gauss-Kronrod table on
-graded panels, whose embedded Gauss rule gives an error estimate.  Every kernel value is
-returned only when that estimate is within 1e-8 of the value (_REL_TOL)
+graded panels, whose embedded Gauss rule gives an error estimate.  Where
+|x| hypot(2w, 2s) <= 1, kernel_batch instead sums the K0 ascending series
+(DLMF 10.31.2) on moments that do not depend on x, taken once per call on
+the same panels, and makes no Bessel function call.  Every kernel value is
+returned only when its error estimate is within 1e-8 of the value (_REL_TOL)
 and the value is a normal double; otherwise the call raises QuadratureError.
 
 Every function here is pure and reentrant; sweep drivers may call them
@@ -58,12 +61,16 @@ __all__ = [
 # Panels [2w/2^(j+1), 2w/2^j] down to _FLOOR*min(w, s) keep the log endpoint, the
 # scales s and 1/|x| a panel width away: Gauss is good to ~1e-11, Kronrod to rounding.
 _FLOOR = 1e-12
-_ZERO_FREQUENCY = 1e-9  # |x| max(w, s) below this: I(x) = I(0) to rounding
+_SERIES_EDGE = 1.0  # |x| hypot(2w, 2s) up to this: I from the K0 ascending series
+_TERMS = 12  # series terms; the first one left out is at most 2.1e-28 of I(0) at the edge
 _FAR = 20.0  # see the asymptotic branches of kernel_batch and volume_kernel_batch
 _CORNER_PANELS = 24  # halvings of the volume rule's corner toward the origin
 _ROUNDING = 1e-14  # relative rounding error claimed for every value
 _REL_TOL = 1e-8  # bound on every returned value's error estimate, relative to the value
 _BLOCK = 16  # frequencies per block; bounds the (block x nodes) temporaries
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
+_N = np.arange(1, _TERMS + 1)  # series term index n
+_PSI = np.cumsum(1.0 / _N) - np.euler_gamma  # psi(n + 1)
 
 
 @dataclass(frozen=True)
@@ -144,19 +151,19 @@ def _k0_gap(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
     return gap
 
 
-def _graded_rule(k, values, rows, integrand, kronrod, excess, shape):
+def _graded_rule(k, values, errors, rows, integrand, kronrod, excess, shape):
     """(values, errors) reshaped to shape, with values[rows] filled by pi/2
     times a panel rule and every error carrying the _ROUNDING term.
 
     integrand(kb) gives the integrand at the nodes for a column kb of
     frequencies, and the integral below the rule's floor; each array in
     excess holds Kronrod-minus-Gauss weights shaped (panels, nodes per
-    panel).  Blocks of _BLOCK frequencies bound the temporaries; each row is
-    reduced on its own, so a batch gives bitwise the values of its
-    frequencies one at a time.  Raises QuadratureError when a value is
-    subnormal or zero, or its error is not within _REL_TOL of it.
+    panel); errors outside rows are kept as passed in.  Blocks of _BLOCK
+    frequencies bound the temporaries; each row is reduced on its own, so a
+    batch gives bitwise the values of its frequencies one at a time.  Raises
+    QuadratureError when any value is subnormal or zero, or its error is not
+    within _REL_TOL of it.
     """
-    errors = np.zeros(k.size)
     for start in range(0, rows.size, _BLOCK):
         idx = rows[start : start + _BLOCK]
         f, sliver = integrand(k[idx][:, None])
@@ -164,7 +171,7 @@ def _graded_rule(k, values, rows, integrand, kronrod, excess, shape):
         panels = f.reshape(idx.size, *excess[0].shape)
         errors[idx] = 0.5 * math.pi * sum(np.abs((panels * e).sum(axis=2)).sum(axis=1) for e in excess)
     errors += _ROUNDING * np.abs(values)
-    small = np.abs(values) < np.finfo(float).tiny  # where the _ROUNDING term underflows too
+    small = np.abs(values) < _TINY  # where the _ROUNDING term underflows too
     bad = np.flatnonzero(small | ~(errors <= _REL_TOL * np.abs(values)))
     if bad.size:
         i = bad[0]
@@ -173,41 +180,87 @@ def _graded_rule(k, values, rows, integrand, kronrod, excess, shape):
     return values.reshape(shape), errors.reshape(shape)
 
 
+def _series_moments(w, s, rho, u, kronrod, excess, floor):
+    """(P, Q, dP, dQ) for n = 1.._TERMS: the k-free moments of the K0 series
+    of I, P_n = int (2w - u) D_n du and Q_n = int (2w - u) [D_n ln(r/rho) +
+    (u/rho)^2n ln(r/u)] du with r = hypot(u, 2s) and D_n = (r^2n - u^2n) /
+    rho^2n, on the rule's panels plus the sliver below its floor, and the
+    absolute per-panel Kronrod-minus-Gauss sums of each.  kronrod and excess
+    carry the factor 2w - u.
+    """
+    x2, y2, r_rho = (u / rho) ** 2, (2.0 * s / rho) ** 2, np.hypot(u, 2.0 * s) / rho
+    big = np.maximum(u, 2.0 * s)
+    # ln(r/u) from the smaller squared ratio: (2s/u)^2 overflows on thin sections
+    ln_r_u = np.log(big) - np.log(u) + 0.5 * np.log1p((np.minimum(u, 2.0 * s) / big) ** 2)
+    power = np.ones((_TERMS + 1, u.size))  # (u/rho)^2n
+    d = np.zeros_like(power)
+    r2 = r_rho**2
+    for n in range(1, _TERMS + 1):
+        # D_n = (r/rho)^2 D_(n-1) + (2s/rho)^2 (u/rho)^(2n-2): no term cancels
+        d[n] = r2 * d[n - 1] + y2 * power[n - 1]
+        power[n] = power[n - 1] * x2
+    rows = np.concatenate([d[1:], d[1:] * np.log(r_rho) + power[1:] * ln_r_u])
+    sliver = 2.0 * w * floor * y2**_N  # D_n(0) = (2s/rho)^2n
+    moments = rows @ kronrod + np.concatenate([sliver, sliver * math.log(2.0 * s / rho)])
+    deltas = np.abs((rows.reshape(2 * _TERMS, *excess.shape) * excess).sum(axis=2)).sum(axis=1)
+    return (*np.split(moments, 2), *np.split(deltas, 2))
+
+
 def kernel_batch(cs: CrossSection, swap: bool, ks) -> tuple[np.ndarray, np.ndarray]:
     """Surface kernel I(l, d, k) (swap=False) or I(d, l, k) (swap=True) at
     every frequency in ks, returned as (values, errors) shaped like ks.
 
-    k = 0 takes the closed forms 2*pi*l*d*a_c and 2*pi*l*d*b_c, very large
-    |k| a closed asymptotic form, all other k the Kronrod rule on panels
-    halving toward u = 0, with the error from its embedded Gauss rule (see
-    _graded_rule: batches are bitwise consistent).  Raises ValueError for a
-    non-finite frequency, QuadratureError when a value is below the smallest
-    normal double or an error estimate is not within _REL_TOL of its value.
+    k = 0 takes the closed forms 2*pi*l*d*a_c and 2*pi*l*d*b_c.  Other k
+    with |k| rho <= _SERIES_EDGE, rho = hypot(2w, 2s), take the K0
+    ascending series (DLMF 10.31.2) summed to _TERMS terms,
+
+        I = I(0) + (pi/2) sum_n kappa^2n/(n!)^2 [(ln kappa - psi(n+1)) P_n + Q_n],
+
+    kappa = |k| rho/2, on moments P_n, Q_n that do not depend on k (see
+    _series_moments); their error is the moments' Gauss estimates times the
+    coefficients plus the last term.  Very large |k| takes a closed
+    asymptotic form, all other k the Kronrod rule on panels halving toward
+    u = 0, with the error from its embedded Gauss rule (see _graded_rule:
+    batches are bitwise consistent).  Raises ValueError for a non-finite
+    frequency, QuadratureError when a value is below the smallest normal
+    double or an error estimate is not within _REL_TOL of its value.
     """
     k = np.abs(np.asarray(ks, dtype=float)).ravel()
     if not np.all(np.isfinite(k)):
         raise ValueError("frequencies must be finite")
     w, s = (cs.d, cs.l) if swap else (cs.l, cs.d)
+    rho = math.hypot(2.0 * w, 2.0 * s)
     values = np.empty(k.size)
-    zero = k * max(w, s) < _ZERO_FREQUENCY
-    values[zero] = 2.0 * math.pi * cs.l * cs.d * (a_c(cs.c) if swap else b_c(cs.c))
-    nonzero = np.flatnonzero(~zero)
-    kn = k[nonzero]
+    errors = np.zeros(k.size)
+    i0 = 2.0 * math.pi * cs.l * cs.d * (a_c(cs.c) if swap else b_c(cs.c))
+    values[k == 0.0] = i0
+    series = np.flatnonzero((k > 0.0) & (k * rho <= _SERIES_EDGE))
+    rest = np.flatnonzero(k * rho > _SERIES_EDGE)
+    kn = k[rest]
     # far out the integral is (pi/2)(pi w/k - 1/k^2) up to a relative e^-40
     far = (kn * w >= _FAR) & (kn * s >= _FAR + 0.5 * np.maximum(0.0, np.log(kn) + math.log(w)))
     inv = 1.0 / kn[far]  # squaring k itself overflows above |k| ~ 1e154
-    values[nonzero[far]] = 0.5 * math.pi * (math.pi * w * inv - inv**2)
-    near = nonzero[~far]
-    if near.size and _FLOOR * min(w, s) < np.finfo(float).tiny:
+    values[rest[far]] = 0.5 * math.pi * (math.pi * w * inv - inv**2)
+    near = rest[~far]
+    if (near.size or series.size) and _FLOOR * min(w, s) < _TINY:
         raise QuadratureError(f"{cs} is too thin for the kernel rule in double precision")
     panels = math.ceil(math.log2(2.0 * w) - math.log2(min(w, s)) - math.log2(_FLOOR))
     edges = np.ldexp(2.0 * w, -np.arange(panels + 1))
     u, kronrod, excess = _gk_panels(edges)
     u = u.ravel()
-    du = 4.0 * s * s / (np.hypot(u, 2.0 * s) + u)  # sqrt(u^2 + 4 s^2) - u
+    du = 2.0 * s * (2.0 * s / (np.hypot(u, 2.0 * s) + u))  # sqrt(u^2 + 4 s^2) - u, no s^2 to underflow
     kronrod = kronrod.ravel() * (2.0 * w - u)
     excess = excess * (2.0 * w - u).reshape(excess.shape)
     floor = edges[-1]
+
+    if series.size:
+        p, q, dp, dq = _series_moments(w, s, rho, u, kronrod, excess, floor)
+        kb = k[series][:, None]
+        log_kappa = np.log(kb) + math.log(0.5 * rho) - _PSI  # ln kappa - psi(n+1), exact for tiny k
+        coef = np.cumprod((0.5 * rho * kb) ** 2 / _N**2, axis=1)  # kappa^2n / (n!)^2
+        terms = coef * (log_kappa * p + q)
+        values[series] = i0 + 0.5 * math.pi * terms.sum(axis=1)
+        errors[series] = 0.5 * math.pi * ((coef * (np.abs(log_kappa) * dp + dq)).sum(axis=1) + np.abs(terms[:, -1]))
 
     def integrand(kb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # int_0^floor (2w - u) [K0(k u) - K0(k r)] du to leading order in floor
@@ -216,7 +269,7 @@ def kernel_batch(cs: CrossSection, swap: bool, ks) -> tuple[np.ndarray, np.ndarr
         )
         return _k0_gap(kb * u, kb * du), sliver[:, 0]
 
-    return _graded_rule(k, values, near, integrand, kronrod, (excess,), np.shape(ks))
+    return _graded_rule(k, values, errors, near, integrand, kronrod, (excess,), np.shape(ks))
 
 
 def volume_kernel_batch(cs: CrossSection, ks) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +294,7 @@ def volume_kernel_batch(cs: CrossSection, ks) -> tuple[np.ndarray, np.ndarray]:
     inv = 1.0 / k[far]  # squaring k itself overflows above |k| ~ 1e154
     values[far] = 0.5 * math.pi * (2.0 * math.pi * l * d - math.pi * (l + d) * inv + 2.0 * inv**2) * inv**2
     floor = math.ldexp(2.0 * d, -_CORNER_PANELS)
-    if floor < np.finfo(float).tiny and not np.all(far):
+    if floor < _TINY and not np.all(far):
         raise QuadratureError(f"{cs} is too thin for the kernel rule in double precision")
     doublings = math.ceil(math.log2(l / d))
     edges = np.append(2.0 * l, np.ldexp(2.0 * d, np.arange(doublings - 1, -_CORNER_PANELS - 1, -1)))
@@ -261,7 +314,7 @@ def volume_kernel_batch(cs: CrossSection, ks) -> tuple[np.ndarray, np.ndarray]:
         sliver = 4.0 * l * d * floor**2 * (-np.euler_gamma - np.log(0.5 * kb * floor) - log_mean)
         return k0(kb * r), sliver[:, 0]
 
-    return _graded_rule(k, values, np.flatnonzero(~far), integrand, kronrod, excess, np.shape(ks))
+    return _graded_rule(k, values, np.zeros(k.size), np.flatnonzero(~far), integrand, kronrod, excess, np.shape(ks))
 
 
 def i_kernel(cs: CrossSection, swap: bool, x: float) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .errors import QuadratureError, ResolutionError, WallscaleError
-from .kernels import CrossSection
+from .kernels import _TINY, CrossSection
 from .quad import _gk_panels
 from .walls import Profile1D, _trapezoid, exchange_integral, profile_derivative
 
@@ -77,7 +77,7 @@ class RescalingParams:
         q = cs.c * abs(math.log(cs.c))
         lam = 1.0 / math.sqrt(q)
         mu = cs.l * cs.d / lam
-        if not mu >= np.finfo(float).tiny:  # every rescaled energy divides by mu
+        if not mu >= _TINY:  # every rescaled energy divides by mu
             raise WallscaleError(f"energy scale mu = {mu!r} below the normal range at {cs}")
         return RescalingParams(lam=lam, mu=mu)
 

@@ -20,7 +20,7 @@ from scipy.optimize import minimize_scalar
 
 from . import kernels
 from .errors import StallError, WallscaleError
-from .kernels import CrossSection
+from .kernels import _TINY, CrossSection
 from .magnetostatics import RescalingParams, _e_v_bound
 from .walls import M3_TOLERANCE, Profile1D, ReducedEnergyWeights, _derivative, _sech
 
@@ -271,7 +271,7 @@ def minimize_full_ansatz(cs: CrossSection, scale_grid: Optional[np.ndarray] = No
         weight = 4.0 * s * s * weights * _sech((0.5 * math.pi / a) * k) ** 2
         e_s = float(np.dot(weight, kernel))
         e_v = _e_v_bound(cs, 4.0 * a / 3.0, 2.0 * (2.0 * math.log(2.0) - 1.0) / a)
-        if not all(np.finfo(float).tiny <= t < math.inf for t in (exchange, e_s, e_v)):
+        if not all(_TINY <= t < math.inf for t in (exchange, e_s, e_v)):
             raise WallscaleError(f"ansatz energy term outside the normal range at {cs}, s={s!r}")
         e = (exchange + e_s + e_v) / params.mu
         if e < best_e:

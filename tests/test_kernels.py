@@ -299,6 +299,31 @@ class TestKernelBatch:
                 values, _ = kernel_batch(cs, swap, ks[idx])
                 assert np.array_equal(values, single[idx])
 
+    @pytest.mark.parametrize(
+        "l, d, swap, k, ref",
+        [
+            # 30-digit references from reference() in scripts/make_kernel_refs.py;
+            # on the three thin m3-channel rows the Kronrod rule is 1.3e-14,
+            # 9.5e-15 and 8.9e-15 off, as its K0(k u) - K0(k r) cancels ln(k u)
+            (0.4067686476293595, 4.837358055803282e-13, False, 0.0020795732687521455, 1.942027840281081e-12),
+            (0.0011185454495727409, 3.4662411431705776e-13, False, 0.011144045005592497, 3.8265919420704145e-15),
+            (0.10835373627039399, 2.394409334246475e-09, False, 4.748250500363349e-08, 2.560601379621015e-09),
+            (0.001, 1e-05, True, 449.9775016873594, 1.8346199481580501e-09),
+            (1.0, 1.0, True, 0.35319983720268044, 4.406982981132753),
+        ],
+    )
+    def test_series_branch_matches_mpmath(self, l, d, swap, k, ref):
+        (value,), (error,) = kernel_batch(CrossSection(l=l, d=d), swap, [k])
+        assert abs(value - ref) <= 1e-15 * ref
+        assert abs(value - ref) <= error
+
+    @pytest.mark.parametrize("d", [1e-160, 1e-200, 1e-290])
+    def test_rule_on_a_very_thin_m3_channel(self, d):
+        # I(l, d, k) = I(0)(1 - O(k d)) here; forming 4 d^2 in the rule's
+        # sqrt(u^2 + 4 d^2) - u underflowed and gave 6e-12 I(0) at d = 1e-200
+        values, _ = kernel_batch(CrossSection(l=1.0, d=d), False, [0.0, 2.0, 100.0])
+        assert np.all(np.abs(values / values[0] - 1.0) <= 1e-13)
+
     def test_error_estimate_enforces_tolerance(self, monkeypatch):
         cs = CrossSection(l=0.1, d=0.05)
         _, (error,) = kernel_batch(cs, True, [3.0])
@@ -318,7 +343,7 @@ class TestKernelBatch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             (value,), _ = kernel_batch(cs, False, [1e200])
-            assert value == pytest.approx(4.934802200544679e-200, rel=1e-15)
+            assert value == pytest.approx(4.934802200544679e-200, rel=1e-15, abs=0.0)
             with pytest.raises(QuadratureError, match="normal range"):
                 volume_kernel_batch(cs, [1e200])
 

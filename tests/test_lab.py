@@ -23,7 +23,7 @@ class TestRateSweep:
             assert r.rate_rhs == pytest.approx(
                 200.0 / math.sqrt(abs(math.log(r.c))) + 20.0 * r.l
             )
-            assert r.lam * r.mu == pytest.approx(r.l * r.d, rel=1e-15)
+            assert r.lam * r.mu == pytest.approx(r.l * r.d, rel=1e-15, abs=0.0)
             assert r.passed
         assert records[0].gap > records[1].gap
 

@@ -62,7 +62,7 @@ class TestRescaling:
     def test_lambda_mu_product(self):
         cs = CrossSection(l=1e-3, d=1e-6)
         params = RescalingParams.from_cross_section(cs)
-        assert params.lam * params.mu == pytest.approx(cs.l * cs.d, rel=5e-16)
+        assert params.lam * params.mu == pytest.approx(cs.l * cs.d, rel=5e-16, abs=0.0)
         assert params.lam == pytest.approx(1.0 / math.sqrt(cs.c * abs(math.log(cs.c))))
 
     def test_requires_strictly_thin(self):
@@ -206,8 +206,8 @@ class TestSurfaceEnergy:
         # drift of the oracle itself (m2 faces at theta = 0, m3 at pi/2)
         wall = ClosedFormWall(alpha=1.0 / math.pi, beta=1.0, theta=theta)
         got, got_raw = richardson_boundary_oracle(sample_wall(wall, GOLDEN_L, GOLDEN_N), GOLDEN_CS)
-        assert got_raw == pytest.approx(raw, rel=1e-13)
-        assert got == pytest.approx(extrapolated, rel=1e-13)
+        assert got_raw == pytest.approx(raw, rel=1e-13, abs=0.0)
+        assert got == pytest.approx(extrapolated, rel=1e-13, abs=0.0)
 
     def test_mirror_symmetry_in_m2(self, standard_wall_profile):
         p = standard_wall_profile
@@ -275,7 +275,7 @@ class TestVolumeBound:
             + 10.0 * cs.l * cs.d**2 * log_term
             + 20.0 * math.pi * cs.l * cs.d**2 * log_term * (norm_ms + norm_dm1)
         )
-        assert e_v_upper_bound(p, cs) == pytest.approx(expected, rel=1e-14)
+        assert e_v_upper_bound(p, cs) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_square_section_log_collapse(self, standard_wall_profile):
         p = standard_wall_profile
@@ -288,7 +288,7 @@ class TestVolumeBound:
         expected = (4.0 / math.pi) * norm_dm1 * cs.l**4 + 10.0 * cs.l**3 + 20.0 * math.pi * cs.l**3 * (
             norm_ms + norm_dm1
         )
-        assert e_v_upper_bound(p, cs) == pytest.approx(expected, rel=1e-14)
+        assert e_v_upper_bound(p, cs) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_scaling_trend_at_fixed_aspect_ratio(self, standard_wall_profile):
         p = standard_wall_profile
@@ -404,7 +404,7 @@ class TestVolumeSpectral:
 
     def test_volume_oracle_pinned(self, standard_wall_profile):
         value = e_v_volume_oracle(standard_wall_profile, GOLDEN_CS)
-        assert value == pytest.approx(0.000201134408600817, rel=1e-13)
+        assert value == pytest.approx(0.000201134408600817, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("n_nodes", [1025, 2049])
     def test_volume_oracle_rejects_spacing_above_half_width(self, n_nodes):

@@ -200,6 +200,17 @@ class TestAnsatzSearch:
         res = minimize_full_ansatz(self.CS)
         assert calls == [(True, res.kernel_nodes)]
 
+    @pytest.mark.parametrize("c", [1e-2, 1e-6, 1e-12])
+    def test_no_bessel_function_evaluations(self, monkeypatch, c):
+        # every k-rule node has |k| hypot(2d, 2l) <= 6.1e-3, inside the K0
+        # series branch; the Kronrod rule sent 78,784 arguments to k0 at c = 1e-2
+        counted = []
+        for name in ("k0", "k1"):
+            real = getattr(kernels, name)
+            monkeypatch.setattr(kernels, name, lambda z, real=real: counted.append(np.size(z)) or real(z))
+        minimize_full_ansatz(CrossSection(l=1e-3, d=c * 1e-3))
+        assert sum(counted) == 0
+
     @pytest.mark.parametrize("ratio", [1.0, 4.0, 100.0])
     def test_k_rule_integrates_the_weight_over_the_probed_range(self, ratio):
         # int_0^inf sech^2(pi k/(2a)) dk = 2a/pi for every a the search probes

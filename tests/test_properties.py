@@ -6,10 +6,11 @@ derandomize=True fixes the examples, so every run checks the same inputs.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallscale import CrossSection, KernelCache, a_c, b_c, minimize_full_ansatz
+from wallscale import CrossSection, KernelCache, a_c, b_c, kernels, minimize_full_ansatz, verify_lemma32
 from wallscale.kernels import kernel_batch, volume_kernel_batch
 from wallscale.magnetostatics import RescalingParams
 
@@ -27,6 +28,10 @@ def section(log_l: float, log_c: float) -> CrossSection:
 
 sections = st.builds(
     section, st.floats(min_value=-3.0, max_value=0.0), st.floats(min_value=-8.0, max_value=0.0)
+)
+# c in [1e-12, 1], the range of the rate sweep
+thin_sections = st.builds(
+    section, st.floats(min_value=-3.0, max_value=0.0), st.floats(min_value=-12.0, max_value=0.0)
 )
 # frequencies k l, of either sign
 scaled_frequencies = st.builds(
@@ -68,6 +73,63 @@ def test_trace_identity(cs, kl):
     (i_dl,), _ = kernel_batch(cs, True, [k])
     trace = math.pi**2 * cs.l * cs.d
     assert abs(k * k * volume + i_ld + i_dl - trace) <= 1e-13 * trace
+
+
+def rule_oracle(cs: CrossSection, swap: bool, ks) -> np.ndarray:
+    """Test oracle for the K0 series branch of kernel_batch: the same call
+    with the branch edge at 0, so every nonzero frequency takes the Kronrod
+    rule."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_SERIES_EDGE", 0.0)
+        return kernel_batch(cs, swap, ks)[0]
+
+
+def series_length(cs: CrossSection) -> float:
+    """rho = hypot(2l, 2d); the series branch takes |k| rho <= 1."""
+    return math.hypot(2.0 * cs.l, 2.0 * cs.d)
+
+
+# the rule's direct K0(k u) - K0(k r) cancels the ln(k u) of both terms and
+# loses up to about 4e-16 |ln(k s)|: 1.3e-14 on thin m3-channel sections in a
+# 2400-row scan, where the series is within 2.1e-16 of mpmath
+RULE_ORACLE_TOL = 2e-14
+
+
+@FIXED
+@given(thin_sections, st.floats(min_value=-12.0, max_value=0.0), st.booleans())
+def test_series_branch_matches_the_rule(cs, log_k_rho, swap):
+    k = 10.0**log_k_rho / series_length(cs)
+    (value,), _ = kernel_batch(cs, swap, [k])
+    (oracle,) = rule_oracle(cs, swap, [k])
+    assert abs(value - oracle) <= RULE_ORACLE_TOL * oracle
+
+
+@FIXED
+@given(thin_sections, st.booleans())
+def test_series_branch_is_continuous_at_its_edge(cs, swap):
+    # the two neighbouring doubles on either side of |k| rho = 1
+    rho = series_length(cs)
+    inside = 1.0 / rho
+    while inside * rho > 1.0:
+        inside = math.nextafter(inside, 0.0)
+    while math.nextafter(inside, math.inf) * rho <= 1.0:
+        inside = math.nextafter(inside, math.inf)
+    (series, rule), _ = kernel_batch(cs, swap, [inside, math.nextafter(inside, math.inf)])
+    assert abs(series - rule) <= RULE_ORACLE_TOL * rule
+
+
+@FIXED
+@given(
+    st.floats(min_value=-4.0, max_value=1.0),
+    st.floats(min_value=-14.0, max_value=0.0),
+    st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=4),
+    st.lists(st.floats(min_value=-6.0, max_value=3.0), max_size=4),
+)
+def test_lemma32_bounds_hold(log_l, log_c, near, far):
+    # x l in [-3, 3] and 10^[-6, 3]; a 400-section scan found no failure
+    cs = section(log_l, log_c)
+    xs = [t / cs.l for t in near] + [10.0**e / cs.l for e in far]
+    assert verify_lemma32(cs, xs).passed
 
 
 @settings(FIXED, max_examples=20)
