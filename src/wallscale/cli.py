@@ -121,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     m_a = msub.add_parser("ansatz", help="scale search over the recovery family")
     m_a.add_argument("--l", type=float, required=True)
     m_a.add_argument("--d", type=float, required=True)
-    m_a.add_argument("--scales", type=str, default=None, help="comma list of probed scales")
 
     sweep = sub.add_parser("sweep", help="parameter sweeps")
     ssub = sweep.add_subparsers(dest="subcommand", required=True)
@@ -225,12 +224,10 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
         else:
             _emit(_fmt(energy), args)
         return EXIT_OK
-    cs = CrossSection(l=args.l, d=args.d)
-    scales = None if args.scales is None else np.asarray(_parse_grid(args.scales))
-    res = minimize.minimize_full_ansatz(cs, scale_grid=scales)
+    res = minimize.minimize_full_ansatz(CrossSection(l=args.l, d=args.d))
     _emit(
-        f"best_scale,{_fmt(res.best_scale)}\nbest_beta,{_fmt(res.best_beta)}\n"
-        f"energy,{_fmt(res.energy)}\nevaluations,{res.evaluations}\nkernel_nodes,{res.kernel_nodes}",
+        f"best_scale,{_fmt(res.best_scale)}\nenergy,{_fmt(res.energy)}\n"
+        f"evaluations,{res.evaluations}\nkernel_nodes,{res.kernel_nodes}",
         args,
     )
     return EXIT_OK

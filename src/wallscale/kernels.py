@@ -143,7 +143,7 @@ def _k0_gap(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
     the gap is the integral of K1 over [z, z + dz] by 7-point Gauss-Legendre.
     """
     gap = k0(z) - k0(z + dz)
-    near = np.flatnonzero(dz * (1.0 + 1.0 / z) < 0.05)
+    near = np.flatnonzero(dz * (z + 1.0) < 0.05 * z)  # times z: 1/z overflows for subnormal z
     if near.size:
         zn, h = z.ravel()[near, None], 0.5 * dz.ravel()[near, None]
         nodes = zn + h * (1.0 + _GK_NODES[1::2])
@@ -222,8 +222,8 @@ def kernel_batch(cs: CrossSection, swap: bool, ks) -> tuple[np.ndarray, np.ndarr
     asymptotic form, all other k the Kronrod rule on panels halving toward
     u = 0, with the error from its embedded Gauss rule (see _graded_rule:
     batches are bitwise consistent).  Raises ValueError for a non-finite
-    frequency, QuadratureError when a value is below the smallest normal
-    double or an error estimate is not within _REL_TOL of its value.
+    frequency, QuadratureError for w > 1e150, when a value is below the
+    smallest normal double or an error estimate is not within _REL_TOL.
     """
     k = np.abs(np.asarray(ks, dtype=float)).ravel()
     if not np.all(np.isfinite(k)):
@@ -234,16 +234,18 @@ def kernel_batch(cs: CrossSection, swap: bool, ks) -> tuple[np.ndarray, np.ndarr
     errors = np.zeros(k.size)
     i0 = 2.0 * math.pi * cs.l * cs.d * (a_c(cs.c) if swap else b_c(cs.c))
     values[k == 0.0] = i0
-    series = np.flatnonzero((k > 0.0) & (k * rho <= _SERIES_EDGE))
-    rest = np.flatnonzero(k * rho > _SERIES_EDGE)
-    kn = k[rest]
-    # far out the integral is (pi/2)(pi w/k - 1/k^2) up to a relative e^-40
-    far = (kn * w >= _FAR) & (kn * s >= _FAR + 0.5 * np.maximum(0.0, np.log(kn) + math.log(w)))
+    with np.errstate(over="ignore"):  # a product that overflows lies past the series edge, in the far branch
+        series = np.flatnonzero((k > 0.0) & (k * rho <= _SERIES_EDGE))
+        rest = np.flatnonzero(k * rho > _SERIES_EDGE)
+        kn = k[rest]
+        # far out the integral is (pi/2)(pi w/k - 1/k^2) up to a relative e^-40
+        far = (kn * w >= _FAR) & (kn * s >= _FAR + 0.5 * np.maximum(0.0, np.log(kn) + math.log(w)))
     inv = 1.0 / kn[far]  # squaring k itself overflows above |k| ~ 1e154
     values[rest[far]] = 0.5 * math.pi * (math.pi * w * inv - inv**2)
     near = rest[~far]
-    if (near.size or series.size) and _FLOOR * min(w, s) < _TINY:
-        raise QuadratureError(f"{cs} is too thin for the kernel rule in double precision")
+    # the rule's floor must be normal, and its weights (2w - u) du (sum 2 w^2, times logs below 1e3) finite
+    if w > 1e150 or (near.size or series.size) and _FLOOR * min(w, s) < _TINY:
+        raise QuadratureError(f"{cs} is outside the double range of the kernel rule")
     panels = math.ceil(math.log2(2.0 * w) - math.log2(min(w, s)) - math.log2(_FLOOR))
     edges = np.ldexp(2.0 * w, -np.arange(panels + 1))
     u, kronrod, excess = _gk_panels(edges)

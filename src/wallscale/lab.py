@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 
-from .errors import VerificationError
+from .errors import VerificationError, WallscaleError
 from .kernels import CrossSection, a_c_scaling_ratio
 from .magnetostatics import GAMMA_LIMIT, RescalingParams
 from .minimize import minimize_full_ansatz
@@ -97,8 +97,8 @@ def rate_sweep(cases: Sequence[CrossSection], n_nodes: Optional[int] = None) -> 
         try:
             params = RescalingParams.from_cross_section(cs)
             value = minimize_full_ansatz(cs).energy
-        except Exception:
-            logger.exception("sweep case l=%g d=%g failed", cs.l, cs.d)
+        except Exception as exc:  # a typed error is expected at the edge of the double range: no traceback
+            logger.error("sweep case l=%g d=%g failed: %s", cs.l, cs.d, exc, exc_info=not isinstance(exc, WallscaleError))
             value = math.nan  # a NaN row fails both comparisons below
         gap = value - GAMMA_LIMIT
         records.append(

@@ -77,8 +77,8 @@ class RescalingParams:
         q = cs.c * abs(math.log(cs.c))
         lam = 1.0 / math.sqrt(q)
         mu = cs.l * cs.d / lam
-        if not mu >= _TINY:  # every rescaled energy divides by mu
-            raise WallscaleError(f"energy scale mu = {mu!r} below the normal range at {cs}")
+        if not (q >= _TINY and _TINY <= mu < math.inf):  # rescaled energies divide by mu and lambda^2 = 1/q
+            raise WallscaleError(f"c |ln c| = {q!r} or mu = {mu!r} outside the normal range at {cs}")
         return RescalingParams(lam=lam, mu=mu)
 
 
@@ -293,16 +293,16 @@ def e_v_upper_bound(p: Profile1D, cs: CrossSection) -> float:
       + 20 pi l d^2 (1 + ln(l/d)) (||m*||^2 + ||d m1||^2)
     """
     h = p.spacing
-    dm1_sq = _trapezoid(profile_derivative(p)[:, 0] ** 2, h)
-    return _e_v_bound(cs, dm1_sq, _trapezoid(offset_m1(p) ** 2, h))
+    dm1, mstar, const = _e_v_bound_coefficients(cs)
+    norms = dm1 * _trapezoid(profile_derivative(p)[:, 0] ** 2, h) + mstar * _trapezoid(offset_m1(p) ** 2, h)
+    return cs.l * cs.d * (norms + const)
 
 
-def _e_v_bound(cs: CrossSection, dm1_sq: float, mstar_sq: float) -> float:
-    """e_v_upper_bound from the norms ||d m1/dx||^2 and ||m*||^2."""
+def _e_v_bound_coefficients(cs: CrossSection) -> tuple[float, float, float]:
+    """(A, B, C) with e_v_upper_bound = l d (A ||d m1/dx||^2 + B ||m*||^2 + C), normal where l d^2 is not."""
     log_term = 1.0 + math.log(cs.l / cs.d)
-    i1 = (4.0 / math.pi) * dm1_sq * cs.l**2 * cs.d**2 + 10.0 * cs.l * cs.d**2 * log_term
-    i2 = 20.0 * math.pi * cs.l * cs.d**2 * log_term * (mstar_sq + dm1_sq)
-    return i1 + i2
+    mixed = 20.0 * math.pi * cs.d * log_term
+    return (4.0 / math.pi) * cs.l * cs.d + mixed, mixed, 10.0 * cs.d * log_term
 
 
 def e_v_spectral(p: Profile1D, cs: CrossSection) -> float:

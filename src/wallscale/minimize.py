@@ -13,15 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import kernels
 from .errors import StallError, WallscaleError
-from .kernels import _TINY, CrossSection
-from .magnetostatics import RescalingParams, _e_v_bound
+from .kernels import _TINY, CrossSection, a_c
+from .magnetostatics import RescalingParams, _e_v_bound_coefficients
 from .walls import M3_TOLERANCE, Profile1D, ReducedEnergyWeights, _derivative, _sech
 
 __all__ = [
@@ -53,12 +52,11 @@ class DescentConfig:
 
 @dataclass(frozen=True)
 class AnsatzSearchResult:
-    """Best wall-width scale over the probed ansatz family m0(x/s)."""
+    """The wall of least rescaled energy in the recovery family m0(x/s)."""
 
     best_scale: float
-    best_beta: float
     energy: float
-    evaluations: int  # probed scales
+    evaluations: int  # energies (with derivatives) taken by the Newton search
     kernel_nodes: int  # frequencies sent to kernels.kernel_batch
 
 
@@ -122,8 +120,8 @@ def _resolve_weights(
             weights.forbid_m3,
         )
     alpha = float(weights)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     return 1.0, alpha, alpha, False
 
 
@@ -131,6 +129,7 @@ def _renormalized(m: np.ndarray) -> np.ndarray:
     return m / np.linalg.norm(m, axis=1)[:, None]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite energies raise WallscaleError below
 def minimize_reduced(
     init: Profile1D,
     weights: Union[float, ReducedEnergyWeights],
@@ -211,6 +210,8 @@ def minimize_reduced(
 def arc_profile(L: float, N: int) -> Profile1D:
     """Great-circle arc initialization in the (m1, m2) plane: a smooth
     rotation from -e_x to +e_x with m3 = 0, inside the wall homotopy class."""
+    if not (math.isfinite(L) and L > 0.0 and N >= 3):
+        raise ValueError(f"arc needs a positive finite half-length and 3 nodes or more, got L={L!r}, N={N!r}")
     x = np.linspace(-L, L, N)
     phi = 0.5 * math.pi * (1.0 + np.clip(x / L, -1.0, 1.0))  # 0 .. pi
     m = np.stack([-np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=-1)
@@ -219,7 +220,7 @@ def arc_profile(L: float, N: int) -> Profile1D:
     return Profile1D(x, m)
 
 
-_SCALE_XATOL = 1e-8  # Brent stopping width, relative to the best grid scale
+_NEWTON_STEPS = 8  # energy evaluations the scale search may take
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
@@ -234,63 +235,62 @@ def _k_rule(a_min: float, a_max: float) -> tuple[np.ndarray, np.ndarray]:
     return (edges[1:] + half * (1.0 + _GL_NODES)).ravel(), (half * _GL_WEIGHTS).ravel()
 
 
-def minimize_full_ansatz(cs: CrossSection, scale_grid: Optional[np.ndarray] = None) -> AnsatzSearchResult:
-    """Minimize the full rescaled energy over the recovery family m0(x/s).
+def _ansatz_energy(cs: CrossSection, window: Optional[tuple[float, float]] = None) -> tuple[Callable, float, int]:
+    """(energy, s0, nodes): energy(s) -> (E, s E', s^2 E'') is the rescaled
+    energy (E_ex + E_s + E_v_bound)/mu of m1 = tanh(ax), m2 = sech(ax),
+    a = 1/(s sqrt(pi)), for s in window, by default [s0/2, 2 s0].
 
-    Every probed scale s takes the exact (E_ex + E_s + E_v_bound)/mu of
-    m1 = tanh(ax), m2 = sech(ax), a = 1/(s sqrt(pi)): E_ex = 8 l d a, the E_v
-    bound with ||d m1||^2 = 4a/3 and ||m*||^2 = 2(2 ln 2 - 1)/a, and E_s =
-    (8/pi^2) int I(d,l,k) (pi/(2a^2)) sech^2(pi k/(2a)) dk over k > 0 on one
-    k-rule for all probes (one kernel_batch call).  A bounded Brent search
-    between the neighbours of the best grid scale finishes to 1e-8 of it.
-    The best probe is an upper bound for the rescaled minimal energy.
-    Raises WallscaleError when a term leaves the normal double range.
+    E = P/s + Q s + R + S(s), each term formed over mu as l d underflows: the
+    exchange 8 l d a and the bound's ||d m1||^2 = 4a/3 terms make P, the
+    leading E_s 8 I(0)/(pi^2 a), I(0) = 2 pi l d a_c, and the bound's
+    ||m*||^2 = 2(2 ln 2 - 1)/a term make Q, and s0 = sqrt(P/Q).  E_s =
+    (8/pi^2) int I(d,l,k) (pi/(2a^2)) sech^2(pi k/(2a)) dk over k > 0 is
+    summed on one k-rule of `nodes` frequencies for the window.
     """
-    if cs.c >= 1.0:
-        raise ValueError("ansatz search requires aspect ratio c < 1")
     params = RescalingParams.from_cross_section(cs)
-    if scale_grid is None:
-        scale_grid = params.lam * np.geomspace(0.5, 2.0, 7)
-    scales = np.asarray(scale_grid, dtype=float)
-    if scales.size == 0 or np.any(scales <= 0):
-        raise ValueError("scale_grid must contain positive scales")
-
     root_pi = math.sqrt(math.pi)
-    k, weights = _k_rule(1.0 / (root_pi * float(scales.max())), 1.0 / (root_pi * float(scales.min())))
+    dm1, mstar, const = _e_v_bound_coefficients(cs)
+    scale = params.lam / root_pi
+    p = (8.0 + 4.0 * dm1 / 3.0) * scale
+    q = 2.0 * math.pi * (2.0 * math.log(2.0) - 1.0) * mstar * scale
+    s0 = math.sqrt(p / (q + 16.0 * a_c(cs.c) * scale))
+    lo, hi = window or (0.5 * s0, 2.0 * s0)
+    if not _TINY <= lo <= hi < math.inf:
+        raise WallscaleError(f"scale window [{lo!r}, {hi!r}] outside the normal range at {cs}")
+    k, weights = _k_rule(1.0 / (root_pi * hi), 1.0 / (root_pi * lo))
     kernel, _ = kernels.kernel_batch(cs, True, k)
-    evaluations = 0
-    best_s = math.nan
-    best_e = math.inf
 
-    def rescaled(s: float) -> float:
-        nonlocal evaluations, best_s, best_e
-        a = 1.0 / (root_pi * s)
-        evaluations += 1
-        exchange = 8.0 * cs.l * cs.d * a
-        # 4 s^2 = 4/(pi a^2) times the weights first: weights times kernel values can underflow
-        weight = 4.0 * s * s * weights * _sech((0.5 * math.pi / a) * k) ** 2
-        e_s = float(np.dot(weight, kernel))
-        e_v = _e_v_bound(cs, 4.0 * a / 3.0, 2.0 * (2.0 * math.log(2.0) - 1.0) / a)
-        if not all(_TINY <= t < math.inf for t in (exchange, e_s, e_v)):
+    def energy(s: float) -> tuple[float, float, float]:
+        if not lo <= s <= hi:
+            raise WallscaleError(f"scale s={s!r} outside the k-rule's range [{lo!r}, {hi!r}] at {cs}")
+        x = (0.5 * math.pi * root_pi * s) * k  # pi k/(2a)
+        # 4 s^2 times the weights first: weights times kernel values can underflow
+        weight = 4.0 * s * s * weights * _sech(x) ** 2
+        e_s = weight @ kernel / params.mu
+        closed = p / s + q * s + const * params.lam
+        if not all(_TINY <= t < math.inf for t in (closed, e_s)):
             raise WallscaleError(f"ansatz energy term outside the normal range at {cs}, s={s!r}")
-        e = (exchange + e_s + e_v) / params.mu
-        if e < best_e:
-            best_s, best_e = s, e
-        return e
+        # s d/ds and s^2 d^2/ds^2 of 4 s^2 g(x), g = sech^2, by g' = -2 g tanh and g'' = g (6 tanh^2 - 2)
+        tanh = np.tanh(x)
+        rows = np.array([2.0 - 2.0 * x * tanh, 2.0 - 8.0 * x * tanh + x * x * (6.0 * tanh**2 - 2.0)])
+        slope_s, curve_s = (weight * rows) @ kernel / params.mu
+        return closed + e_s, q * s - p / s + slope_s, 2.0 * p / s + curve_s
 
-    values = [rescaled(float(s)) for s in scales]
-    i_best = int(np.argmin(values))
+    return energy, s0, k.size
 
-    if scales.size > 1:
-        bracket = (
-            float(scales[max(i_best - 1, 0)]),
-            float(scales[min(i_best + 1, scales.size - 1)]),
-        )
-        minimize_scalar(
-            rescaled,
-            bounds=bracket,
-            method="bounded",
-            options={"xatol": _SCALE_XATOL * float(scales[i_best])},
-        )
 
-    return AnsatzSearchResult(float(best_s), 1.0, float(best_e), evaluations, kernel_nodes=k.size)
+def minimize_full_ansatz(cs: CrossSection) -> AnsatzSearchResult:
+    """Minimize the full rescaled energy over the recovery family m0(x/s) by
+    Newton steps from the closed-form start of _ansatz_energy until a step is
+    within 1e-12 of s; the result bounds the rescaled minimal energy from
+    above.  Raises WallscaleError rather than return an unconverged scale."""
+    energy, s, nodes = _ansatz_energy(cs)
+    for evaluations in range(1, _NEWTON_STEPS + 1):
+        e, slope, curvature = energy(s)
+        if not curvature > 0.0:
+            raise WallscaleError(f"ansatz energy not convex at s={s!r} for {cs}")
+        step = -s * slope / curvature
+        if abs(step) <= 1e-12 * s:
+            return AnsatzSearchResult(float(s), float(e), evaluations, nodes)
+        s += step
+    raise WallscaleError(f"ansatz scale search did not converge in {_NEWTON_STEPS} steps for {cs}")

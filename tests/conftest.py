@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from wallscale import ClosedFormWall, CrossSection, full_energy, sample_wall
+from wallscale.minimize import _ansatz_energy
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -31,6 +32,13 @@ def sampled_ansatz_energy(cs: CrossSection, s: float, n_nodes: int, cache=None) 
     wall = ClosedFormWall(alpha=1.0 / (math.pi * s * s), beta=1.0, theta=0.0)
     p = sample_wall(wall, ORACLE_HALF_WIDTHS * math.sqrt(math.pi) * s, n_nodes)
     return full_energy(p, cs, cache=cache).rescaled_upper
+
+
+def ansatz_energy(cs: CrossSection, s: float) -> float:
+    """The ansatz search's rescaled energy of the recovery wall m0(x/s), on
+    a k-rule for that one scale."""
+    energy, _, _ = _ansatz_energy(cs, (s, s))
+    return energy(s)[0]
 
 
 def golden_dir() -> Path:

@@ -1,6 +1,13 @@
+import contextlib
+import io
+import logging
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wallscale.cli import run
 
@@ -150,6 +157,23 @@ def test_ansatz_commands_reject_removed_nodes_flag(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_minimize_ansatz_rejects_removed_scales_flag(capsys):
+    assert run(["minimize", "ansatz", "--l", "1e-3", "--d", "1e-6", "--scales", "1e-3"]) == 1
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_minimize_reduced_rejects_nonfinite_alpha(capsys, alpha):
+    code = run(["minimize", "reduced", "--alpha", alpha, "--half-length", "20.0", "--nodes", "65"])
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_sweep_rate_wide_section_passes(tmp_path, capsys):
+    # the scale bracket [lambda/2, 2 lambda] clipped this optimum: gap 45.68 > rhs 38.64
+    out_path = tmp_path / "wide.csv"
+    assert run(["sweep", "rate", "--c-grid", "1e-50", "--l", "1", "--out", str(out_path)]) == 0
+
+
 @pytest.mark.parametrize("c", ["1e-155", "1e-160", "1e-214"])
 def test_sweep_rate_below_double_range_exits_3(tmp_path, capsys, c):
     out_path = tmp_path / "thin.csv"
@@ -250,3 +274,50 @@ def test_numerical_failure_maps_to_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "a_c", boom)
     assert run(["kernel", "a_c", "--c", "0.5"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+# numeric tokens at and beyond the edges of the documented domain
+TOKENS = ["nan", "inf", "-inf", "-1", "0", "1e-320", "1e300", "1e-3", "x"]
+number = st.sampled_from(TOKENS)
+
+
+def number_list(max_size: int):
+    return st.lists(number, min_size=1, max_size=max_size).map(",".join)
+
+
+argv_strategy = st.one_of(
+    st.builds(lambda c: ["kernel", "a_c", "--c", c], number),
+    st.builds(
+        lambda l, d, x, swap: ["kernel", "i", "--l", l, "--d", d, "--x", x] + (["--swap"] if swap else []),
+        number, number, number, st.booleans(),
+    ),
+    st.builds(
+        lambda l, d, xs: ["kernel", "verify", "--l", l, "--d", d] + xs,
+        number, number, st.one_of(st.just([]), number_list(3).map(lambda g: ["--x-samples", g])),
+    ),
+    st.builds(lambda l, d: ["minimize", "ansatz", "--l", l, "--d", d], number, number),
+    st.builds(
+        lambda weights, half, nodes: ["minimize", "reduced", *weights, "--half-length", half, "--nodes", nodes],
+        st.one_of(st.just(["--e0"]), number.map(lambda a: ["--alpha", a])),
+        number,
+        st.one_of(number, st.integers(min_value=-1, max_value=65).map(str)),
+    ),
+    st.builds(lambda grid, l: ["sweep", "rate", "--c-grid", grid, "--l", l], number_list(2), number),
+    st.builds(lambda grid: ["sweep", "corollary", "--c-grid", grid], number_list(3)),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(argv_strategy)
+def test_fuzzed_argv_exits_with_a_documented_code(argv):
+    err = io.StringIO()
+    log = logging.getLogger("wallscale")
+    handler = logging.StreamHandler(err)  # where the CLI's log records would reach stderr
+    log.addHandler(handler)
+    try:
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(argv + ["--out", str(Path(tmp) / "out")])
+    finally:
+        log.removeHandler(handler)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

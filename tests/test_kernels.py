@@ -347,6 +347,23 @@ class TestKernelBatch:
             with pytest.raises(QuadratureError, match="normal range"):
                 volume_kernel_batch(cs, [1e200])
 
+    def test_rule_at_subnormal_node_arguments(self):
+        # k u is subnormal at the rule's lowest nodes, where 1/(k u) overflows
+        cs = CrossSection(l=1e300, d=1e-5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (value,), (error,) = kernel_batch(cs, True, [1e-300])
+        assert 0.0 < value <= 2.0 * math.pi * cs.l * cs.d * a_c(cs.c)
+        assert error <= 1e-8 * value
+
+    @pytest.mark.parametrize("l, d, k", [(1e300, 1e-5, 1e-300), (1e300, 1e300, 1.0)])
+    def test_rule_on_a_very_wide_section_raises_typed_error(self, l, d, k):
+        # the rule's weights (2w - u) du overflowed with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="double range"):
+                kernel_batch(CrossSection(l=l, d=d), False, [k])
+
     def test_volume_matches_mpmath_references(self):
         rows = load_volume_kernel_refs()
         assert len(rows) >= 12

@@ -57,6 +57,11 @@ class TestRateSweep:
         assert math.isnan(r.rescaled_min_upper) and math.isnan(r.gap)
         assert not r.passed
 
+    def test_typed_failure_logged_without_traceback(self, caplog):
+        (r,) = rate_sweep([CrossSection(l=1e-3, d=1e-163)])
+        assert math.isnan(r.rescaled_min_upper)
+        assert [(rec.levelname, bool(rec.exc_info)) for rec in caplog.records] == [("ERROR", False)]
+
     def test_failed_case_recorded_and_sweep_continues(self, monkeypatch):
         import wallscale.lab as lab_module
 

@@ -76,6 +76,11 @@ class TestRescaling:
             RescalingParams.from_cross_section(CrossSection(l=1e-3, d=1e-217))
         assert RescalingParams.from_cross_section(CrossSection(l=1e-3, d=1e-200)).mu > 0.0
 
+    def test_subnormal_aspect_ratio_raises(self):
+        # c |ln c| is subnormal here, and lambda^2 = 1/(c |ln c|) overflows
+        with pytest.raises(WallscaleError, match="normal range"):
+            RescalingParams.from_cross_section(CrossSection(l=1e300, d=1e-20))
+
 
 class TestSpectrum:
     def test_delta_gives_flat_modulus(self):

@@ -10,6 +10,7 @@ from wallscale import (
     KernelCache,
     ReducedEnergyWeights,
     StallError,
+    a_c,
     arc_profile,
     eval_wall,
     kernels,
@@ -19,12 +20,29 @@ from wallscale import (
     reduced_energy_alpha,
     sample_wall,
 )
+from wallscale import minimize as minimize_module
 from wallscale.errors import QuadratureError, WallscaleError
 from wallscale.magnetostatics import GAMMA_LIMIT, RescalingParams
-from wallscale.minimize import DiscreteReducedEnergy, _k_rule
+from wallscale.minimize import DiscreteReducedEnergy, _ansatz_energy, _k_rule
 from wallscale.walls import _sech
 
-from conftest import sampled_ansatz_energy
+from conftest import ansatz_energy, sampled_ansatz_energy
+
+
+def closed_form_minimum(cs: CrossSection) -> float:
+    """2 sqrt(PQ) + R for E/mu = P/sigma + Q sigma + R: the exchange 8 l d a,
+    the leading E_s 16 l d a_c/(pi a) and the E_v bound (4/pi) l^2 d^2
+    ||d m1||^2 + 10 l d^2 L' + 20 pi l d^2 L' (||m*||^2 + ||d m1||^2), with
+    a = 1/(sqrt(pi) sigma lambda), ||d m1||^2 = 4a/3, ||m*||^2 =
+    2(2 ln 2 - 1)/a and L' = 1 + |ln c|, each over mu = l d/lambda."""
+    l, d, c = cs.l, cs.d, cs.c
+    ln_c = abs(math.log(c))
+    p = (8.0 + (4.0 / 3.0) * ((4.0 / math.pi) * l * d + 20.0 * math.pi * d * (1.0 + ln_c))) / math.sqrt(math.pi)
+    q = (16.0 * a_c(c) / c + 40.0 * math.pi**2 * (2.0 * math.log(2.0) - 1.0) * l * (1.0 + ln_c)) / (
+        math.sqrt(math.pi) * ln_c
+    )
+    r = 10.0 * l * math.sqrt(c) * (1.0 + ln_c) / math.sqrt(ln_c)
+    return 2.0 * math.sqrt(p * q) + r
 
 
 class TestDiscreteGradient:
@@ -126,6 +144,21 @@ class TestDescent:
         with pytest.raises(StallError):
             minimize_reduced(init, 1.0, DescentConfig(grad_tol=1e-300))
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_nonfinite_or_nonpositive_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            minimize_reduced(arc_profile(20.0, 65), alpha)
+
+    @pytest.mark.parametrize("half_length, nodes", [(math.nan, 65), (math.inf, 65), (0.0, 65), (-1.0, 65), (1.0, 2)])
+    def test_arc_rejects_bad_grid(self, half_length, nodes):
+        with pytest.raises(ValueError):
+            arc_profile(half_length, nodes)
+
+    def test_overflowing_energy_raises_typed_error(self):
+        # a subnormal spacing: the exchange overflows, which must not warn
+        with pytest.raises(WallscaleError, match="non-finite"):
+            minimize_reduced(arc_profile(1e-320, 3), 1.0)
+
     def test_forbidden_m3_init_rejected(self):
         init = arc_profile(20.0, 257)
         rot = init.m.copy()
@@ -153,19 +186,15 @@ class TestAnsatzSearch:
     CS = CrossSection(l=1e-3, d=1e-6)
 
     def test_degenerate_grid_dominated_by_search(self):
-        lam = RescalingParams.from_cross_section(self.CS).lam
-        single = minimize_full_ansatz(self.CS, scale_grid=np.array([lam]))
-        multi = minimize_full_ansatz(self.CS)
-        assert math.isfinite(single.energy)
-        assert multi.energy <= single.energy
-        assert single.evaluations == 1
-        assert multi.evaluations > 7
+        # the energy at the one scale s = lambda bounds the search's optimum
+        single = ansatz_energy(self.CS, RescalingParams.from_cross_section(self.CS).lam)
+        assert math.isfinite(single)
+        assert minimize_full_ansatz(self.CS).energy <= single
 
     def test_rescaled_minimum_within_rate_window(self):
         res = minimize_full_ansatz(self.CS)
         rhs = 200.0 / math.sqrt(abs(math.log(self.CS.c))) + 20.0 * self.CS.l
         assert GAMMA_LIMIT - rhs <= res.energy <= GAMMA_LIMIT + rhs
-        assert res.best_beta == 1.0
         assert res.best_scale > 0.0
 
     def test_gap_shrinks_with_aspect_ratio(self):
@@ -177,16 +206,63 @@ class TestAnsatzSearch:
         assert gaps[0] > gaps[1] > 0.0
 
     def test_probe_count_gate(self):
-        # seven grid probes plus about ten bounded Brent steps
+        # Newton from the closed-form start: s*/s0 lies within 1.4e-3 of 1
         res = minimize_full_ansatz(self.CS)
-        assert res.evaluations <= 20
+        assert res.evaluations <= 4
 
     def test_kernel_node_gate(self):
-        # one kernel batch per search: 64 nodes for the default bracket
-        # [lambda/2, 2 lambda], 48 for one scale (the sampled search sent 219)
+        # one kernel batch per search: 64 nodes for the rule's range
+        # [s0/2, 2 s0], 48 for one scale (the sampled search sent 219)
         assert minimize_full_ansatz(self.CS).kernel_nodes <= 64
-        lam = RescalingParams.from_cross_section(self.CS).lam
-        assert minimize_full_ansatz(self.CS, scale_grid=np.array([lam])).kernel_nodes == 48
+        assert _ansatz_energy(self.CS, (1.0, 1.0))[2] == 48
+
+    def test_step_cap_raises(self, monkeypatch):
+        cs = CrossSection(l=1.0, d=1e-2)
+        assert minimize_full_ansatz(cs).evaluations == 3
+        monkeypatch.setattr(minimize_module, "_NEWTON_STEPS", 1)
+        with pytest.raises(WallscaleError, match="did not converge"):
+            minimize_full_ansatz(cs)
+
+    def test_energy_outside_the_rule_range_raises(self):
+        energy, s0, _ = _ansatz_energy(self.CS)
+        energy(2.0 * s0)
+        with pytest.raises(WallscaleError, match="outside the k-rule"):
+            energy(2.0 * s0 * (1.0 + 1e-15))
+
+    @pytest.mark.parametrize("l", [0.2, 0.3, 1.0])
+    @pytest.mark.parametrize("c", [1e-2, 1e-6, 1e-50])
+    def test_interior_optimum_for_wide_sections(self, l, c):
+        # the optimum lies below lambda/2 here: the scale bracket [lambda/2,
+        # 2 lambda] returned its edge, 0.4% to 38% high
+        cs = CrossSection(l=l, d=c * l)
+        res = minimize_full_ansatz(cs)
+        energy, s0, _ = _ansatz_energy(cs)
+        star = res.best_scale
+        assert 0.5 * s0 < star < 2.0 * s0
+        assert star < 0.5 * RescalingParams.from_cross_section(cs).lam
+        for s in (star * (1.0 - 1e-4), star * (1.0 + 1e-4)):
+            assert res.energy <= energy(s)[0]
+        # the scan's middle node is s0 up to rounding, and s* = s0 at c = 1e-50,
+        # so there the two energies differ by rounding only
+        for s in np.geomspace(0.5 * s0, 2.0 * s0, 65):
+            assert res.energy <= energy(s)[0] * (1.0 + 1e-15)
+
+    def test_wide_section_optimum_value(self):
+        # the bracket edge s = lambda/2 gave 54.707 here
+        res = minimize_full_ansatz(CrossSection(l=1.0, d=1e-50))
+        assert res.energy == pytest.approx(40.6130928793, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "l, c",
+        [(l, c) for l in (1e-3, 1e-2, 0.05, 0.1, 0.3, 1.0) for c in (1e-50, 1e-150)]
+        + [(l, 1e-12) for l in (1e-3, 1e-2, 0.05, 0.1)],
+    )
+    def test_closed_form_referee(self, l, c):
+        # E/mu = P/sigma + Q sigma + R + S(sigma) with the leading E_s in Q; the
+        # series term S is below 1e-14 here (6e-13 at c = 1e-12, l >= 0.3)
+        cs = CrossSection(l=l, d=c * l)
+        res = minimize_full_ansatz(cs)
+        assert res.energy == pytest.approx(closed_form_minimum(cs), rel=1e-14, abs=0.0)
 
     def test_kernel_batch_called_once(self, monkeypatch):
         calls = []
@@ -235,7 +311,7 @@ class TestAnsatzSearch:
         # underflow there, so the energy must not form that product
         cs = CrossSection(l=1e-3, d=c * 1e-3)
         lam = RescalingParams.from_cross_section(cs).lam
-        exact = minimize_full_ansatz(cs, scale_grid=np.array([lam])).energy
+        exact = ansatz_energy(cs, lam)
         cache = KernelCache(cs)
         sampled = [sampled_ansatz_energy(cs, lam, n, cache) for n in (1025, 2049, 4097)]
         gaps = [exact - v for v in sampled]
@@ -254,7 +330,7 @@ class TestAnsatzSearch:
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
     def test_energy_term_outside_normal_range_raises_typed_error(self, scale):
         with pytest.raises(WallscaleError, match="normal range"):
-            minimize_full_ansatz(self.CS, scale_grid=np.array([scale]))
+            ansatz_energy(self.CS, scale)
 
     def test_mu_underflow_raises_typed_error(self):
         with pytest.raises(WallscaleError, match="normal range"):

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import math
 
 import numpy as np
@@ -163,11 +164,25 @@ def test_gk15_is_the_one_panel_sum():
     assert _gk15(f, 0.3, 1.7) == (fx @ kronrod, abs(fx @ excess))
 
 
-@pytest.mark.parametrize("name", ["kernels", "walls", "minimize", "magnetostatics", "lab", "cli"])
+PHYSICS_MODULES = ["kernels", "walls", "minimize", "magnetostatics", "lab", "cli"]
+
+
+@pytest.mark.parametrize("name", PHYSICS_MODULES)
 def test_physics_modules_bind_no_adaptive_integrator(name):
     # adaptive quadrature serves quad's public API only; the physics stack
     # shares nothing with it but the GK15 table
     forbidden = (quad.integrate_finite, quad.integrate_semi_infinite, quad.QuadratureConfig, scipy_quad)
     module = importlib.import_module(f"wallscale.{name}")
     bound = [key for key, value in vars(module).items() if any(value is f for f in forbidden)]
+    assert bound == []
+
+
+@pytest.mark.parametrize("name", PHYSICS_MODULES)
+def test_physics_modules_bind_no_scipy_optimizer(name):
+    # the ansatz scale search is Newton on closed-form derivatives
+    module = importlib.import_module(f"wallscale.{name}")
+    bound = [
+        key for key, value in vars(module).items()
+        if getattr(inspect.getmodule(value), "__name__", "").startswith("scipy.optimize")
+    ]
     assert bound == []
