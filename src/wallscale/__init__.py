@@ -2,9 +2,9 @@
 domain walls in thin rectangular magnetic films.
 
 Modules:
-    quad            adaptive quadrature (public API); the GK15 table of every fixed rule
+    quad            adaptive quadrature (public API); the GK15 and GL16 fixed-rule tables
     kernels         magnetostatic kernels a_c, b_c, I, K and bounds on I
-    walls           closed-form transverse walls and reduced energies
+    walls           closed-form transverse walls and the discrete reduced energies
     minimize        sphere-constrained descent and ansatz-family search
     magnetostatics  spectral/boundary-integral surface and volume energies
     lab             sweeps, verification tables, report files
@@ -49,7 +49,6 @@ from .magnetostatics import (
 )
 from .minimize import (
     AnsatzSearchResult,
-    DescentConfig,
     arc_profile,
     minimize_full_ansatz,
     minimize_reduced,

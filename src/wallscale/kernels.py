@@ -285,7 +285,8 @@ def volume_kernel_batch(cs: CrossSection, ks) -> tuple[np.ndarray, np.ndarray]:
     with y = min(x, 2d) t, (u, v) = (x, y) covers the strip [2d, 2l] x [0, 2d]
     and, with its mirror (y, x), the corner [0, 2d]^2 as two Duffy triangles.
     The error sums the Gauss estimates of both directions.  Raises ValueError
-    for a zero or non-finite frequency (K diverges like -ln|k|).
+    for a zero or non-finite frequency (K diverges like -ln|k|), and
+    QuadratureError for l or l d above 1e150 or a section too thin for it.
     """
     k = np.abs(np.asarray(ks, dtype=float)).ravel()
     if not np.all(np.isfinite(k) & (k > 0.0)):
@@ -296,8 +297,9 @@ def volume_kernel_batch(cs: CrossSection, ks) -> tuple[np.ndarray, np.ndarray]:
     inv = 1.0 / k[far]  # squaring k itself overflows above |k| ~ 1e154
     values[far] = 0.5 * math.pi * (2.0 * math.pi * l * d - math.pi * (l + d) * inv + 2.0 * inv**2) * inv**2
     floor = math.ldexp(2.0 * d, -_CORNER_PANELS)
-    if floor < _TINY and not np.all(far):
-        raise QuadratureError(f"{cs} is too thin for the kernel rule in double precision")
+    # the rule's floor must be normal, its weights (up to 8 l^2 d^2) and mirror term (4 l^2) finite
+    if max(l, l * d) > 1e150 or floor < _TINY and not np.all(far):
+        raise QuadratureError(f"{cs} is outside the double range of the kernel rule")
     doublings = math.ceil(math.log2(l / d))
     edges = np.append(2.0 * l, np.ldexp(2.0 * d, np.arange(doublings - 1, -_CORNER_PANELS - 1, -1)))
     x, w_x, e_x = (a[:, :, None] for a in _gk_panels(edges))

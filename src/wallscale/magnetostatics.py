@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import kernels
 from .errors import QuadratureError, ResolutionError, WallscaleError
 from .kernels import _TINY, CrossSection
-from .quad import _gk_panels
+from .quad import _GL16_NODES, _GL16_WEIGHTS, _gk_panels
 from .walls import Profile1D, _trapezoid, exchange_integral, profile_derivative
 
 __all__ = [
@@ -160,14 +160,20 @@ class KernelCache:
         return sum(keys.size for keys, _ in self._tables.values())
 
 
-def _channel_sum(
-    cache: KernelCache, swap: bool, freqs: np.ndarray, amp2: np.ndarray, dk: float
-) -> float:
+def _spectral_sum(freqs: np.ndarray, amp: np.ndarray, kernel: Callable[[np.ndarray], np.ndarray]) -> float:
+    """sum kernel(|k|) |amp|^2 over the frequencies whose |amp|^2 is above
+    _SPECTRAL_FLOOR times the peak; kernel is called once, on their
+    ascending distinct |k|.  Raises WallscaleError when |amp|^2 overflows."""
+    with np.errstate(over="ignore"):
+        amp2 = np.abs(amp) ** 2
     peak = float(amp2.max()) if amp2.size else 0.0
+    if not math.isfinite(peak):
+        raise WallscaleError("squared spectral amplitudes overflow; the grid spacing is too large")
     if peak == 0.0:
         return 0.0
     kept = amp2 > _SPECTRAL_FLOOR * peak
-    return float(np.sum(cache.values(swap, freqs[kept]) * amp2[kept])) * dk
+    keys, where = np.unique(np.abs(freqs[kept]), return_inverse=True)
+    return float(np.sum(kernel(keys)[where] * amp2[kept]))
 
 
 def e_s_spectral(p: Profile1D, cs: CrossSection, cache: Optional[KernelCache] = None) -> float:
@@ -178,8 +184,9 @@ def e_s_spectral(p: Profile1D, cs: CrossSection, cache: Optional[KernelCache] = 
     if cache is None:
         cache = KernelCache(cs)
     spec = spectrum(p)
-    total = _channel_sum(cache, True, spec.frequencies, np.abs(spec.m2_hat) ** 2, spec.dk)
-    total += _channel_sum(cache, False, spec.frequencies, np.abs(spec.m3_hat) ** 2, spec.dk)
+    total = 0.0
+    for swap, amp in ((True, spec.m2_hat), (False, spec.m3_hat)):
+        total += _spectral_sum(spec.frequencies, amp, lambda ks: cache.values(swap, ks)) * spec.dk
     return (4.0 / math.pi**2) * total
 
 
@@ -314,20 +321,16 @@ def e_v_spectral(p: Profile1D, cs: CrossSection) -> float:
     All kernel values come from one kernels.volume_kernel_batch call.
     """
     frequencies, dk, (g_hat,) = _unitary_dft(p, profile_derivative(p)[:, 0])
-    amp2 = np.abs(g_hat) ** 2
-    peak = float(amp2.max())
-    if peak == 0.0:
-        return 0.0
-    kept = amp2 > _SPECTRAL_FLOOR * peak
-    keys, where = np.unique(np.abs(frequencies[kept]), return_inverse=True)
-    has_zero = keys[0] == 0.0
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    values, _ = kernels.volume_kernel_batch(
-        cs, np.concatenate([0.25 * dk * (nodes + 1.0), keys[1:] if has_zero else keys])
-    )
-    cell_average = np.sum(0.5 * weights * values[:16])
-    table = np.concatenate([[cell_average], values[16:]]) if has_zero else values[16:]
-    return (4.0 / math.pi**2) * float(np.sum(table[where] * amp2[kept])) * dk
+
+    def kernel(keys: np.ndarray) -> np.ndarray:
+        has_zero = keys[0] == 0.0
+        values, _ = kernels.volume_kernel_batch(
+            cs, np.concatenate([0.25 * dk * (_GL16_NODES + 1.0), keys[1:] if has_zero else keys])
+        )
+        cell_average = [np.sum(0.5 * _GL16_WEIGHTS * values[:16])] if has_zero else []
+        return np.concatenate([cell_average, values[16:]])
+
+    return (4.0 / math.pi**2) * _spectral_sum(frequencies, g_hat, kernel) * dk
 
 
 def _section_pair_green(cs: CrossSection, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

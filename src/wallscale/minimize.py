@@ -10,6 +10,7 @@ renormalization after every step, boundary nodes pinned.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,33 +22,25 @@ from . import kernels
 from .errors import StallError, WallscaleError
 from .kernels import _TINY, CrossSection, a_c
 from .magnetostatics import RescalingParams, _e_v_bound_coefficients
-from .walls import M3_TOLERANCE, Profile1D, ReducedEnergyWeights, _derivative, _sech
+from .quad import _GL16_NODES, _GL16_WEIGHTS
+# perfbench/tracing.py imports DiscreteReducedEnergy from this module
+from .walls import M3_TOLERANCE, DiscreteReducedEnergy, Profile1D, ReducedEnergyWeights, _reduced_model, _sech
 
 __all__ = [
-    "DescentConfig",
     "AnsatzSearchResult",
-    "DiscreteReducedEnergy",
     "minimize_reduced",
     "minimize_full_ansatz",
     "arc_profile",
 ]
 
+logger = logging.getLogger(__name__)
+
+_GRAD_TOL = 1e-5  # stopping bound on the projected-gradient norm
+_MAX_ITERS = 200_000
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
 _FIRST_STEP = 0.25  # trial step before the first Barzilai-Borwein step
 _BACKTRACK_FACTOR = 0.5
-
-
-@dataclass(frozen=True)
-class DescentConfig:
-    grad_tol: float = 1e-5
-    max_iters: int = 200_000
-
-    def __post_init__(self) -> None:
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -60,108 +53,42 @@ class AnsatzSearchResult:
     kernel_nodes: int  # frequencies sent to kernels.kernel_batch
 
 
-class DiscreteReducedEnergy:
-    """Discrete reduced energy w_ex*int|dm/dx|^2 + w2*int m2^2 + w3*int m3^2
-    on a fixed uniform grid, with its exact gradient.
-
-    The derivative stencil is the walls module's and the trapezoid weights
-    match its energies, so values agree with reduced_energy_alpha /
-    reduced_energy_E0 identically.
-    """
-
-    def __init__(self, x: np.ndarray, w_ex: float, w2: float, w3: float):
-        self.x = x
-        self.h = float(x[1] - x[0])
-        n = x.size
-        self.trap = np.ones(n)
-        self.trap[0] = self.trap[-1] = 0.5
-        self.w_ex, self.w2, self.w3 = w_ex, w2, w3
-
-    def _energy(self, m: np.ndarray) -> tuple[float, np.ndarray]:
-        """(energy, derivative of m) on the grid."""
-        h = self.h
-        d = _derivative(m, h)
-        dsq = np.einsum("ij,ij->i", d, d)
-        e = self.w_ex * float(h * np.dot(self.trap, dsq))
-        e += self.w2 * float(h * np.dot(self.trap, m[:, 1] ** 2))
-        e += self.w3 * float(h * np.dot(self.trap, m[:, 2] ** 2))
-        return e, d
-
-    def energy(self, m: np.ndarray) -> float:
-        return self._energy(m)[0]
-
-    def energy_grad(self, m: np.ndarray) -> tuple[float, np.ndarray]:
-        h = self.h
-        e, d = self._energy(m)
-        g = np.zeros_like(m)
-        wd = (self.trap[:, None] * d) * (2.0 * h)
-        # centered interior differences: d_j couples m_{j+1} and m_{j-1}
-        g[2:] += wd[1:-1] / (2.0 * h)
-        g[:-2] -= wd[1:-1] / (2.0 * h)
-        # one-sided end differences
-        g[1] += wd[0] / h
-        g[0] -= wd[0] / h
-        g[-1] += wd[-1] / h
-        g[-2] -= wd[-1] / h
-        g *= self.w_ex
-        g[:, 1] += 2.0 * h * self.w2 * self.trap * m[:, 1]
-        g[:, 2] += 2.0 * h * self.w3 * self.trap * m[:, 2]
-        return e, g
-
-
-def _resolve_weights(
-    weights: Union[float, ReducedEnergyWeights],
-) -> tuple[float, float, float, bool]:
-    if isinstance(weights, ReducedEnergyWeights):
-        return (
-            weights.exchange_weight,
-            weights.transverse_weight,
-            weights.transverse_weight,
-            weights.forbid_m3,
-        )
-    alpha = float(weights)
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
-    return 1.0, alpha, alpha, False
-
-
 def _renormalized(m: np.ndarray) -> np.ndarray:
     return m / np.linalg.norm(m, axis=1)[:, None]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite energies raise WallscaleError below
+@np.errstate(over="ignore", invalid="ignore")  # non-finite energies raise WallscaleError
 def minimize_reduced(
     init: Profile1D,
     weights: Union[float, ReducedEnergyWeights],
-    config: DescentConfig = DescentConfig(),
     trace_path: Optional[str | Path] = None,
 ) -> tuple[Profile1D, float]:
-    """Projected gradient descent of a reduced energy from a pinned profile.
+    """Projected gradient descent of a reduced energy from a pinned profile:
+    E_alpha for a float alpha, E_0 for ReducedEnergyWeights.
 
     Terminates when the projected-gradient norm sqrt(h sum |g_tan|^2) drops
-    below grad_tol or after max_iters.  The returned energy never exceeds the
-    initial one.
+    below _GRAD_TOL = 1e-5, or after _MAX_ITERS = 200,000 iterations; then it
+    logs a WARNING and returns the unconverged profile.  The returned energy
+    never exceeds the initial one.
 
     Raises:
         StallError: backtracking found no decrease for the maximum number of
             halvings.
         WallscaleError: non-finite energy encountered.
     """
-    w_ex, w2, w3, forbid = _resolve_weights(weights)
+    model = _reduced_model(init.x, weights)
+    forbid = isinstance(weights, ReducedEnergyWeights) and weights.forbid_m3
     if forbid and float(np.max(np.abs(init.m[:, 2]))) > M3_TOLERANCE:
         raise ValueError("forbid_m3 weights require an initial profile with m3 = 0")
-    model = DiscreteReducedEnergy(init.x, w_ex, w2, w3)
     m = init.m.copy()
     e, g = model.energy_grad(m)
-    if not math.isfinite(e):
-        raise WallscaleError("non-finite initial energy")
 
     trace_rows: list[tuple[int, float, float]] = []
     h = model.h
     step = _FIRST_STEP
     prev_m: Optional[np.ndarray] = None
     prev_g: Optional[np.ndarray] = None
-    for iteration in range(config.max_iters):
+    for iteration in range(_MAX_ITERS + 1):
         p = g - np.einsum("ij,ij->i", g, m)[:, None] * m
         p[0] = 0.0
         p[-1] = 0.0
@@ -169,7 +96,11 @@ def minimize_reduced(
         gnorm = math.sqrt(h * psq)
         if trace_path is not None:
             trace_rows.append((iteration, e, gnorm))
-        if gnorm < config.grad_tol:
+        if gnorm < _GRAD_TOL:
+            break
+        if iteration == _MAX_ITERS:
+            logger.warning("descent stopped after %d iterations with projected-gradient norm %.3e "
+                           "above %.1e; the profile is not converged", _MAX_ITERS, gnorm, _GRAD_TOL)
             break
         if prev_m is not None:
             s = m - prev_m
@@ -184,8 +115,6 @@ def minimize_reduced(
             trial = _renormalized(m - t * p)
             trial[0], trial[-1] = m[0], m[-1]
             e_trial = model.energy(trial)
-            if not math.isfinite(e_trial):
-                raise WallscaleError("non-finite energy during descent")
             if e_trial <= e - _ARMIJO_C * t * psq:
                 break
             t *= _BACKTRACK_FACTOR
@@ -221,7 +150,6 @@ def arc_profile(L: float, N: int) -> Profile1D:
 
 
 _NEWTON_STEPS = 8  # energy evaluations the scale search may take
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def _k_rule(a_min: float, a_max: float) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +160,7 @@ def _k_rule(a_min: float, a_max: float) -> tuple[np.ndarray, np.ndarray]:
     halvings = math.ceil(math.log(cutoff / (1.6 * a_min), 4.0))
     edges = np.append(np.ldexp(cutoff, -2 * np.arange(halvings + 1)), 0.0)[:, None]
     half = 0.5 * (edges[:-1] - edges[1:])
-    return (edges[1:] + half * (1.0 + _GL_NODES)).ravel(), (half * _GL_WEIGHTS).ravel()
+    return (edges[1:] + half * (1.0 + _GL16_NODES)).ravel(), (half * _GL16_WEIGHTS).ravel()
 
 
 def _ansatz_energy(cs: CrossSection, window: Optional[tuple[float, float]] = None) -> tuple[Callable, float, int]:

@@ -5,9 +5,11 @@ Finite intervals go to QUADPACK (adaptive 21-point Gauss-Kronrod, scipy's
 head is handled by QUADPACK and the tail by fixed Gauss-Kronrod panels of
 length pi, matching sin^2-type oscillations, whose partial sums are
 extrapolated to infinity (Neville in the reciprocal endpoint) for envelopes
-decaying as slowly as 1/t^2.  Only the public API uses these integrators.
-The GK15 table below (_gk_panels) is the one fixed rule of the package: the
-tail panels, both kernel rules and the volume oracle's pair function use it.
+decaying as slowly as 1/t^2.  Only the public API uses these integrators,
+so scipy.integrate is imported by the first call, not with the package.
+The module also holds the two fixed-rule tables: GK15 (_gk_panels) for the
+tail panels, both kernel rules and the volume oracle's pair function, and
+GL16 for the ansatz k-rule and the spectral E_v's k = 0 cell average.
 
 All routines are pure functions of their inputs: identical calls produce
 bit-identical results.
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
 
 from .errors import (
     NonFiniteIntegrandError,
@@ -100,9 +101,11 @@ def integrate_finite(
         NonFiniteIntegrandError: NaN/inf at an interior node.
         QuadratureError: converged estimate still above tolerance.
     """
+    from scipy.integrate import quad as quadpack
+
     if not (a < b):
         raise ValueError(f"require a < b, got a={a!r}, b={b!r}")
-    out = _scipy_quad(
+    out = quadpack(
         _checked(f),
         a,
         b,
@@ -146,11 +149,12 @@ _WG = (
     0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
 )
 # the same rule mirrored from [0, 1] onto [-1, 1], with the Gauss weights
-# zero at the Kronrod-only nodes; every fixed rule of the package uses these
+# zero at the Kronrod-only nodes; every GK15 rule of the package uses these
 _GK_NODES = np.concatenate([np.negative(_XGK), _XGK[-2::-1]])
 _GK_WEIGHTS = np.concatenate([_WGK, _WGK[-2::-1]])
 _GK_GAUSS = np.zeros(15)
 _GK_GAUSS[1::2] = _WG + _WG[-2::-1]
+_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 # abscissa offset past which a semi-infinite tail takes the panel scheme
 _SEMI_INFINITE_SPLIT = 60.0

@@ -17,23 +17,26 @@ composite trapezoid for integrals.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import InitVar, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .errors import WallscaleError
+
 __all__ = [
     "ClosedFormWall",
     "Profile1D",
     "ReducedEnergyWeights",
+    "DiscreteReducedEnergy",
     "M3_TOLERANCE",
     "eval_wall",
     "sample_wall",
     "reduced_energy_alpha",
     "reduced_energy_E0",
     "exchange_integral",
-    "transverse_integrals",
     "profile_derivative",
 ]
 
@@ -72,9 +75,11 @@ def eval_wall(w: ClosedFormWall, x) -> np.ndarray:
     """Evaluate the wall at position(s) x; returns unit 3-vectors.
 
     Scalar x gives shape (3,), an array of shape (...,) gives (..., 3).
+    Positions far enough out to overflow sqrt(alpha) x give -/+e_x exactly.
     """
     xa = np.asarray(x, dtype=float)
-    u = math.sqrt(w.alpha) * xa + math.log(abs(w.beta))
+    with np.errstate(over="ignore"):
+        u = math.sqrt(w.alpha) * xa + math.log(abs(w.beta))
     sgn = 1.0 if w.beta > 0 else -1.0
     m1 = np.tanh(u)
     perp = sgn * _sech(u)
@@ -105,6 +110,8 @@ class Profile1D:
             raise ValueError("grid must be one-dimensional with at least 3 nodes")
         if m.shape != (x.size, 3):
             raise ValueError(f"values must have shape ({x.size}, 3), got {m.shape}")
+        if not (np.isfinite(x).all() and np.isfinite(m).all()):
+            raise ValueError("grid and values must be finite")
         steps = np.diff(x)
         if not np.all(steps > 0):
             raise ValueError("grid must be strictly increasing")
@@ -167,8 +174,8 @@ def sample_wall(w: ClosedFormWall, L: float, N: int) -> Profile1D:
     short for the given wall width and raises with that advice.  The
     transverse tails, about sqrt(2 |m1 -/+ 1|), bind first.
     """
-    if L <= 0:
-        raise ValueError("L must be positive")
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError("L must be positive and finite")
     if N < 3 or N % 2 == 0:
         raise ValueError("N must be odd and >= 3")
     x = np.linspace(-L, L, N)
@@ -187,12 +194,10 @@ def sample_wall(w: ClosedFormWall, L: float, N: int) -> Profile1D:
 
 @dataclass(frozen=True)
 class ReducedEnergyWeights:
-    """Weights of the reduced 1-D energy: 4 on exchange, 4/pi on the
-    transverse components, with an optional hard constraint m3 = 0 enforced
-    by an infinite sentinel."""
+    """The weights of the reduced limit energy E_0, 4 on exchange and 4/pi
+    on the transverse components, with an optional hard constraint m3 = 0
+    enforced by an infinite sentinel."""
 
-    exchange_weight: float = 4.0
-    transverse_weight: float = 4.0 / math.pi
     forbid_m3: bool = False
 
 
@@ -211,8 +216,17 @@ def profile_derivative(p: Profile1D) -> np.ndarray:
     return _derivative(p.m, p.spacing)
 
 
+@functools.lru_cache(maxsize=8)  # a descent integrates three sample vectors per energy on one grid
+def _trapezoid_weights(n: int) -> np.ndarray:
+    w = np.ones(n)
+    w[0] = w[-1] = 0.5
+    w.setflags(write=False)
+    return w
+
+
 def _trapezoid(values: np.ndarray, h: float) -> float:
-    return float(h * (values.sum() - 0.5 * (values[0] + values[-1])))
+    """Composite trapezoid rule for samples at spacing h."""
+    return float(h * np.dot(_trapezoid_weights(values.size), values))
 
 
 def exchange_integral(p: Profile1D) -> float:
@@ -221,30 +235,76 @@ def exchange_integral(p: Profile1D) -> float:
     return _trapezoid(np.einsum("ij,ij->i", d, d), p.spacing)
 
 
-def transverse_integrals(p: Profile1D) -> tuple[float, float]:
-    """(int m2^2 dx, int m3^2 dx) over the grid."""
-    h = p.spacing
-    return _trapezoid(p.m[:, 1] ** 2, h), _trapezoid(p.m[:, 2] ** 2, h)
+class DiscreteReducedEnergy:
+    """Discrete reduced energy w_ex int |dm/dx|^2 + w_t int (m2^2 + m3^2) on
+    a fixed uniform grid, with its exact gradient: E_alpha has weights
+    (1, alpha), E_0 has (4, 4/pi).  A non-finite energy raises
+    WallscaleError (an inf would read as reduced_energy_E0's sentinel)."""
+
+    def __init__(self, x: np.ndarray, w_ex: float, w_t: float):
+        self.h = float(x[1] - x[0])
+        self.trap = _trapezoid_weights(x.size)
+        self.w_ex, self.w_t = w_ex, w_t
+
+    def _energy(self, m: np.ndarray) -> tuple[float, np.ndarray]:
+        """(energy, derivative of m) on the grid."""
+        h = self.h
+        d = _derivative(m, h)
+        e = self.w_ex * _trapezoid(np.einsum("ij,ij->i", d, d), h)
+        e += self.w_t * _trapezoid(m[:, 1] ** 2, h)
+        e += self.w_t * _trapezoid(m[:, 2] ** 2, h)
+        if not math.isfinite(e):
+            raise WallscaleError(f"non-finite reduced energy {e!r} on the grid of spacing {h!r}")
+        return e, d
+
+    def energy(self, m: np.ndarray) -> float:
+        return self._energy(m)[0]
+
+    def energy_grad(self, m: np.ndarray) -> tuple[float, np.ndarray]:
+        h = self.h
+        e, d = self._energy(m)
+        g = np.zeros_like(m)
+        wd = (self.trap[:, None] * d) * (2.0 * h)
+        # centered interior differences: d_j couples m_{j+1} and m_{j-1}
+        g[2:] += wd[1:-1] / (2.0 * h)
+        g[:-2] -= wd[1:-1] / (2.0 * h)
+        # one-sided end differences
+        g[1] += wd[0] / h
+        g[0] -= wd[0] / h
+        g[-1] += wd[-1] / h
+        g[-2] -= wd[-1] / h
+        g *= self.w_ex
+        g[:, 1] += 2.0 * h * self.w_t * self.trap * m[:, 1]
+        g[:, 2] += 2.0 * h * self.w_t * self.trap * m[:, 2]
+        return e, g
+
+
+def _reduced_model(x: np.ndarray, weights: float | ReducedEnergyWeights) -> DiscreteReducedEnergy:
+    """E_0 for ReducedEnergyWeights, else E_alpha with alpha = weights."""
+    if isinstance(weights, ReducedEnergyWeights):
+        return DiscreteReducedEnergy(x, 4.0, 4.0 / math.pi)
+    alpha = float(weights)
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    return DiscreteReducedEnergy(x, 1.0, alpha)
 
 
 def reduced_energy_alpha(p: Profile1D, alpha: float) -> float:
     """E_alpha = int |dm/dx|^2 + alpha * int (m2^2 + m3^2).
 
-    Minimal value over admissible walls is 4*sqrt(alpha).
+    Minimal value over admissible walls is 4*sqrt(alpha).  Raises
+    WallscaleError where the energy overflows.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    t2, t3 = transverse_integrals(p)
-    return exchange_integral(p) + alpha * (t2 + t3)
+    return _reduced_model(p.x, alpha).energy(p.m)
 
 
 def reduced_energy_E0(p: Profile1D, w: ReducedEnergyWeights) -> float:
     """Reduced limit energy; returns math.inf when forbid_m3 is violated.
 
-    With the default weights this equals 4 * E_{1/pi} for profiles with
-    m3 = 0; the minimal value over admissible walls is 16/sqrt(pi).
+    It equals 4 * E_{1/pi} for profiles with m3 = 0; the minimal value over
+    admissible walls is 16/sqrt(pi).  Raises WallscaleError where the energy
+    overflows.
     """
     if w.forbid_m3 and float(np.max(np.abs(p.m[:, 2]))) > M3_TOLERANCE:
         return math.inf
-    t2, t3 = transverse_integrals(p)
-    return w.exchange_weight * exchange_integral(p) + w.transverse_weight * (t2 + t3)
+    return _reduced_model(p.x, w).energy(p.m)

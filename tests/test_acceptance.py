@@ -176,7 +176,7 @@ def test_criterion_09_property_suite(standard_wall_profile):
         # discrete gradient vs central finite differences at N=129
         base = sample_wall(ClosedFormWall(alpha=1.0, beta=1.0, theta=0.0), 15.0, 129)
         m = base.m + 0.05 * rng.standard_normal(base.m.shape)
-        model = DiscreteReducedEnergy(base.x, w_ex=1.0, w2=1.0, w3=1.0)
+        model = DiscreteReducedEnergy(base.x, w_ex=1.0, w_t=1.0)
         _, grad = model.energy_grad(m)
         eps = 1e-6
         for _ in range(30):

@@ -86,6 +86,16 @@ def test_wall_sample_and_energy_round_trip(tmp_path, capsys):
     assert float(out) == pytest.approx(4.0, rel=1e-2)
 
 
+def test_energy_reduced_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # alpha int m2^2 overflowed and printed "inf", the output of the forbid_m3 sentinel
+    profile_path = tmp_path / "wall.csv"
+    sample = ["wall", "sample", "--alpha", "1.0", "--half-length", "20.0", "--nodes", "65"]
+    assert run(["--out", str(profile_path), *sample]) == 0
+    assert run(["energy", "reduced", "--profile", str(profile_path), "--alpha", "1e308"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-finite reduced energy" in captured.err
+
+
 def test_energy_full_breakdown(tmp_path, capsys):
     profile_path = tmp_path / "wall.csv"
     run(
@@ -285,6 +295,17 @@ def number_list(max_size: int):
     return st.lists(number, min_size=1, max_size=max_size).map(",".join)
 
 
+# profile CSVs the fuzzed energy commands read: an admissible wall, one with
+# m3 != 0, malformed files and a missing path; written per example
+PROFILES = ["{wall}", "{tilted}", "{nan}", "{short}", "{missing}"]
+profile = st.sampled_from(PROFILES)
+nodes = st.one_of(number, st.integers(min_value=-1, max_value=65).map(str))
+
+
+def _optional(flag: str):
+    return st.one_of(st.just([]), number.map(lambda v: [flag, v]))
+
+
 argv_strategy = st.one_of(
     st.builds(lambda c: ["kernel", "a_c", "--c", c], number),
     st.builds(
@@ -295,19 +316,53 @@ argv_strategy = st.one_of(
         lambda l, d, xs: ["kernel", "verify", "--l", l, "--d", d] + xs,
         number, number, st.one_of(st.just([]), number_list(3).map(lambda g: ["--x-samples", g])),
     ),
+    st.builds(
+        lambda alpha, x, beta, theta: ["wall", "eval", "--alpha", alpha, "--x", x, *beta, *theta],
+        number, number, _optional("--beta"), _optional("--theta"),
+    ),
+    st.builds(
+        lambda alpha, half, n, beta, theta: [
+            "wall", "sample", "--alpha", alpha, "--half-length", half, "--nodes", n, *beta, *theta
+        ],
+        number, number, nodes, _optional("--beta"), _optional("--theta"),
+    ),
+    st.builds(
+        lambda path, weights: ["energy", "reduced", "--profile", path, *weights],
+        profile,
+        st.one_of(
+            st.sampled_from([["--e0"], ["--e0", "--allow-m3"], ["--allow-m3"], []]),
+            number.map(lambda a: ["--alpha", a]),
+        ),
+    ),
+    st.builds(
+        lambda path, l, d, exact: ["energy", "full", "--profile", path, "--l", l, "--d", d]
+        + (["--e-v-exact"] if exact else []),
+        profile, number, number, st.booleans(),
+    ),
     st.builds(lambda l, d: ["minimize", "ansatz", "--l", l, "--d", d], number, number),
     st.builds(
-        lambda weights, half, nodes: ["minimize", "reduced", *weights, "--half-length", half, "--nodes", nodes],
+        lambda weights, half, n: ["minimize", "reduced", *weights, "--half-length", half, "--nodes", n],
         st.one_of(st.just(["--e0"]), number.map(lambda a: ["--alpha", a])),
         number,
-        st.one_of(number, st.integers(min_value=-1, max_value=65).map(str)),
+        nodes,
     ),
     st.builds(lambda grid, l: ["sweep", "rate", "--c-grid", grid, "--l", l], number_list(2), number),
     st.builds(lambda grid: ["sweep", "corollary", "--c-grid", grid], number_list(3)),
 )
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+def _write_profiles(tmp: Path) -> dict[str, str]:
+    from wallscale import ClosedFormWall, sample_wall
+
+    paths = {name: str(tmp / f"{name}.csv") for name in ("wall", "tilted", "nan", "short", "missing")}
+    sample_wall(ClosedFormWall(alpha=1.0, beta=1.0), 20.0, 33).to_csv(paths["wall"])
+    sample_wall(ClosedFormWall(alpha=1.0, beta=1.0, theta=0.7), 20.0, 33).to_csv(paths["tilted"])
+    Path(paths["nan"]).write_text("x,m1,m2,m3\n-1,-1,0,0\n0,nan,0,0\n1,1,0,0\n")
+    Path(paths["short"]).write_text("x,m1,m2,m3\n0,1,0,0\n")
+    return paths
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(argv_strategy)
 def test_fuzzed_argv_exits_with_a_documented_code(argv):
     err = io.StringIO()
@@ -316,6 +371,8 @@ def test_fuzzed_argv_exits_with_a_documented_code(argv):
     log.addHandler(handler)
     try:
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            paths = _write_profiles(Path(tmp))
+            argv = [token.format(**paths) for token in argv]
             code = run(argv + ["--out", str(Path(tmp) / "out")])
     finally:
         log.removeHandler(handler)

@@ -364,6 +364,20 @@ class TestKernelBatch:
             with pytest.raises(QuadratureError, match="double range"):
                 kernel_batch(CrossSection(l=l, d=d), False, [k])
 
+    @pytest.mark.parametrize("l, d, k", [(1e300, 1e-3, 1e-3), (1e300, 1.0, 1e3), (1e100, 1e51, 1e-60)])
+    def test_volume_rule_on_a_very_wide_section_raises_typed_error(self, l, d, k):
+        # the rule's mirror term (2l - v)(2d - u) and weights overflowed with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="double range"):
+                volume_kernel_batch(CrossSection(l=l, d=d), [k])
+
+    def test_volume_rule_at_the_edge_of_the_double_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (value,), (error,) = volume_kernel_batch(CrossSection(l=1e150, d=1e-3), [1.0])
+        assert math.isfinite(value) and 0.0 < error <= 1e-8 * value
+
     def test_volume_matches_mpmath_references(self):
         rows = load_volume_kernel_refs()
         assert len(rows) >= 12

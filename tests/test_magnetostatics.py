@@ -33,7 +33,7 @@ from wallscale.magnetostatics import (
     offset_m1,
     richardson_boundary_oracle,
 )
-from wallscale.walls import profile_derivative, transverse_integrals
+from wallscale.walls import DiscreteReducedEnergy, profile_derivative
 
 from conftest import GOLDEN_CS, GOLDEN_WALL, GOLDEN_L, GOLDEN_N, load_golden
 
@@ -141,7 +141,7 @@ class TestSpectrum:
     def test_frequency_spacing(self):
         p = sample_wall(GOLDEN_WALL, GOLDEN_L, GOLDEN_N)
         spec = spectrum(p)
-        assert spec.dk == pytest.approx(math.pi / GOLDEN_L, rel=1e-12)
+        assert spec.dk == pytest.approx(math.pi / GOLDEN_L, rel=1e-12, abs=0.0)
         assert np.allclose(np.diff(spec.frequencies), spec.dk, rtol=1e-9)
 
 
@@ -228,7 +228,7 @@ class TestSurfaceEnergy:
         lam = RescalingParams.from_cross_section(cs).lam
         wall = ClosedFormWall(alpha=1.0 / (math.pi * lam * lam), beta=1.0, theta=0.0)
         p = sample_wall(wall, 15.0 * SQRT_PI * lam, 4097)
-        t2, _ = transverse_integrals(p)
+        t2 = DiscreteReducedEnergy(p.x, w_ex=0.0, w_t=1.0).energy(p.m)  # int m2^2, as m3 = 0
         bound = (4.0 / math.pi) * cs.l * cs.d * cs.c * (abs(math.log(cs.c)) + 3.0) * t2
         value = e_s_spectral(p, cs)
         assert 0.0 < value <= bound
@@ -247,13 +247,20 @@ class TestSurfaceEnergy:
         )
         e0 = e_s_boundary_oracle(p0, cs, (256, 16))
         e90 = e_s_boundary_oracle(p90, cs, (256, 16))
-        assert e90 == pytest.approx(e0, rel=1e-12)
+        assert e90 == pytest.approx(e0, rel=1e-12, abs=0.0)
 
     def test_thin_film_m3_channel_is_finite(self):
         # m3-carrying wall at c = 1e-4, where the m3 kernel used to fail
         wall = ClosedFormWall(alpha=1.0 / math.pi, beta=1.0, theta=math.pi / 4)
         value = e_s_spectral(sample_wall(wall, 26.0, 513), CrossSection(l=1e-3, d=1e-7))
         assert math.isfinite(value) and value >= 0.0
+
+    def test_overflowing_spectrum_raises_typed_error(self):
+        # on a 1e300 window |m2_hat|^2 overflowed with a RuntimeWarning, and
+        # the floor then kept no frequency, so E_s read 0
+        p = sample_wall(ClosedFormWall(alpha=1e-300, beta=1.0, theta=0.0), 1e300, 65)
+        with pytest.raises(WallscaleError, match="overflow"):
+            e_s_spectral(p, CrossSection(l=1e-3, d=1e-4))
 
     def test_m3_channel_spectral_matches_oracle(self):
         # the theta = pi/2 wall puts all transverse charge on the z-faces,

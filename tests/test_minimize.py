@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from wallscale import (
     ClosedFormWall,
     CrossSection,
-    DescentConfig,
     KernelCache,
     ReducedEnergyWeights,
     StallError,
@@ -50,7 +50,7 @@ class TestDiscreteGradient:
         rng = np.random.default_rng(11)
         base = sample_wall(ClosedFormWall(alpha=1.0, beta=1.0, theta=0.0), 15.0, 129)
         m = base.m + 0.05 * rng.standard_normal(base.m.shape)
-        model = DiscreteReducedEnergy(base.x, w_ex=1.0, w2=1.3, w3=0.8)
+        model = DiscreteReducedEnergy(base.x, w_ex=1.0, w_t=1.3)
         _, grad = model.energy_grad(m)
         eps = 1e-6
         rel_errs = []
@@ -68,8 +68,8 @@ class TestDiscreteGradient:
 
     def test_energy_matches_walls_module(self):
         p = sample_wall(ClosedFormWall(alpha=2.0, beta=1.0, theta=0.3), 18.0, 257)
-        model = DiscreteReducedEnergy(p.x, w_ex=1.0, w2=2.0, w3=2.0)
-        assert model.energy(p.m) == pytest.approx(reduced_energy_alpha(p, 2.0), rel=1e-14)
+        model = DiscreteReducedEnergy(p.x, w_ex=1.0, w_t=2.0)
+        assert model.energy(p.m) == reduced_energy_alpha(p, 2.0)
 
 
 class TestDescent:
@@ -96,12 +96,11 @@ class TestDescent:
         _, energy = minimize_reduced(init, ReducedEnergyWeights(forbid_m3=True))
         assert abs(energy - GAMMA_LIMIT) / GAMMA_LIMIT <= 0.01
 
-    def test_monotone_descent_and_unit_norms(self, tmp_path):
+    def test_monotone_descent_and_unit_norms(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(minimize_module, "_MAX_ITERS", 400)
         trace = tmp_path / "trace.csv"
         init = arc_profile(20.0, 257)
-        profile, _ = minimize_reduced(
-            init, 1.0, DescentConfig(max_iters=400), trace_path=trace
-        )
+        profile, _ = minimize_reduced(init, 1.0, trace_path=trace)
         norms = np.linalg.norm(profile.m, axis=1)
         assert float(np.max(np.abs(norms - 1.0))) <= 1e-12
         rows = trace.read_text().strip().splitlines()
@@ -110,19 +109,38 @@ class TestDescent:
         assert all(b <= a for a, b in zip(energies, energies[1:]))
         assert len(energies) >= 2
 
-    def test_boundary_nodes_pinned(self):
+    def test_boundary_nodes_pinned(self, monkeypatch):
+        monkeypatch.setattr(minimize_module, "_MAX_ITERS", 200)
         init = arc_profile(20.0, 257)
-        profile, _ = minimize_reduced(init, 1.0, DescentConfig(max_iters=200))
+        profile, _ = minimize_reduced(init, 1.0)
         assert np.array_equal(profile.m[0], [-1.0, 0.0, 0.0])
         assert np.array_equal(profile.m[-1], [1.0, 0.0, 0.0])
 
-    def test_returned_energy_never_above_initial(self):
+    def test_returned_energy_never_above_initial(self, monkeypatch):
+        monkeypatch.setattr(minimize_module, "_MAX_ITERS", 50)
         init = arc_profile(12.0, 257)
         e_init = reduced_energy_alpha(init, 2.5)
-        _, e_final = minimize_reduced(init, 2.5, DescentConfig(max_iters=50))
+        _, e_final = minimize_reduced(init, 2.5)
         assert e_final <= e_init
 
-    def test_rotation_equivariance(self):
+    def test_iteration_cap_logs_a_warning(self, monkeypatch, caplog):
+        monkeypatch.setattr(minimize_module, "_MAX_ITERS", 50)
+        init = arc_profile(12.0, 257)
+        with caplog.at_level(logging.WARNING, logger="wallscale.minimize"):
+            _, energy = minimize_reduced(init, 2.5)
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "after 50 iterations" in record.getMessage()
+        assert "not converged" in record.getMessage()
+        assert math.isfinite(energy)
+
+    def test_converged_descent_logs_nothing(self, caplog):
+        p = sample_wall(ClosedFormWall(alpha=1.0, beta=1.0, theta=0.0), 20.0, 257)
+        with caplog.at_level(logging.DEBUG, logger="wallscale.minimize"):
+            minimize_reduced(p, 1.0)
+        assert caplog.records == []
+
+    def test_rotation_equivariance(self, monkeypatch):
         theta = 0.9
         init = arc_profile(20.0, 257)
         rot = init.m.copy()
@@ -131,18 +149,19 @@ class TestDescent:
         from wallscale import Profile1D
 
         init_rot = Profile1D(init.x, rot)
-        cfg = DescentConfig(max_iters=300)
-        t1 = _energy_trajectory(init, 1.0, cfg)
-        t2 = _energy_trajectory(init_rot, 1.0, cfg)
+        monkeypatch.setattr(minimize_module, "_MAX_ITERS", 300)
+        t1 = _energy_trajectory(init, 1.0)
+        t2 = _energy_trajectory(init_rot, 1.0)
         assert len(t1) == len(t2)
         assert max(abs(a - b) for a, b in zip(t1, t2)) <= 1e-10
 
-    def test_unreachable_tolerance_stalls(self):
+    def test_unreachable_tolerance_stalls(self, monkeypatch):
         # at the exact minimizer the energy decrease falls below rounding long
-        # before grad_tol = 1e-300, so backtracking runs out and must raise
+        # before a gradient tolerance of 1e-300, so backtracking runs out and must raise
+        monkeypatch.setattr(minimize_module, "_GRAD_TOL", 1e-300)
         init = sample_wall(ClosedFormWall(alpha=1.0, beta=1.0, theta=0.0), 20.0, 257)
         with pytest.raises(StallError):
-            minimize_reduced(init, 1.0, DescentConfig(grad_tol=1e-300))
+            minimize_reduced(init, 1.0)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_nonfinite_or_nonpositive_alpha(self, alpha):
@@ -171,13 +190,13 @@ class TestDescent:
             minimize_reduced(bad, ReducedEnergyWeights(forbid_m3=True))
 
 
-def _energy_trajectory(init, weights, cfg) -> list[float]:
+def _energy_trajectory(init, weights) -> list[float]:
     import csv
     import tempfile
 
     with tempfile.NamedTemporaryFile(suffix=".csv", mode="r", delete=False) as fh:
         path = fh.name
-    minimize_reduced(init, weights, cfg, trace_path=path)
+    minimize_reduced(init, weights, trace_path=path)
     with open(path) as fh:
         return [float(row["energy"]) for row in csv.DictReader(fh)]
 

@@ -1,6 +1,10 @@
 import importlib
 import inspect
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,7 +174,7 @@ PHYSICS_MODULES = ["kernels", "walls", "minimize", "magnetostatics", "lab", "cli
 @pytest.mark.parametrize("name", PHYSICS_MODULES)
 def test_physics_modules_bind_no_adaptive_integrator(name):
     # adaptive quadrature serves quad's public API only; the physics stack
-    # shares nothing with it but the GK15 table
+    # shares nothing with it but the fixed-rule tables
     forbidden = (quad.integrate_finite, quad.integrate_semi_infinite, quad.QuadratureConfig, scipy_quad)
     module = importlib.import_module(f"wallscale.{name}")
     bound = [key for key, value in vars(module).items() if any(value is f for f in forbidden)]
@@ -186,3 +190,16 @@ def test_physics_modules_bind_no_scipy_optimizer(name):
         if getattr(inspect.getmodule(value), "__name__", "").startswith("scipy.optimize")
     ]
     assert bound == []
+
+
+def test_package_import_loads_no_scipy_integrate_or_optimize():
+    # scipy.integrate (which pulls in scipy.optimize) is imported by the first
+    # integrate_finite call, not with the package; a fresh interpreter shows it
+    src = str(Path(quad.__file__).resolve().parents[1])
+    code = (
+        "import sys, wallscale, wallscale.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -7,6 +7,7 @@ from wallscale import (
     ClosedFormWall,
     Profile1D,
     ReducedEnergyWeights,
+    WallscaleError,
     eval_wall,
     reduced_energy_E0,
     reduced_energy_alpha,
@@ -72,6 +73,12 @@ class TestEvalWall:
         v = eval_wall(ClosedFormWall(alpha=9.0, beta=1.0, theta=0.0), 1e6)
         assert np.allclose(v, [1.0, 0.0, 0.0], atol=1e-300)
 
+    def test_overflowing_position_gives_end_values_without_warning(self):
+        # sqrt(alpha) x overflows to inf: the wall's limits are exact there
+        w = ClosedFormWall(alpha=1e300, beta=1.0, theta=0.4)
+        v = eval_wall(w, np.array([-1e300, 1e300, -math.inf, math.inf]))
+        assert np.array_equal(v, [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]] * 2)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             ClosedFormWall(alpha=0.0, beta=1.0, theta=0.0)
@@ -104,6 +111,12 @@ class TestSampleWall:
         assert p.m[mid, 1] == pytest.approx(1.0, abs=1e-14)
         assert p.x[mid] == 0.0
 
+    @pytest.mark.parametrize("half_length", [math.inf, math.nan])
+    def test_nonfinite_half_length_rejected(self, half_length):
+        # an infinite window warned "invalid value" in linspace
+        with pytest.raises(ValueError, match="finite"):
+            sample_wall(ClosedFormWall(alpha=1e-320, beta=1.0), half_length, 3)
+
     def test_even_node_count_rejected(self):
         with pytest.raises(ValueError):
             sample_wall(ClosedFormWall(alpha=1.0, beta=1.0, theta=0.0), 20.0, 4096)
@@ -128,6 +141,20 @@ class TestProfile1D:
         x = np.array([-1.0, -0.4, 0.1, 0.5, 1.0])
         m = np.tile([1.0, 0.0, 0.0], (5, 1))
         with pytest.raises(ValueError, match="uniform"):
+            Profile1D(x, m, check_boundary=False)
+
+    @pytest.mark.parametrize("in_grid", [True, False])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_grid_or_values_rejected(self, in_grid, bad):
+        # NaN and inf slipped through the grid and unit-norm checks, since
+        # NaN > tolerance is false, and e_v_spectral then raised IndexError
+        x = np.linspace(-1.0, 1.0, 5)
+        m = np.tile([1.0, 0.0, 0.0], (5, 1))
+        if in_grid:
+            x[[0, -1]] = (-bad, bad)
+        else:
+            m[2, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
             Profile1D(x, m, check_boundary=False)
 
     def test_immutable_after_construction(self):
@@ -187,12 +214,11 @@ class TestReducedEnergies:
         assert e == pytest.approx(E0_MIN, rel=5e-3)
 
     def test_e0_equipartition(self):
-        from wallscale.walls import exchange_integral, transverse_integrals
+        from wallscale.walls import DiscreteReducedEnergy
 
         p = sample_wall(ClosedFormWall(alpha=1.0 / math.pi, beta=1.0, theta=0.0), 20.0 * SQRT_PI, 4097)
-        exchange_part = 4.0 * exchange_integral(p)
-        t2, t3 = transverse_integrals(p)
-        transverse_part = (4.0 / math.pi) * (t2 + t3)
+        exchange_part = DiscreteReducedEnergy(p.x, w_ex=4.0, w_t=0.0).energy(p.m)
+        transverse_part = DiscreteReducedEnergy(p.x, w_ex=0.0, w_t=4.0 / math.pi).energy(p.m)
         assert exchange_part == pytest.approx(8.0 / SQRT_PI, rel=5e-3)
         assert transverse_part == pytest.approx(8.0 / SQRT_PI, rel=5e-3)
 
@@ -207,12 +233,18 @@ class TestReducedEnergies:
         assert reduced_energy_E0(p, ReducedEnergyWeights(forbid_m3=True)) == math.inf
         assert math.isfinite(reduced_energy_E0(p, ReducedEnergyWeights(forbid_m3=False)))
 
+    def test_overflowing_energy_raises_typed_error(self):
+        p = sample_wall(ClosedFormWall(alpha=1.0, beta=1.0, theta=0.0), 20.0, 65)
+        with pytest.raises(WallscaleError, match="non-finite"):
+            reduced_energy_alpha(p, 1e308)
+
     def test_e0_is_four_times_quarter_pi_alpha_energy(self):
         for beta in (0.5, 1.0, 2.0):
             p = sample_wall(ClosedFormWall(alpha=1.0 / math.pi, beta=beta, theta=0.0), 30.0 * SQRT_PI, 2049)
             e0 = reduced_energy_E0(p, ReducedEnergyWeights())
             ea = reduced_energy_alpha(p, 1.0 / math.pi)
-            assert e0 == pytest.approx(4.0 * ea, rel=1e-14)
+            # one discrete energy with weights (4, 4/pi) and (1, 1/pi): scaling by 4 is exact
+            assert e0 == 4.0 * ea
 
     def test_energy_independent_of_theta_and_beta(self):
         reference = None
