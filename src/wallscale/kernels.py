@@ -24,9 +24,12 @@ evaluate them for many x at once with quad's 15-point Gauss-Kronrod table on
 graded panels, whose embedded Gauss rule gives an error estimate.  Where
 |x| hypot(2w, 2s) <= 1, kernel_batch instead sums the K0 ascending series
 (DLMF 10.31.2) on moments that do not depend on x, taken once per call on
-the same panels, and makes no Bessel function call.  Every kernel value is
-returned only when its error estimate is within 1e-8 of the value (_REL_TOL)
-and the value is a normal double; otherwise the call raises QuadratureError.
+the same panels, and makes no Bessel function call.  surface_moments gives
+those moments on their own, for sums over x such as the ansatz search's
+surface energy.  Every kernel value is returned only when its error
+estimate is within 1e-8 of the value (_REL_TOL) and the value is a normal
+double; otherwise the call raises QuadratureError.  scipy.special is
+imported by the first Kronrod-rule row (see k0), not with the module.
 
 Every function here is pure and reentrant; sweep drivers may call them
 concurrently.
@@ -38,7 +41,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import k0, k1
 
 from .errors import QuadratureError
 from .quad import _GK_GAUSS, _GK_NODES, _gk_panels
@@ -69,7 +71,7 @@ _ROUNDING = 1e-14  # relative rounding error claimed for every value
 _REL_TOL = 1e-8  # bound on every returned value's error estimate, relative to the value
 _BLOCK = 16  # frequencies per block; bounds the (block x nodes) temporaries
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
-_N = np.arange(1, _TERMS + 1)  # series term index n
+_N = np.arange(1, 21)  # series term index n, up to the longest series a caller sums
 _PSI = np.cumsum(1.0 / _N) - np.euler_gamma  # psi(n + 1)
 
 
@@ -136,6 +138,21 @@ def b_c(c: float) -> float:
     return math.pi / 2.0 - a_c(c) if c < 1.0 else a_c(1.0 / c)
 
 
+def k0(z: np.ndarray) -> np.ndarray:
+    """scipy.special.k0; scipy.special (24 MB) is imported by the first
+    Kronrod-rule row, not with the package."""
+    from scipy.special import k0 as bessel_k0
+
+    return bessel_k0(z)
+
+
+def k1(z: np.ndarray) -> np.ndarray:
+    """scipy.special.k1, imported on first use as for k0."""
+    from scipy.special import k1 as bessel_k1
+
+    return bessel_k1(z)
+
+
 def _k0_gap(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
     """K0(z) - K0(z + dz) for z > 0, dz >= 0, without cancellation.
 
@@ -180,8 +197,26 @@ def _graded_rule(k, values, errors, rows, integrand, kronrod, excess, shape):
     return values.reshape(shape), errors.reshape(shape)
 
 
-def _series_moments(w, s, rho, u, kronrod, excess, floor):
-    """(P, Q, dP, dQ) for n = 1.._TERMS: the k-free moments of the K0 series
+def _check_rule_range(cs: CrossSection, w: float, s: float) -> None:
+    # the rule's floor must be normal, and its weights (2w - u) du (sum 2 w^2, times logs below 1e3) finite
+    if w > 1e150 or _FLOOR * min(w, s) < _TINY:
+        raise QuadratureError(f"{cs} is outside the double range of the kernel rule")
+
+
+def _surface_rule(w: float, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(u, kronrod, excess, floor): GK15 nodes on the panels [2w/2^(j+1), 2w/2^j]
+    down to floor, with Kronrod and Kronrod-minus-Gauss weights times 2w - u."""
+    panels = math.ceil(math.log2(2.0 * w) - math.log2(min(w, s)) - math.log2(_FLOOR))
+    edges = np.ldexp(2.0 * w, -np.arange(panels + 1))
+    u, kronrod, excess = _gk_panels(edges)
+    u = u.ravel()
+    kronrod = kronrod.ravel() * (2.0 * w - u)
+    excess = excess * (2.0 * w - u).reshape(excess.shape)
+    return u, kronrod, excess, edges[-1]
+
+
+def _series_moments(w, s, rho, u, kronrod, excess, floor, terms):
+    """(P, Q, dP, dQ) for n = 1..terms: the k-free moments of the K0 series
     of I, P_n = int (2w - u) D_n du and Q_n = int (2w - u) [D_n ln(r/rho) +
     (u/rho)^2n ln(r/u)] du with r = hypot(u, 2s) and D_n = (r^2n - u^2n) /
     rho^2n, on the rule's panels plus the sliver below its floor, and the
@@ -192,18 +227,30 @@ def _series_moments(w, s, rho, u, kronrod, excess, floor):
     big = np.maximum(u, 2.0 * s)
     # ln(r/u) from the smaller squared ratio: (2s/u)^2 overflows on thin sections
     ln_r_u = np.log(big) - np.log(u) + 0.5 * np.log1p((np.minimum(u, 2.0 * s) / big) ** 2)
-    power = np.ones((_TERMS + 1, u.size))  # (u/rho)^2n
+    power = np.ones((terms + 1, u.size))  # (u/rho)^2n
     d = np.zeros_like(power)
     r2 = r_rho**2
-    for n in range(1, _TERMS + 1):
+    for n in range(1, terms + 1):
         # D_n = (r/rho)^2 D_(n-1) + (2s/rho)^2 (u/rho)^(2n-2): no term cancels
         d[n] = r2 * d[n - 1] + y2 * power[n - 1]
         power[n] = power[n - 1] * x2
     rows = np.concatenate([d[1:], d[1:] * np.log(r_rho) + power[1:] * ln_r_u])
-    sliver = 2.0 * w * floor * y2**_N  # D_n(0) = (2s/rho)^2n
+    sliver = 2.0 * w * floor * y2 ** np.arange(1, terms + 1)  # D_n(0) = (2s/rho)^2n
     moments = rows @ kronrod + np.concatenate([sliver, sliver * math.log(2.0 * s / rho)])
-    deltas = np.abs((rows.reshape(2 * _TERMS, *excess.shape) * excess).sum(axis=2)).sum(axis=1)
-    return (*np.split(moments, 2), *np.split(deltas, 2))
+    deltas = np.abs((rows.reshape(2 * terms, *excess.shape) * excess).sum(axis=2)).sum(axis=1)
+    return moments[:terms], moments[terms:], deltas[:terms], deltas[terms:]
+
+
+def surface_moments(cs: CrossSection, terms: int) -> tuple[np.ndarray, ...]:
+    """(P, Q, dP, dQ), n = 1..terms: the k-free moments of the K0 series of
+    the m2 channel I(d, l, k) and their Gauss error estimates, with rho =
+    hypot(2d, 2l), on kernel_batch's panels and by its arithmetic (see
+    _series_moments).  Raises QuadratureError where kernel_batch's rule
+    would."""
+    w, s = cs.d, cs.l
+    _check_rule_range(cs, w, s)
+    u, kronrod, excess, floor = _surface_rule(w, s)
+    return _series_moments(w, s, math.hypot(2.0 * w, 2.0 * s), u, kronrod, excess, floor, terms)
 
 
 def kernel_batch(cs: CrossSection, swap: bool, ks) -> tuple[np.ndarray, np.ndarray]:
@@ -243,23 +290,16 @@ def kernel_batch(cs: CrossSection, swap: bool, ks) -> tuple[np.ndarray, np.ndarr
     inv = 1.0 / kn[far]  # squaring k itself overflows above |k| ~ 1e154
     values[rest[far]] = 0.5 * math.pi * (math.pi * w * inv - inv**2)
     near = rest[~far]
-    # the rule's floor must be normal, and its weights (2w - u) du (sum 2 w^2, times logs below 1e3) finite
-    if w > 1e150 or (near.size or series.size) and _FLOOR * min(w, s) < _TINY:
-        raise QuadratureError(f"{cs} is outside the double range of the kernel rule")
-    panels = math.ceil(math.log2(2.0 * w) - math.log2(min(w, s)) - math.log2(_FLOOR))
-    edges = np.ldexp(2.0 * w, -np.arange(panels + 1))
-    u, kronrod, excess = _gk_panels(edges)
-    u = u.ravel()
+    if w > 1e150 or near.size or series.size:
+        _check_rule_range(cs, w, s)
+    u, kronrod, excess, floor = _surface_rule(w, s)
     du = 2.0 * s * (2.0 * s / (np.hypot(u, 2.0 * s) + u))  # sqrt(u^2 + 4 s^2) - u, no s^2 to underflow
-    kronrod = kronrod.ravel() * (2.0 * w - u)
-    excess = excess * (2.0 * w - u).reshape(excess.shape)
-    floor = edges[-1]
 
     if series.size:
-        p, q, dp, dq = _series_moments(w, s, rho, u, kronrod, excess, floor)
+        p, q, dp, dq = _series_moments(w, s, rho, u, kronrod, excess, floor, _TERMS)
         kb = k[series][:, None]
-        log_kappa = np.log(kb) + math.log(0.5 * rho) - _PSI  # ln kappa - psi(n+1), exact for tiny k
-        coef = np.cumprod((0.5 * rho * kb) ** 2 / _N**2, axis=1)  # kappa^2n / (n!)^2
+        log_kappa = np.log(kb) + math.log(0.5 * rho) - _PSI[:_TERMS]  # ln kappa - psi(n+1), exact for tiny k
+        coef = np.cumprod((0.5 * rho * kb) ** 2 / _N[:_TERMS] ** 2, axis=1)  # kappa^2n / (n!)^2
         terms = coef * (log_kappa * p + q)
         values[series] = i0 + 0.5 * math.pi * terms.sum(axis=1)
         errors[series] = 0.5 * math.pi * ((coef * (np.abs(log_kappa) * dp + dq)).sum(axis=1) + np.abs(terms[:, -1]))

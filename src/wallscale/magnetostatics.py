@@ -176,10 +176,20 @@ def _spectral_sum(freqs: np.ndarray, amp: np.ndarray, kernel: Callable[[np.ndarr
     return float(np.sum(kernel(keys)[where] * amp2[kept]))
 
 
+def _normal_energy(energy: float, *amps: np.ndarray) -> float:
+    """energy, or WallscaleError when it is below the normal range although
+    some spectral amplitude is nonzero: a profile without charge gives 0.0."""
+    if energy < _TINY and any(amp.any() for amp in amps):
+        raise WallscaleError(f"spectral energy {energy:.3e} of a nonzero spectrum below the normal range")
+    return energy
+
+
 def e_s_spectral(p: Profile1D, cs: CrossSection, cache: Optional[KernelCache] = None) -> float:
     """Surface-charge energy via the rectangle spectral representation.
 
     The m2 channel is weighted by I(d,l,k), the m3 channel by I(l,d,k).
+    Raises WallscaleError when the energy of a nonzero spectrum is below the
+    normal range (see _normal_energy).
     """
     if cache is None:
         cache = KernelCache(cs)
@@ -187,7 +197,7 @@ def e_s_spectral(p: Profile1D, cs: CrossSection, cache: Optional[KernelCache] = 
     total = 0.0
     for swap, amp in ((True, spec.m2_hat), (False, spec.m3_hat)):
         total += _spectral_sum(spec.frequencies, amp, lambda ks: cache.values(swap, ks)) * spec.dk
-    return (4.0 / math.pi**2) * total
+    return _normal_energy((4.0 / math.pi**2) * total, spec.m2_hat, spec.m3_hat)
 
 
 def _self_patch(a: float, b: float) -> float:
@@ -319,6 +329,8 @@ def e_v_spectral(p: Profile1D, cs: CrossSection) -> float:
     The k = 0 node (where K has an integrable logarithmic singularity) is
     replaced by the average of K over (0, dk/2] by 16-point Gauss-Legendre.
     All kernel values come from one kernels.volume_kernel_batch call.
+    Raises WallscaleError when the energy of a nonzero spectrum is below the
+    normal range (see _normal_energy).
     """
     frequencies, dk, (g_hat,) = _unitary_dft(p, profile_derivative(p)[:, 0])
 
@@ -330,7 +342,7 @@ def e_v_spectral(p: Profile1D, cs: CrossSection) -> float:
         cell_average = [np.sum(0.5 * _GL16_WEIGHTS * values[:16])] if has_zero else []
         return np.concatenate([cell_average, values[16:]])
 
-    return (4.0 / math.pi**2) * _spectral_sum(frequencies, g_hat, kernel) * dk
+    return _normal_energy((4.0 / math.pi**2) * _spectral_sum(frequencies, g_hat, kernel) * dk, g_hat)
 
 
 def _section_pair_green(cs: CrossSection, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,13 @@ The descent is projected gradient: Euclidean gradient of the discrete energy,
 tangential projection g - (g.m)m at every node, a Barzilai-Borwein trial step
 safeguarded by Armijo backtracking (so the energy sequence is monotone), node
 renormalization after every step, boundary nodes pinned.
+
+The ansatz search takes Newton steps on the closed-form energy of the
+recovery wall m0(x/s) and its exact derivatives in s.  Its surface energy
+is a short sum over the Mellin moments of the wall's sech^2 weight and the
+k-free moments of the surface kernel's K0 series (_mellin_surface), with
+no kernel evaluation; windows of scales where that sum would need more
+than _MELLIN_TERMS terms take one k-rule of kernel values (_rule_surface).
 """
 
 from __future__ import annotations
@@ -19,9 +26,10 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import kernels
-from .errors import StallError, WallscaleError
-from .kernels import _TINY, CrossSection, a_c
+from .errors import QuadratureError, StallError, WallscaleError
+from .kernels import _N, _PSI, _REL_TOL, _TINY, CrossSection, a_c
 from .magnetostatics import RescalingParams, _e_v_bound_coefficients
+from .mellin_moments import L as _L_MOMENTS, M as _M_MOMENTS
 from .quad import _GL16_NODES, _GL16_WEIGHTS
 # perfbench/tracing.py imports DiscreteReducedEnergy from this module
 from .walls import M3_TOLERANCE, DiscreteReducedEnergy, Profile1D, ReducedEnergyWeights, _reduced_model, _sech
@@ -50,7 +58,7 @@ class AnsatzSearchResult:
     best_scale: float
     energy: float
     evaluations: int  # energies (with derivatives) taken by the Newton search
-    kernel_nodes: int  # frequencies sent to kernels.kernel_batch
+    kernel_nodes: int  # frequencies sent to kernels.kernel_batch: 0 on the Mellin branch
 
 
 def _renormalized(m: np.ndarray) -> np.ndarray:
@@ -150,6 +158,15 @@ def arc_profile(L: float, N: int) -> Profile1D:
 
 
 _NEWTON_STEPS = 8  # energy evaluations the scale search may take
+_MELLIN_TERMS = _N.size  # term cap of the Mellin branch (20); windows that need more take the k-rule
+_MELLIN_TAIL = 1e-17  # bound on the last Mellin term taken, relative to I(0)
+_FACTORIAL2 = np.array([math.factorial(n) ** 2 for n in _N], dtype=float)
+_M = np.array(_M_MOMENTS[1 : _MELLIN_TERMS + 1]) / _FACTORIAL2  # M_n / (n!)^2
+_L = np.array(_L_MOMENTS[1 : _MELLIN_TERMS + 1]) / _FACTORIAL2  # L_n / (n!)^2
+# ln of a bound on (pi/2) term n over I(0) is 2n ln(beta) + _LOG_M + ln(|ln beta| + _LOG_FACTOR):
+# P_n and |Q_n| are below I(0)/4 for the m2 channel I(d, l, k) at every aspect ratio
+_LOG_M = np.log(_M)
+_LOG_FACTOR = _PSI + np.abs(_L) / _M + 1.0
 
 
 def _k_rule(a_min: float, a_max: float) -> tuple[np.ndarray, np.ndarray]:
@@ -163,6 +180,84 @@ def _k_rule(a_min: float, a_max: float) -> tuple[np.ndarray, np.ndarray]:
     return (edges[1:] + half * (1.0 + _GL16_NODES)).ravel(), (half * _GL16_WEIGHTS).ravel()
 
 
+def _rule_surface(cs: CrossSection, mu: float, lo: float, hi: float) -> tuple[Callable, int]:
+    """(surface, nodes): surface(s) -> (E_s, s E_s', s^2 E_s'') over mu for
+    s in [lo, hi], E_s = (8/pi^2) int I(d,l,k) (pi/(2a^2)) sech^2(pi k/(2a)) dk
+    over k > 0 summed on one k-rule of `nodes` frequencies (one kernel_batch
+    call).  The Mellin branch's fallback and test oracle."""
+    root_pi = math.sqrt(math.pi)
+    k, weights = _k_rule(1.0 / (root_pi * hi), 1.0 / (root_pi * lo))
+    kernel, _ = kernels.kernel_batch(cs, True, k)
+
+    def surface(s: float) -> tuple[float, float, float]:
+        x = (0.5 * math.pi * root_pi * s) * k  # pi k/(2a)
+        # 4 s^2 times the weights first: weights times kernel values can underflow
+        weight = 4.0 * s * s * weights * _sech(x) ** 2
+        # s d/ds and s^2 d^2/ds^2 of 4 s^2 g(x), g = sech^2, by g' = -2 g tanh and g'' = g (6 tanh^2 - 2)
+        tanh = np.tanh(x)
+        rows = np.array([np.ones_like(x), 2.0 - 2.0 * x * tanh, 2.0 - 8.0 * x * tanh + x * x * (6.0 * tanh**2 - 2.0)])
+        return tuple((weight * rows) @ kernel / mu)
+
+    return surface, k.size
+
+
+def _mellin_surface(cs: CrossSection, mu: float, lo: float) -> Optional[Callable]:
+    """surface(s) -> (E_s, s E_s', s^2 E_s'') over mu, as _rule_surface, from
+    the Mellin moments of the sech^2 weight: with beta = a rho/pi,
+    rho = hypot(2d, 2l), the K0 series of I(d, l, k) (see kernels.kernel_batch)
+    integrates term by term to
+
+        E_s = (8/(pi^2 a)) [I(0) + (pi/2) sum_n beta^2n/(n!)^2
+              ((ln beta - psi(n+1)) P_n M_n + P_n L_n + Q_n M_n)],
+
+    M_n and L_n the k-free moments of mellin_moments; no kernel is evaluated.
+    The sum converges for beta < 1.  Its term count is the first n whose term
+    is bounded by _MELLIN_TAIL I(0) at the window's largest beta, at s = lo;
+    None when that is above _MELLIN_TERMS.  surface raises QuadratureError
+    when the mean kernel value in brackets is below the normal range, or the
+    moments' Gauss estimates times their coefficients plus the last term are
+    not within _REL_TOL of it.
+    """
+    rho = math.hypot(2.0 * cs.d, 2.0 * cs.l)
+    log_rho = math.log(rho) - 1.5 * math.log(math.pi)  # ln beta = log_rho - ln s
+    log_beta = log_rho - math.log(lo)
+    bounds = 2.0 * _N * log_beta + _LOG_M + np.log(abs(log_beta) + _LOG_FACTOR)
+    small = np.flatnonzero(bounds <= math.log(_MELLIN_TAIL))
+    if log_beta >= 0.0 or not small.size:
+        return None
+    terms = small[0] + 1
+    n, psi, m, lm = _N[:terms], _PSI[:terms], _M[:terms], _L[:terms]
+    p, q, dp, dq = kernels.surface_moments(cs, terms)
+    i0 = 2.0 * math.pi * cs.l * cs.d * a_c(cs.c)
+    slope = p * m  # term n is beta^2n (slope ln beta + const)
+    const = p * lm + q * m - psi * slope
+    dp_m, rest = dp * m, dp * np.abs(lm) + dq * m
+    weight = 8.0 / math.pi**1.5  # 8/(pi^2 a) = weight s
+
+    def surface(s: float) -> tuple[float, float, float]:
+        ln_beta = log_rho - math.log(s)
+        powers = (rho / (math.pi**1.5 * s)) ** (2 * n)
+        f = slope * ln_beta + const
+        series = powers * f
+        mean = i0 + 0.5 * math.pi * series.sum()  # int_0^inf I(d, l, 2 a x/pi) sech^2 x dx
+        error = 0.5 * math.pi * (powers @ (np.abs(ln_beta - psi) * dp_m + rest) + abs(series[-1]))
+        if not mean >= _TINY:
+            raise QuadratureError(f"mean kernel value {mean:.3e} below the normal range at {cs}, s={s!r}")
+        if not error <= _REL_TOL * mean:
+            raise QuadratureError(f"mean kernel value {mean:.3e} with error {error:.3e} above tolerance at {cs}, s={s!r}")
+        # s d/ds and s^2 d^2/ds^2 of beta^2n f(ln beta), beta proportional to 1/s
+        first = -(powers @ (2.0 * n * f + slope))
+        second = powers @ ((4.0 * n * n + 2.0 * n) * f + (4.0 * n + 1.0) * slope)
+        scale = weight * s
+        return (
+            mean / mu * scale,
+            (mean + 0.5 * math.pi * first) / mu * scale,
+            0.5 * math.pi * (2.0 * first + second) / mu * scale,
+        )
+
+    return surface
+
+
 def _ansatz_energy(cs: CrossSection, window: Optional[tuple[float, float]] = None) -> tuple[Callable, float, int]:
     """(energy, s0, nodes): energy(s) -> (E, s E', s^2 E'') is the rescaled
     energy (E_ex + E_s + E_v_bound)/mu of m1 = tanh(ax), m2 = sech(ax),
@@ -171,40 +266,35 @@ def _ansatz_energy(cs: CrossSection, window: Optional[tuple[float, float]] = Non
     E = P/s + Q s + R + S(s), each term formed over mu as l d underflows: the
     exchange 8 l d a and the bound's ||d m1||^2 = 4a/3 terms make P, the
     leading E_s 8 I(0)/(pi^2 a), I(0) = 2 pi l d a_c, and the bound's
-    ||m*||^2 = 2(2 ln 2 - 1)/a term make Q, and s0 = sqrt(P/Q).  E_s =
-    (8/pi^2) int I(d,l,k) (pi/(2a^2)) sech^2(pi k/(2a)) dk over k > 0 is
-    summed on one k-rule of `nodes` frequencies for the window.
+    ||m*||^2 = 2(2 ln 2 - 1)/a term make Q, and s0 = sqrt(P/Q).  E_s comes
+    from the Mellin moments of its weight (_mellin_surface, nodes = 0), or
+    where the window needs more than _MELLIN_TERMS terms from one k-rule of
+    `nodes` frequencies (_rule_surface).
     """
     params = RescalingParams.from_cross_section(cs)
-    root_pi = math.sqrt(math.pi)
     dm1, mstar, const = _e_v_bound_coefficients(cs)
-    scale = params.lam / root_pi
+    scale = params.lam / math.sqrt(math.pi)
     p = (8.0 + 4.0 * dm1 / 3.0) * scale
     q = 2.0 * math.pi * (2.0 * math.log(2.0) - 1.0) * mstar * scale
     s0 = math.sqrt(p / (q + 16.0 * a_c(cs.c) * scale))
     lo, hi = window or (0.5 * s0, 2.0 * s0)
-    if not _TINY <= lo <= hi < math.inf:
+    # the k-rule scales its weights by 4 s^2; both branches take the same windows
+    if not (0.0 < lo <= hi and _TINY <= 4.0 * lo * lo and 4.0 * hi * hi < math.inf):
         raise WallscaleError(f"scale window [{lo!r}, {hi!r}] outside the normal range at {cs}")
-    k, weights = _k_rule(1.0 / (root_pi * hi), 1.0 / (root_pi * lo))
-    kernel, _ = kernels.kernel_batch(cs, True, k)
+    surface, nodes = _mellin_surface(cs, params.mu, lo), 0
+    if surface is None:
+        surface, nodes = _rule_surface(cs, params.mu, lo, hi)
 
     def energy(s: float) -> tuple[float, float, float]:
         if not lo <= s <= hi:
-            raise WallscaleError(f"scale s={s!r} outside the k-rule's range [{lo!r}, {hi!r}] at {cs}")
-        x = (0.5 * math.pi * root_pi * s) * k  # pi k/(2a)
-        # 4 s^2 times the weights first: weights times kernel values can underflow
-        weight = 4.0 * s * s * weights * _sech(x) ** 2
-        e_s = weight @ kernel / params.mu
+            raise WallscaleError(f"scale s={s!r} outside the window [{lo!r}, {hi!r}] at {cs}")
+        e_s, slope_s, curve_s = surface(s)
         closed = p / s + q * s + const * params.lam
         if not all(_TINY <= t < math.inf for t in (closed, e_s)):
             raise WallscaleError(f"ansatz energy term outside the normal range at {cs}, s={s!r}")
-        # s d/ds and s^2 d^2/ds^2 of 4 s^2 g(x), g = sech^2, by g' = -2 g tanh and g'' = g (6 tanh^2 - 2)
-        tanh = np.tanh(x)
-        rows = np.array([2.0 - 2.0 * x * tanh, 2.0 - 8.0 * x * tanh + x * x * (6.0 * tanh**2 - 2.0)])
-        slope_s, curve_s = (weight * rows) @ kernel / params.mu
         return closed + e_s, q * s - p / s + slope_s, 2.0 * p / s + curve_s
 
-    return energy, s0, k.size
+    return energy, s0, nodes
 
 
 def minimize_full_ansatz(cs: CrossSection) -> AnsatzSearchResult:

@@ -36,7 +36,7 @@ def sampled_ansatz_energy(cs: CrossSection, s: float, n_nodes: int, cache=None) 
 
 def ansatz_energy(cs: CrossSection, s: float) -> float:
     """The ansatz search's rescaled energy of the recovery wall m0(x/s), on
-    a k-rule for that one scale."""
+    the window of that one scale."""
     energy, _, _ = _ansatz_energy(cs, (s, s))
     return energy(s)[0]
 

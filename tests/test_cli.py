@@ -154,6 +154,9 @@ def test_minimize_ansatz(capsys):
     fields = dict(line.split(",") for line in out.strip().splitlines())
     assert float(fields["energy"]) > 0
     assert int(fields["evaluations"]) > 0
+    assert int(fields["kernel_nodes"]) == 0  # the Mellin branch evaluates no kernel
+    assert run(["minimize", "ansatz", "--l", "1", "--d", "1e-2"]) == 0  # a window past the Mellin edge
+    fields = dict(line.split(",") for line in capsys.readouterr().out.strip().splitlines())
     assert 0 < int(fields["kernel_nodes"]) <= 64
 
 

@@ -262,6 +262,17 @@ class TestSurfaceEnergy:
         with pytest.raises(WallscaleError, match="overflow"):
             e_s_spectral(p, CrossSection(l=1e-3, d=1e-4))
 
+    def test_subnormal_energy_raises_typed_error(self):
+        # m2 = 1e-160 exp(-x^2): the energy, about 1e-320, is below the normal range
+        x = np.linspace(-5.0, 5.0, 65)
+        m = np.zeros((65, 3))
+        m[:, 1] = 1e-160 * np.exp(-x * x)
+        m[:, 0] = np.sqrt(1.0 - m[:, 1] ** 2)
+        p = Profile1D(x, m, check_boundary=False)
+        with pytest.raises(WallscaleError, match="normal range"):
+            e_s_spectral(p, CrossSection(l=1e-3, d=1e-4))
+        assert e_v_spectral(p, CrossSection(l=1e-3, d=1e-4)) == 0.0  # m1 = 1 in double precision
+
     def test_m3_channel_spectral_matches_oracle(self):
         # the theta = pi/2 wall puts all transverse charge on the z-faces,
         # exercising the swap=False kernel channel end to end
@@ -391,6 +402,12 @@ class TestVolumeSpectral:
     def test_zero_without_volume_charge(self):
         p = uniform_bulk_profile()
         assert e_v_spectral(p, GOLDEN_CS) == 0.0
+
+    def test_subnormal_energy_raises_typed_error(self):
+        # dk = pi/L = 3e-300 on this window: E_v was 8.50e-310, a subnormal value
+        p = sample_wall(ClosedFormWall(alpha=1e-300, beta=1.0, theta=0.0), 1e300, 65)
+        with pytest.raises(WallscaleError, match="normal range"):
+            e_v_spectral(p, CrossSection(l=1e-3, d=1e-4))
 
     def test_against_volume_oracle(self, volume_oracle_levels):
         # the raw oracle is h^2-high by 3.8e-3 at N = 2049, so the referee is

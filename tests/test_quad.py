@@ -194,12 +194,22 @@ def test_physics_modules_bind_no_scipy_optimizer(name):
 
 def test_package_import_loads_no_scipy_integrate_or_optimize():
     # scipy.integrate (which pulls in scipy.optimize) is imported by the first
-    # integrate_finite call, not with the package; a fresh interpreter shows it
+    # integrate_finite call, and scipy.special by the first Kronrod-rule row
+    # of a kernel, not with the package: the rate sweep on the criterion-8
+    # grid and the descent load neither; a fresh interpreter shows it
     src = str(Path(quad.__file__).resolve().parents[1])
-    code = (
-        "import sys, wallscale, wallscale.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
-    )
+    code = """
+import sys, wallscale, wallscale.cli
+from wallscale import CrossSection, arc_profile, kernels, minimize_reduced, rate_sweep
+def loaded():
+    return sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special') if m in sys.modules)
+print(loaded())
+assert all(r.passed for r in rate_sweep([CrossSection(1e-3, c * 1e-3) for c in (1e-2, 1e-4, 1e-6)]))
+minimize_reduced(arc_profile(20.0, 65), 1.0)
+print(loaded())
+kernels.kernel_batch(CrossSection(1.0, 1e-2), True, [3.0])
+print(loaded())
+"""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n")[:3] == ["[]", "[]", "['scipy.special']"]
