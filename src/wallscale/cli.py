@@ -226,8 +226,7 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
         return EXIT_OK
     res = minimize.minimize_full_ansatz(CrossSection(l=args.l, d=args.d))
     _emit(
-        f"best_scale,{_fmt(res.best_scale)}\nenergy,{_fmt(res.energy)}\n"
-        f"evaluations,{res.evaluations}\nkernel_nodes,{res.kernel_nodes}",
+        f"best_scale,{_fmt(res.best_scale)}\nenergy,{_fmt(res.energy)}\nevaluations,{res.evaluations}",
         args,
     )
     return EXIT_OK

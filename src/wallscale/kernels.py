@@ -24,12 +24,11 @@ evaluate them for many x at once with quad's 15-point Gauss-Kronrod table on
 graded panels, whose embedded Gauss rule gives an error estimate.  Where
 |x| hypot(2w, 2s) <= 1, kernel_batch instead sums the K0 ascending series
 (DLMF 10.31.2) on moments that do not depend on x, taken once per call on
-the same panels, and makes no Bessel function call.  surface_moments gives
-those moments on their own, for sums over x such as the ansatz search's
-surface energy.  Every kernel value is returned only when its error
-estimate is within 1e-8 of the value (_REL_TOL) and the value is a normal
-double; otherwise the call raises QuadratureError.  scipy.special is
-imported by the first Kronrod-rule row (see k0), not with the module.
+the same panels, and makes no Bessel function call.  Every kernel value is
+returned only when its error estimate is within 1e-8 of the value
+(_REL_TOL) and the value is a normal double; otherwise the call raises
+QuadratureError.  scipy.special is imported by the first Kronrod-rule row
+(see k0), not with the module.
 
 Every function here is pure and reentrant; sweep drivers may call them
 concurrently.
@@ -71,7 +70,7 @@ _ROUNDING = 1e-14  # relative rounding error claimed for every value
 _REL_TOL = 1e-8  # bound on every returned value's error estimate, relative to the value
 _BLOCK = 16  # frequencies per block; bounds the (block x nodes) temporaries
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
-_N = np.arange(1, 21)  # series term index n, up to the longest series a caller sums
+_N = np.arange(1, _TERMS + 1)  # series term index n
 _PSI = np.cumsum(1.0 / _N) - np.euler_gamma  # psi(n + 1)
 
 
@@ -215,8 +214,8 @@ def _surface_rule(w: float, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return u, kronrod, excess, edges[-1]
 
 
-def _series_moments(w, s, rho, u, kronrod, excess, floor, terms):
-    """(P, Q, dP, dQ) for n = 1..terms: the k-free moments of the K0 series
+def _series_moments(w, s, rho, u, kronrod, excess, floor):
+    """(P, Q, dP, dQ) for n = 1.._TERMS: the k-free moments of the K0 series
     of I, P_n = int (2w - u) D_n du and Q_n = int (2w - u) [D_n ln(r/rho) +
     (u/rho)^2n ln(r/u)] du with r = hypot(u, 2s) and D_n = (r^2n - u^2n) /
     rho^2n, on the rule's panels plus the sliver below its floor, and the
@@ -227,30 +226,18 @@ def _series_moments(w, s, rho, u, kronrod, excess, floor, terms):
     big = np.maximum(u, 2.0 * s)
     # ln(r/u) from the smaller squared ratio: (2s/u)^2 overflows on thin sections
     ln_r_u = np.log(big) - np.log(u) + 0.5 * np.log1p((np.minimum(u, 2.0 * s) / big) ** 2)
-    power = np.ones((terms + 1, u.size))  # (u/rho)^2n
+    power = np.ones((_TERMS + 1, u.size))  # (u/rho)^2n
     d = np.zeros_like(power)
     r2 = r_rho**2
-    for n in range(1, terms + 1):
+    for n in _N:
         # D_n = (r/rho)^2 D_(n-1) + (2s/rho)^2 (u/rho)^(2n-2): no term cancels
         d[n] = r2 * d[n - 1] + y2 * power[n - 1]
         power[n] = power[n - 1] * x2
     rows = np.concatenate([d[1:], d[1:] * np.log(r_rho) + power[1:] * ln_r_u])
-    sliver = 2.0 * w * floor * y2 ** np.arange(1, terms + 1)  # D_n(0) = (2s/rho)^2n
+    sliver = 2.0 * w * floor * y2**_N  # D_n(0) = (2s/rho)^2n
     moments = rows @ kronrod + np.concatenate([sliver, sliver * math.log(2.0 * s / rho)])
-    deltas = np.abs((rows.reshape(2 * terms, *excess.shape) * excess).sum(axis=2)).sum(axis=1)
-    return moments[:terms], moments[terms:], deltas[:terms], deltas[terms:]
-
-
-def surface_moments(cs: CrossSection, terms: int) -> tuple[np.ndarray, ...]:
-    """(P, Q, dP, dQ), n = 1..terms: the k-free moments of the K0 series of
-    the m2 channel I(d, l, k) and their Gauss error estimates, with rho =
-    hypot(2d, 2l), on kernel_batch's panels and by its arithmetic (see
-    _series_moments).  Raises QuadratureError where kernel_batch's rule
-    would."""
-    w, s = cs.d, cs.l
-    _check_rule_range(cs, w, s)
-    u, kronrod, excess, floor = _surface_rule(w, s)
-    return _series_moments(w, s, math.hypot(2.0 * w, 2.0 * s), u, kronrod, excess, floor, terms)
+    deltas = np.abs((rows.reshape(2 * _TERMS, *excess.shape) * excess).sum(axis=2)).sum(axis=1)
+    return moments[:_TERMS], moments[_TERMS:], deltas[:_TERMS], deltas[_TERMS:]
 
 
 def kernel_batch(cs: CrossSection, swap: bool, ks) -> tuple[np.ndarray, np.ndarray]:
@@ -296,10 +283,10 @@ def kernel_batch(cs: CrossSection, swap: bool, ks) -> tuple[np.ndarray, np.ndarr
     du = 2.0 * s * (2.0 * s / (np.hypot(u, 2.0 * s) + u))  # sqrt(u^2 + 4 s^2) - u, no s^2 to underflow
 
     if series.size:
-        p, q, dp, dq = _series_moments(w, s, rho, u, kronrod, excess, floor, _TERMS)
+        p, q, dp, dq = _series_moments(w, s, rho, u, kronrod, excess, floor)
         kb = k[series][:, None]
-        log_kappa = np.log(kb) + math.log(0.5 * rho) - _PSI[:_TERMS]  # ln kappa - psi(n+1), exact for tiny k
-        coef = np.cumprod((0.5 * rho * kb) ** 2 / _N[:_TERMS] ** 2, axis=1)  # kappa^2n / (n!)^2
+        log_kappa = np.log(kb) + math.log(0.5 * rho) - _PSI  # ln kappa - psi(n+1), exact for tiny k
+        coef = np.cumprod((0.5 * rho * kb) ** 2 / _N**2, axis=1)  # kappa^2n / (n!)^2
         terms = coef * (log_kappa * p + q)
         values[series] = i0 + 0.5 * math.pi * terms.sum(axis=1)
         errors[series] = 0.5 * math.pi * ((coef * (np.abs(log_kappa) * dp + dq)).sum(axis=1) + np.abs(terms[:, -1]))

@@ -9,10 +9,10 @@ renormalization after every step, boundary nodes pinned.
 
 The ansatz search takes Newton steps on the closed-form energy of the
 recovery wall m0(x/s) and its exact derivatives in s.  Its surface energy
-is a short sum over the Mellin moments of the wall's sech^2 weight and the
-k-free moments of the surface kernel's K0 series (_mellin_surface), with
-no kernel evaluation; windows of scales where that sum would need more
-than _MELLIN_TERMS terms take one k-rule of kernel values (_rule_surface).
+is one real-space GK15 integral of elementary factors, the face-pair
+Coulomb integral of the cross-section against the autocorrelation of the
+wall's sech profile (_real_space_surface), at every width and aspect
+ratio, with no kernel evaluation.
 """
 
 from __future__ import annotations
@@ -25,14 +25,12 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from . import kernels
 from .errors import QuadratureError, StallError, WallscaleError
-from .kernels import _N, _PSI, _REL_TOL, _TINY, CrossSection, a_c
+from .kernels import _FLOOR, _REL_TOL, _TINY, CrossSection, a_c
 from .magnetostatics import RescalingParams, _e_v_bound_coefficients
-from .mellin_moments import L as _L_MOMENTS, M as _M_MOMENTS
-from .quad import _GL16_NODES, _GL16_WEIGHTS
+from .quad import _gk_panels
 # perfbench/tracing.py imports DiscreteReducedEnergy from this module
-from .walls import M3_TOLERANCE, DiscreteReducedEnergy, Profile1D, ReducedEnergyWeights, _reduced_model, _sech
+from .walls import M3_TOLERANCE, DiscreteReducedEnergy, Profile1D, ReducedEnergyWeights, _reduced_model
 
 __all__ = [
     "AnsatzSearchResult",
@@ -58,7 +56,6 @@ class AnsatzSearchResult:
     best_scale: float
     energy: float
     evaluations: int  # energies (with derivatives) taken by the Newton search
-    kernel_nodes: int  # frequencies sent to kernels.kernel_batch: 0 on the Mellin branch
 
 
 def _renormalized(m: np.ndarray) -> np.ndarray:
@@ -158,118 +155,80 @@ def arc_profile(L: float, N: int) -> Profile1D:
 
 
 _NEWTON_STEPS = 8  # energy evaluations the scale search may take
-_MELLIN_TERMS = _N.size  # term cap of the Mellin branch (20); windows that need more take the k-rule
-_MELLIN_TAIL = 1e-17  # bound on the last Mellin term taken, relative to I(0)
-_FACTORIAL2 = np.array([math.factorial(n) ** 2 for n in _N], dtype=float)
-_M = np.array(_M_MOMENTS[1 : _MELLIN_TERMS + 1]) / _FACTORIAL2  # M_n / (n!)^2
-_L = np.array(_L_MOMENTS[1 : _MELLIN_TERMS + 1]) / _FACTORIAL2  # L_n / (n!)^2
-# ln of a bound on (pi/2) term n over I(0) is 2n ln(beta) + _LOG_M + ln(|ln beta| + _LOG_FACTOR):
-# P_n and |Q_n| are below I(0)/4 for the m2 channel I(d, l, k) at every aspect ratio
-_LOG_M = np.log(_M)
-_LOG_FACTOR = _PSI + np.abs(_L) / _M + 1.0
+_TOP = 40.0  # the rule's top edge in wall widths s sqrt(pi): g(40) = 3.4e-16
 
 
-def _k_rule(a_min: float, a_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre panels between K 4^-j and 0 that integrate sech^2(pi k/(2a))
-    to 5e-15 for a in [a_min, a_max]: beyond K = 40 a_max/pi it is below 4 e^-40,
-    and a first panel within 1.6 a_min keeps its poles k = +-i a off the panels."""
-    cutoff = 40.0 / math.pi * a_max
-    halvings = math.ceil(math.log(cutoff / (1.6 * a_min), 4.0))
-    edges = np.append(np.ldexp(cutoff, -2 * np.arange(halvings + 1)), 0.0)[:, None]
-    half = 0.5 * (edges[:-1] - edges[1:])
-    return (edges[1:] + half * (1.0 + _GL16_NODES)).ravel(), (half * _GL16_WEIGHTS).ravel()
+def _face_pair(t: np.ndarray) -> np.ndarray:
+    """phi(q)/d = F(q/d) for the face-pair integral phi(q) = int_0^2d (2d - u)
+    / sqrt(u^2 + q^2) du = 2d asinh(2d/q) - 4d^2/(sqrt(4d^2 + q^2) + q), with
+    t = q/d: F(t) = 2 asinh(2/t) - 4/(hypot(2, t) + t), which overflows nowhere."""
+    return 2.0 * np.arcsinh(2.0 / t) - 4.0 / (np.hypot(2.0, t) + t)
 
 
-def _rule_surface(cs: CrossSection, mu: float, lo: float, hi: float) -> tuple[Callable, int]:
-    """(surface, nodes): surface(s) -> (E_s, s E_s', s^2 E_s'') over mu for
-    s in [lo, hi], E_s = (8/pi^2) int I(d,l,k) (pi/(2a^2)) sech^2(pi k/(2a)) dk
-    over k > 0 summed on one k-rule of `nodes` frequencies (one kernel_batch
-    call).  The Mellin branch's fallback and test oracle."""
-    root_pi = math.sqrt(math.pi)
-    k, weights = _k_rule(1.0 / (root_pi * hi), 1.0 / (root_pi * lo))
-    kernel, _ = kernels.kernel_batch(cs, True, k)
+def _real_space_surface(cs: CrossSection, mu: float, lo: float, hi: float) -> Callable:
+    """surface(s) -> (E_s, s E_s', s^2 E_s'') over mu for s in [lo, hi].
 
-    def surface(s: float) -> tuple[float, float, float]:
-        x = (0.5 * math.pi * root_pi * s) * k  # pi k/(2a)
-        # 4 s^2 times the weights first: weights times kernel values can underflow
-        weight = 4.0 * s * s * weights * _sech(x) ** 2
-        # s d/ds and s^2 d^2/ds^2 of 4 s^2 g(x), g = sech^2, by g' = -2 g tanh and g'' = g (6 tanh^2 - 2)
-        tanh = np.tanh(x)
-        rows = np.array([np.ones_like(x), 2.0 - 2.0 * x * tanh, 2.0 - 8.0 * x * tanh + x * x * (6.0 * tanh**2 - 2.0)])
-        return tuple((weight * rows) @ kernel / mu)
+    E_s = (8 s/pi^1.5) mean, and the cosine transform int_0^inf K0(k u)
+    cos(k xi) dk = pi/(2 sqrt(u^2 + xi^2)) with the sech autocorrelation
+    2 xi/sinh(a xi) turn the sech^2 mean of the m2 channel into one real-space
+    integral with elementary factors,
 
-    return surface, k.size
+        mean = int_0^inf I(d, l, 2 a x/pi) sech^2 x dx
+             = (pi/2) int_0^inf g(a xi) [phi(xi) - phi(sqrt(xi^2 + 4 l^2))] dxi,
 
-
-def _mellin_surface(cs: CrossSection, mu: float, lo: float) -> Optional[Callable]:
-    """surface(s) -> (E_s, s E_s', s^2 E_s'') over mu, as _rule_surface, from
-    the Mellin moments of the sech^2 weight: with beta = a rho/pi,
-    rho = hypot(2d, 2l), the K0 series of I(d, l, k) (see kernels.kernel_batch)
-    integrates term by term to
-
-        E_s = (8/(pi^2 a)) [I(0) + (pi/2) sum_n beta^2n/(n!)^2
-              ((ln beta - psi(n+1)) P_n M_n + P_n L_n + Q_n M_n)],
-
-    M_n and L_n the k-free moments of mellin_moments; no kernel is evaluated.
-    The sum converges for beta < 1.  Its term count is the first n whose term
-    is bounded by _MELLIN_TAIL I(0) at the window's largest beta, at s = lo;
-    None when that is above _MELLIN_TERMS.  surface raises QuadratureError
-    when the mean kernel value in brackets is below the normal range, or the
-    moments' Gauss estimates times their coefficients plus the last term are
-    not within _REL_TOL of it.
+    g(x) = x/sinh x, a = 1/(s sqrt(pi)), phi the face pair of _face_pair.
+    quad's GK15 rule runs on panels halving from _TOP hi sqrt(pi) down to
+    kernels._FLOOR min(d, lo sqrt(pi)), as kernels._surface_rule does, plus
+    the sliver below that floor to leading order, where g = 1; no kernel is
+    evaluated.  surface raises QuadratureError when the mean is below the
+    normal range or its Kronrod-minus-Gauss estimate is not within _REL_TOL
+    of it.
     """
-    rho = math.hypot(2.0 * cs.d, 2.0 * cs.l)
-    log_rho = math.log(rho) - 1.5 * math.log(math.pi)  # ln beta = log_rho - ln s
-    log_beta = log_rho - math.log(lo)
-    bounds = 2.0 * _N * log_beta + _LOG_M + np.log(abs(log_beta) + _LOG_FACTOR)
-    small = np.flatnonzero(bounds <= math.log(_MELLIN_TAIL))
-    if log_beta >= 0.0 or not small.size:
-        return None
-    terms = small[0] + 1
-    n, psi, m, lm = _N[:terms], _PSI[:terms], _M[:terms], _L[:terms]
-    p, q, dp, dq = kernels.surface_moments(cs, terms)
-    i0 = 2.0 * math.pi * cs.l * cs.d * a_c(cs.c)
-    slope = p * m  # term n is beta^2n (slope ln beta + const)
-    const = p * lm + q * m - psi * slope
-    dp_m, rest = dp * m, dp * np.abs(lm) + dq * m
-    weight = 8.0 / math.pi**1.5  # 8/(pi^2 a) = weight s
+    root_pi = math.sqrt(math.pi)
+    d = cs.d
+    top = _TOP * hi * root_pi
+    # a difference of logs: the quotient top/floor overflows on thin sections
+    panels = math.ceil(math.log2(top) - math.log2(_FLOOR * min(d, lo * root_pi)))
+    edges = np.ldexp(top, -np.arange(panels + 1))
+    xi, kronrod, excess = _gk_panels(edges)
+    jump = _face_pair(xi / d) - _face_pair(np.hypot(xi, 2.0 * cs.l) / d)  # [phi(xi) - phi(r)]/d
+    kronrod, excess = jump * kronrod, jump * excess
+    # int_0^floor [phi(xi) - phi(r)] dxi/d = floor [2 ln(4d/floor) - F(2l/d)] to leading order
+    sliver = edges[-1] * (2.0 * math.log(4.0 * d / edges[-1]) - _face_pair(2.0 / cs.c))
+    half_pi_d = 0.5 * math.pi * d
 
+    @np.errstate(over="ignore")  # sinh overflows past x = 710 on wide windows, where g = 0
     def surface(s: float) -> tuple[float, float, float]:
-        ln_beta = log_rho - math.log(s)
-        powers = (rho / (math.pi**1.5 * s)) ** (2 * n)
-        f = slope * ln_beta + const
-        series = powers * f
-        mean = i0 + 0.5 * math.pi * series.sum()  # int_0^inf I(d, l, 2 a x/pi) sech^2 x dx
-        error = 0.5 * math.pi * (powers @ (np.abs(ln_beta - psi) * dp_m + rest) + abs(series[-1]))
+        x = xi / (root_pi * s)  # a xi
+        u = x / np.sinh(x)  # g
+        y = x / np.tanh(x)  # u cosh x
+        weighted = u * kronrod
+        mean = half_pi_d * (weighted.sum() + sliver)
+        error = half_pi_d * np.abs((u * excess).sum(axis=1)).sum()
         if not mean >= _TINY:
             raise QuadratureError(f"mean kernel value {mean:.3e} below the normal range at {cs}, s={s!r}")
         if not error <= _REL_TOL * mean:
             raise QuadratureError(f"mean kernel value {mean:.3e} with error {error:.3e} above tolerance at {cs}, s={s!r}")
-        # s d/ds and s^2 d^2/ds^2 of beta^2n f(ln beta), beta proportional to 1/s
-        first = -(powers @ (2.0 * n * f + slope))
-        second = powers @ ((4.0 * n * n + 2.0 * n) * f + (4.0 * n + 1.0) * slope)
-        scale = weight * s
-        return (
-            mean / mu * scale,
-            (mean + 0.5 * math.pi * first) / mu * scale,
-            0.5 * math.pi * (2.0 * first + second) / mu * scale,
-        )
+        # s g(a xi) in t = ln s has the derivatives s (g - x g') = s u y and
+        # s x^2 g'' = s u (u^2 + y^2 - 2y), with no 1/sinh^2 to overflow
+        slope = half_pi_d * ((weighted * y).sum() + sliver)
+        curve = half_pi_d * (weighted * (u * u + y * (y - 2.0))).sum()
+        scale = 8.0 / math.pi**1.5 * s
+        return mean / mu * scale, slope / mu * scale, curve / mu * scale
 
     return surface
 
 
-def _ansatz_energy(cs: CrossSection, window: Optional[tuple[float, float]] = None) -> tuple[Callable, float, int]:
-    """(energy, s0, nodes): energy(s) -> (E, s E', s^2 E'') is the rescaled
+def _ansatz_energy(cs: CrossSection, window: Optional[tuple[float, float]] = None) -> tuple[Callable, float]:
+    """(energy, s0): energy(s) -> (E, s E', s^2 E'') is the rescaled
     energy (E_ex + E_s + E_v_bound)/mu of m1 = tanh(ax), m2 = sech(ax),
     a = 1/(s sqrt(pi)), for s in window, by default [s0/2, 2 s0].
 
     E = P/s + Q s + R + S(s), each term formed over mu as l d underflows: the
     exchange 8 l d a and the bound's ||d m1||^2 = 4a/3 terms make P, the
     leading E_s 8 I(0)/(pi^2 a), I(0) = 2 pi l d a_c, and the bound's
-    ||m*||^2 = 2(2 ln 2 - 1)/a term make Q, and s0 = sqrt(P/Q).  E_s comes
-    from the Mellin moments of its weight (_mellin_surface, nodes = 0), or
-    where the window needs more than _MELLIN_TERMS terms from one k-rule of
-    `nodes` frequencies (_rule_surface).
+    ||m*||^2 = 2(2 ln 2 - 1)/a term make Q, and s0 = sqrt(P/Q).  E_s is one
+    real-space integral over the window (_real_space_surface).
     """
     params = RescalingParams.from_cross_section(cs)
     dm1, mstar, const = _e_v_bound_coefficients(cs)
@@ -278,12 +237,10 @@ def _ansatz_energy(cs: CrossSection, window: Optional[tuple[float, float]] = Non
     q = 2.0 * math.pi * (2.0 * math.log(2.0) - 1.0) * mstar * scale
     s0 = math.sqrt(p / (q + 16.0 * a_c(cs.c) * scale))
     lo, hi = window or (0.5 * s0, 2.0 * s0)
-    # the k-rule scales its weights by 4 s^2; both branches take the same windows
+    # windows whose 4 s^2 leaves the normal range are refused before the rule takes logs of them
     if not (0.0 < lo <= hi and _TINY <= 4.0 * lo * lo and 4.0 * hi * hi < math.inf):
         raise WallscaleError(f"scale window [{lo!r}, {hi!r}] outside the normal range at {cs}")
-    surface, nodes = _mellin_surface(cs, params.mu, lo), 0
-    if surface is None:
-        surface, nodes = _rule_surface(cs, params.mu, lo, hi)
+    surface = _real_space_surface(cs, params.mu, lo, hi)
 
     def energy(s: float) -> tuple[float, float, float]:
         if not lo <= s <= hi:
@@ -294,7 +251,7 @@ def _ansatz_energy(cs: CrossSection, window: Optional[tuple[float, float]] = Non
             raise WallscaleError(f"ansatz energy term outside the normal range at {cs}, s={s!r}")
         return closed + e_s, q * s - p / s + slope_s, 2.0 * p / s + curve_s
 
-    return energy, s0, nodes
+    return energy, s0
 
 
 def minimize_full_ansatz(cs: CrossSection) -> AnsatzSearchResult:
@@ -302,13 +259,13 @@ def minimize_full_ansatz(cs: CrossSection) -> AnsatzSearchResult:
     Newton steps from the closed-form start of _ansatz_energy until a step is
     within 1e-12 of s; the result bounds the rescaled minimal energy from
     above.  Raises WallscaleError rather than return an unconverged scale."""
-    energy, s, nodes = _ansatz_energy(cs)
+    energy, s = _ansatz_energy(cs)
     for evaluations in range(1, _NEWTON_STEPS + 1):
         e, slope, curvature = energy(s)
         if not curvature > 0.0:
             raise WallscaleError(f"ansatz energy not convex at s={s!r} for {cs}")
         step = -s * slope / curvature
         if abs(step) <= 1e-12 * s:
-            return AnsatzSearchResult(float(s), float(e), evaluations, nodes)
+            return AnsatzSearchResult(float(s), float(e), evaluations)
         s += step
     raise WallscaleError(f"ansatz scale search did not converge in {_NEWTON_STEPS} steps for {cs}")

@@ -8,8 +8,8 @@ extrapolated to infinity (Neville in the reciprocal endpoint) for envelopes
 decaying as slowly as 1/t^2.  Only the public API uses these integrators,
 so scipy.integrate is imported by the first call, not with the package.
 The module also holds the two fixed-rule tables: GK15 (_gk_panels) for the
-tail panels, both kernel rules and the volume oracle's pair function, and
-GL16 for the ansatz k-rule and the spectral E_v's k = 0 cell average.
+tail panels, both kernel rules, the ansatz surface rule and the volume
+oracle's pair function, and GL16 for the spectral E_v's k = 0 cell average.
 
 All routines are pure functions of their inputs: identical calls produce
 bit-identical results.

@@ -37,7 +37,7 @@ def sampled_ansatz_energy(cs: CrossSection, s: float, n_nodes: int, cache=None) 
 def ansatz_energy(cs: CrossSection, s: float) -> float:
     """The ansatz search's rescaled energy of the recovery wall m0(x/s), on
     the window of that one scale."""
-    energy, _, _ = _ansatz_energy(cs, (s, s))
+    energy, _ = _ansatz_energy(cs, (s, s))
     return energy(s)[0]
 
 

@@ -1,10 +1,8 @@
 import csv
 import logging
 import math
-import re
 from pathlib import Path
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -24,19 +22,10 @@ from wallscale import (
     reduced_energy_alpha,
     sample_wall,
 )
-from wallscale import mellin_moments
 from wallscale import minimize as minimize_module
 from wallscale.errors import QuadratureError, WallscaleError
 from wallscale.magnetostatics import GAMMA_LIMIT, RescalingParams
-from wallscale.minimize import (
-    _MELLIN_TERMS,
-    DiscreteReducedEnergy,
-    _ansatz_energy,
-    _k_rule,
-    _mellin_surface,
-    _rule_surface,
-)
-from wallscale.walls import _sech
+from wallscale.minimize import DiscreteReducedEnergy, _ansatz_energy, _real_space_surface
 
 from conftest import ansatz_energy, sampled_ansatz_energy
 
@@ -215,7 +204,7 @@ def _energy_trajectory(init, weights) -> list[float]:
 
 def load_surface_refs() -> list[tuple[float, float, float, float, float]]:
     """(l, d, s, beta, sech^2 mean of I(d, l, .)) rows written by
-    scripts/make_mellin_moments.py."""
+    scripts/make_ansatz_refs.py."""
     with open(Path(__file__).parent / "data" / "ansatz_surface_refs.csv") as fh:
         return [
             (float(r["l"]), float(r["d"]), float(r["s"]), float(r["beta"]), float(r["sech2_mean"]))
@@ -225,7 +214,8 @@ def load_surface_refs() -> list[tuple[float, float, float, float, float]]:
 
 class TestAnsatzSearch:
     CS = CrossSection(l=1e-3, d=1e-6)
-    WIDE = CrossSection(l=1.0, d=1e-2)  # its window reaches beta = 0.61, past the Mellin branch
+    WIDE = CrossSection(l=1.0, d=1e-2)  # its window reaches beta = 0.61
+    WIDEST = CrossSection(l=100.0, d=1.0)  # and this one beta = 83
 
     def test_degenerate_grid_dominated_by_search(self):
         # the energy at the one scale s = lambda bounds the search's optimum
@@ -252,15 +242,6 @@ class TestAnsatzSearch:
         res = minimize_full_ansatz(self.CS)
         assert res.evaluations <= 4
 
-    def test_kernel_node_gate(self):
-        # the Mellin branch sends no frequency to kernel_batch; the k-rule sends
-        # at most 64 for the window [s0/2, 2 s0], 48 for one scale (the
-        # sampled search sent 219)
-        assert minimize_full_ansatz(self.CS).kernel_nodes == 0
-        assert _ansatz_energy(self.CS, (1.0, 1.0))[2] == 0
-        assert 0 < minimize_full_ansatz(self.WIDE).kernel_nodes <= 64
-        assert _ansatz_energy(self.WIDE, (0.5, 0.5))[2] == 48
-
     def test_step_cap_raises(self, monkeypatch):
         cs = CrossSection(l=1.0, d=1e-2)
         assert minimize_full_ansatz(cs).evaluations == 3
@@ -269,16 +250,17 @@ class TestAnsatzSearch:
             minimize_full_ansatz(cs)
 
     def test_energy_outside_the_rule_range_raises(self):
-        # both branches: the Mellin sums (nodes = 0) and the k-rule
-        for cs, nodes in ((self.CS, 0), (self.WIDE, 64)):
-            energy, s0, taken = _ansatz_energy(cs)
-            assert (taken == 0) == (nodes == 0)
+        for cs in (self.CS, self.WIDE, self.WIDEST):
+            energy, s0 = _ansatz_energy(cs)
             energy(0.5 * s0)
             energy(2.0 * s0)
             for s in (0.5 * s0 * (1.0 - 1e-15), 2.0 * s0 * (1.0 + 1e-15)):
                 with pytest.raises(WallscaleError, match="outside the window"):
                     energy(s)
-        # and a window reaching zero or below is refused before either branch takes a log of it
+        # a window wide enough that sinh(a xi) overflows at its small end evaluates without a warning
+        energy, _ = _ansatz_energy(self.CS, (0.01, 10.0))
+        assert energy(0.01)[0] == pytest.approx(5431.039844404287, rel=1e-15, abs=0.0)
+        # and a window reaching zero or below is refused before the rule takes a log of it
         for window in ((-1.0, 1.0), (-1.0, -0.5), (0.0, 1.0)):
             with pytest.raises(WallscaleError, match="normal range"):
                 _ansatz_energy(self.CS, window)
@@ -290,7 +272,7 @@ class TestAnsatzSearch:
         # 2 lambda] returned its edge, 0.4% to 38% high
         cs = CrossSection(l=l, d=c * l)
         res = minimize_full_ansatz(cs)
-        energy, s0, _ = _ansatz_energy(cs)
+        energy, s0 = _ansatz_energy(cs)
         star = res.best_scale
         assert 0.5 * s0 < star < 2.0 * s0
         assert star < 0.5 * RescalingParams.from_cross_section(cs).lam
@@ -309,7 +291,8 @@ class TestAnsatzSearch:
     @pytest.mark.parametrize(
         "l, c",
         [(l, c) for l in (1e-3, 1e-2, 0.05, 0.1, 0.3, 1.0) for c in (1e-50, 1e-150)]
-        + [(l, 1e-12) for l in (1e-3, 1e-2, 0.05, 0.1)],
+        + [(l, 1e-12) for l in (1e-3, 1e-2, 0.05, 0.1)]
+        + [(1e-3, 1e-152)],  # the last c at which the surface mean is a normal double
     )
     def test_closed_form_referee(self, l, c):
         # E/mu = P/sigma + Q sigma + R + S(sigma) with the leading E_s in Q; the
@@ -331,75 +314,53 @@ class TestAnsatzSearch:
         return calls
 
     def test_kernel_batch_not_called_on_mellin_branch(self, monkeypatch):
-        # the criterion-8 grid and the benchmark sweep's range of c at l = 1e-3
-        # (the k-rule made one call of 64 frequencies per case)
+        # no frequency goes to kernel_batch on the criterion-8 grid or the
+        # benchmark sweep's range of c at l = 1e-3
         calls = self._count_kernel_batch_calls(monkeypatch)
         cases = [CrossSection(l=1e-3, d=c * 1e-3) for c in (1e-2, 1e-4, 1e-6, *np.geomspace(1e-12, 1e-2, 11))]
         records = rate_sweep(cases)
         assert all(r.passed for r in records)
+        minimize_full_ansatz(self.CS)
         assert calls == []
-        assert minimize_full_ansatz(self.CS).kernel_nodes == 0
 
-    def test_rule_branch_calls_kernel_batch_once(self, monkeypatch):
+    def test_kernel_node_gate(self, monkeypatch):
+        # nor on wide films, where the k-rule once sent up to 64 frequencies
         calls = self._count_kernel_batch_calls(monkeypatch)
-        res = minimize_full_ansatz(self.WIDE)
-        assert calls == [(True, res.kernel_nodes)]
+        for cs in (self.CS, self.WIDE, self.WIDEST):
+            minimize_full_ansatz(cs)
+        assert calls == []
 
     @pytest.mark.parametrize("c", [1e-2, 1e-6, 1e-12])
     def test_no_bessel_function_evaluations(self, monkeypatch, c):
-        # the Mellin branch evaluates no kernel; the k-rule's nodes all lay in
-        # the K0 series branch, and the Kronrod rule before it sent 78,784
-        # arguments to k0 at c = 1e-2
+        # the real-space surface has elementary factors only, on wide films too
         counted = []
         for name in ("k0", "k1"):
             real = getattr(kernels, name)
             monkeypatch.setattr(kernels, name, lambda z, real=real: counted.append(np.size(z)) or real(z))
-        minimize_full_ansatz(CrossSection(l=1e-3, d=c * 1e-3))
+        for l in (1e-3, 1.0, 100.0) if c == 1e-2 else (1e-3,):
+            minimize_full_ansatz(CrossSection(l=l, d=c * l))
         assert sum(counted) == 0
 
-    def test_mellin_matches_mpmath_referee(self):
-        # sech^2 means of I(d, l, .) in 30 digits, without the moments P_n, Q_n;
-        # the k-rule is 1.1e-12 to 7.0e-10 off them between beta = 0.014 and
-        # 0.36, and 2.0e-9 off at beta = 0.6, where it serves the fallback
-        inside = 0
-        for l, d, s, beta, mean in load_surface_refs():
+    def test_mellin_matches_mpmath_referee(self):  # the real-space surface that replaced the Mellin sum
+        # sech^2 means of I(d, l, .) in 30 digits by a k-space route for beta < 1
+        # and down to c = 1e-150, and by a real-space route for wide films up to
+        # beta = 41
+        rows = load_surface_refs()
+        assert len(rows) == 24
+        for l, d, s, beta, mean in rows:
             cs = CrossSection(l=l, d=d)
             mu = RescalingParams.from_cross_section(cs).mu
             ref = mean / mu * (8.0 / math.pi**1.5) * s
-            surface = _mellin_surface(cs, mu, s)
-            if beta < 0.369:
-                inside += 1
-                assert surface(s)[0] == pytest.approx(ref, rel=1e-15, abs=0.0)
-            else:
-                assert surface is None
-                rule, _ = _rule_surface(cs, mu, s, s)
-                assert rule(s)[0] == pytest.approx(ref, rel=kernels._REL_TOL, abs=0.0)
-        assert inside == 11
+            assert _real_space_surface(cs, mu, s, s)(s)[0] == pytest.approx(ref, rel=1e-15, abs=0.0)
 
-    @pytest.mark.parametrize(
-        "l, c",
-        [(1e-3, c) for c in (1e-2, 1e-6, 1e-12, 1e-150)] + [(1e-2, 1e-2), (0.1, 1e-6), (1.0, 1e-12), (1.0, 1e-150)],
-    )
-    def test_mellin_matches_k_rule_oracle(self, l, c):
-        # windows with beta <= 2e-3, where the k-rule's own error is below 1e-14
-        cs = CrossSection(l=l, d=c * l)
-        mu = RescalingParams.from_cross_section(cs).mu
-        _, s0, nodes = _ansatz_energy(cs)
-        assert nodes == 0
-        assert math.hypot(2.0 * cs.d, 2.0 * cs.l) / (math.pi**1.5 * 0.5 * s0) <= 2e-3
-        mellin = _mellin_surface(cs, mu, 0.5 * s0)
-        rule, _ = _rule_surface(cs, mu, 0.5 * s0, 2.0 * s0)
-        for s in np.geomspace(0.5 * s0, 2.0 * s0, 9):
-            assert mellin(s)[0] == pytest.approx(rule(s)[0], rel=1e-14, abs=0.0)
-
-    @pytest.mark.parametrize("l, c", [(1e-3, 1e-2), (0.3, 1e-2), (1.0, 1e-6)])
-    def test_mellin_derivatives_match_differences(self, l, c):
+    @pytest.mark.parametrize("l, c", [(1e-3, 1e-2), (0.3, 1e-2), (1.0, 1e-6), (100.0, 1e-2)])
+    def test_mellin_derivatives_match_differences(self, l, c):  # of the real-space surface
         # s E' = dE/dt and s^2 E'' = d^2E/dt^2 - dE/dt in t = ln s, by
         # five-point differences (error h^4 = 1e-8)
         cs = CrossSection(l=l, d=c * l)
         mu = RescalingParams.from_cross_section(cs).mu
-        _, s0, _ = _ansatz_energy(cs)
-        surface = _mellin_surface(cs, mu, 0.5 * s0)
+        _, s0 = _ansatz_energy(cs)
+        surface = _real_space_surface(cs, mu, 0.5 * s0, 2.0 * s0)
         h = 1e-2
         e = [surface(s0 * math.exp(j * h))[0] for j in (-2, -1, 0, 1, 2)]
         first = (e[0] - 8.0 * e[1] + 8.0 * e[3] - e[4]) / (12.0 * h)
@@ -408,27 +369,10 @@ class TestAnsatzSearch:
         assert abs(slope - first) <= 1e-9 * value
         assert abs(curvature - (second - first)) <= 1e-9 * value
 
-    def test_mellin_error_above_tolerance_raises(self, monkeypatch):
+    def test_mellin_error_above_tolerance_raises(self, monkeypatch):  # of the real-space surface
         monkeypatch.setattr(minimize_module, "_REL_TOL", 1e-30)
         with pytest.raises(QuadratureError, match="above tolerance"):
             minimize_full_ansatz(CrossSection(l=0.3, d=3e-3))
-
-    def test_mellin_edge_keeps_the_k_rule_beyond(self):
-        # the term cap holds the Mellin branch to beta below 0.37
-        cs = CrossSection(l=1.0, d=1e-2)
-        mu = RescalingParams.from_cross_section(cs).mu
-        rho = math.hypot(2.0 * cs.d, 2.0 * cs.l)
-        assert _mellin_surface(cs, mu, rho / (math.pi**1.5 * 0.369)) is not None
-        assert _mellin_surface(cs, mu, rho / (math.pi**1.5 * 0.37)) is None
-
-    @pytest.mark.parametrize("ratio", [1.0, 4.0, 100.0])
-    def test_k_rule_integrates_the_weight_over_the_probed_range(self, ratio):
-        # int_0^inf sech^2(pi k/(2a)) dk = 2a/pi for every a the search probes
-        a_max = 0.37
-        k, weights = _k_rule(a_max / ratio, a_max)
-        for a in a_max * np.geomspace(1.0 / ratio, 1.0, 25):
-            value = float(np.dot(weights, _sech(0.5 * math.pi * k / a) ** 2))
-            assert abs(value - 2.0 * a / math.pi) <= 1e-14 * (2.0 * a / math.pi)
 
     def test_matches_golden_section_values_on_criterion_8_grid(self):
         # closed-form minima; a two-stage Richardson extrapolation of the
@@ -441,8 +385,8 @@ class TestAnsatzSearch:
 
     @pytest.mark.parametrize("c", [1e-3, 1e-125, 1e-150])
     def test_sampled_oracle_converges_like_h2_from_below(self, c):
-        # c = 1e-125 and 1e-150: the k-rule weights times the kernel values
-        # underflow there, so the energy must not form that product
+        # c = 1e-125 and 1e-150: products of l d-sized factors underflow there,
+        # so the energy must form none
         cs = CrossSection(l=1e-3, d=c * 1e-3)
         lam = RescalingParams.from_cross_section(cs).lam
         exact = ansatz_energy(cs, lam)
@@ -456,8 +400,10 @@ class TestAnsatzSearch:
         second = (16.0 * first[1] - first[0]) / 15.0
         assert abs(second - exact) <= 1e-10 * exact
 
-    @pytest.mark.parametrize("c", [1e-155, 1e-160])
+    @pytest.mark.parametrize("c", [1e-155, 1e-160, 1e-200])
     def test_kernel_underflow_raises_typed_error(self, c):
+        # the mean is of order d^2; c = 1e-200 also takes the rule's panel
+        # count from logs, as the quotient of its edges overflows there
         with pytest.raises(QuadratureError, match="normal range"):
             minimize_full_ansatz(CrossSection(l=1e-3, d=c * 1e-3))
 
@@ -473,31 +419,3 @@ class TestAnsatzSearch:
     def test_rejects_square_section(self):
         with pytest.raises(ValueError):
             minimize_full_ansatz(CrossSection(l=1.0, d=1.0))
-
-
-def _table_digits(name: str) -> list[mp.mpf]:
-    """The 30-digit literals of mellin_moments.name, read from its source."""
-    source = Path(mellin_moments.__file__).read_text()
-    block = source[source.index(f"{name} = (") : source.index(")", source.index(f"{name} = ("))]
-    return [mp.mpf(v) for v in re.findall(r"-?\d\.\d+(?:e[+-]\d+)?", block)]
-
-
-class TestMellinMoments:
-    def test_m_matches_bernoulli_closed_form(self):
-        # M_n = (1 - 2^(1-2n)) |B_2n| pi^2n, M_0 = 1, up to the term cap
-        assert len(mellin_moments.M) == len(mellin_moments.L) == _MELLIN_TERMS + 1
-        with mp.workdps(40):
-            table = _table_digits("M")
-            assert table[0] == 1
-            for n in range(1, _MELLIN_TERMS + 1):
-                exact = (1 - mp.mpf(2) ** (1 - 2 * n)) * abs(mp.bernoulli(2 * n)) * mp.pi ** (2 * n)
-                assert abs(table[n] - exact) <= mp.mpf(10) ** -29 * exact
-                assert mellin_moments.M[n] == float(exact)
-
-    @pytest.mark.parametrize("n", [0, 1, 6, 20])
-    def test_l_matches_quadrature(self, n):
-        # L_n = int_0^inf x^2n ln x sech^2 x dx; L_0 = ln(pi/4) - gamma
-        with mp.workdps(35):
-            value = mp.quad(lambda x: x ** (2 * n) * mp.log(x) * mp.sech(x) ** 2, [0, 1, 2 * n + 1, 4 * n + 40, mp.inf])
-            assert abs(_table_digits("L")[n] - value) <= mp.mpf(10) ** -29 * abs(value)
-        assert mellin_moments.L[n] == float(value)

@@ -196,15 +196,18 @@ def test_package_import_loads_no_scipy_integrate_or_optimize():
     # scipy.integrate (which pulls in scipy.optimize) is imported by the first
     # integrate_finite call, and scipy.special by the first Kronrod-rule row
     # of a kernel, not with the package: the rate sweep on the criterion-8
-    # grid and the descent load neither; a fresh interpreter shows it
+    # grid, the ansatz search on wide films and the descent load none of
+    # them; a fresh interpreter shows it
     src = str(Path(quad.__file__).resolve().parents[1])
     code = """
 import sys, wallscale, wallscale.cli
-from wallscale import CrossSection, arc_profile, kernels, minimize_reduced, rate_sweep
+from wallscale import CrossSection, arc_profile, kernels, minimize_full_ansatz, minimize_reduced, rate_sweep
 def loaded():
     return sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special') if m in sys.modules)
 print(loaded())
 assert all(r.passed for r in rate_sweep([CrossSection(1e-3, c * 1e-3) for c in (1e-2, 1e-4, 1e-6)]))
+for l in (1.0, 100.0):
+    minimize_full_ansatz(CrossSection(l, 1e-2 * l))
 minimize_reduced(arc_profile(20.0, 65), 1.0)
 print(loaded())
 kernels.kernel_batch(CrossSection(1.0, 1e-2), True, [3.0])
