@@ -26,9 +26,9 @@ graded panels, whose embedded Gauss rule gives an error estimate.  Where
 (DLMF 10.31.2) on moments that do not depend on x, taken once per call on
 the same panels, and makes no Bessel function call.  Every kernel value is
 returned only when its error estimate is within 1e-8 of the value
-(_REL_TOL) and the value is a normal double; otherwise the call raises
-QuadratureError.  scipy.special is imported by the first Kronrod-rule row
-(see k0), not with the module.
+(_REL_TOL) and the value is a finite normal double (quad._check_rule);
+otherwise the call raises QuadratureError.  scipy.special is imported by
+the first Kronrod-rule row (see k0), not with the module.
 
 Every function here is pure and reentrant; sweep drivers may call them
 concurrently.
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadratureError
-from .quad import _GK_GAUSS, _GK_NODES, _gk_panels
+from .quad import _GK_GAUSS, _GK_NODES, _TINY, _check_rule, _gk_panels, _halving_edges
 
 __all__ = [
     "CrossSection",
@@ -69,7 +69,6 @@ _CORNER_PANELS = 24  # halvings of the volume rule's corner toward the origin
 _ROUNDING = 1e-14  # relative rounding error claimed for every value
 _REL_TOL = 1e-8  # bound on every returned value's error estimate, relative to the value
 _BLOCK = 16  # frequencies per block; bounds the (block x nodes) temporaries
-_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 _N = np.arange(1, _TERMS + 1)  # series term index n
 _PSI = np.cumsum(1.0 / _N) - np.euler_gamma  # psi(n + 1)
 
@@ -177,8 +176,8 @@ def _graded_rule(k, values, errors, rows, integrand, kronrod, excess, shape):
     panel); errors outside rows are kept as passed in.  Blocks of _BLOCK
     frequencies bound the temporaries; each row is reduced on its own, so a
     batch gives bitwise the values of its frequencies one at a time.  Raises
-    QuadratureError when any value is subnormal or zero, or its error is not
-    within _REL_TOL of it.
+    QuadratureError when any value is not a finite normal double, or its
+    error is not within _REL_TOL of it (quad._check_rule).
     """
     for start in range(0, rows.size, _BLOCK):
         idx = rows[start : start + _BLOCK]
@@ -187,26 +186,14 @@ def _graded_rule(k, values, errors, rows, integrand, kronrod, excess, shape):
         panels = f.reshape(idx.size, *excess[0].shape)
         errors[idx] = 0.5 * math.pi * sum(np.abs((panels * e).sum(axis=2)).sum(axis=1) for e in excess)
     errors += _ROUNDING * np.abs(values)
-    small = np.abs(values) < _TINY  # where the _ROUNDING term underflows too
-    bad = np.flatnonzero(small | ~(errors <= _REL_TOL * np.abs(values)))
-    if bad.size:
-        i = bad[0]
-        what = "below the normal range" if small[i] else f"with error {errors[i]:.3e} above tolerance"
-        raise QuadratureError(f"kernel value {values[i]:.3e} {what} at k={k[i]:.17g}")
+    _check_rule("kernel value", values, errors, _REL_TOL, lambda i: f"k={k[i]:.17g}")
     return values.reshape(shape), errors.reshape(shape)
-
-
-def _check_rule_range(cs: CrossSection, w: float, s: float) -> None:
-    # the rule's floor must be normal, and its weights (2w - u) du (sum 2 w^2, times logs below 1e3) finite
-    if w > 1e150 or _FLOOR * min(w, s) < _TINY:
-        raise QuadratureError(f"{cs} is outside the double range of the kernel rule")
 
 
 def _surface_rule(w: float, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """(u, kronrod, excess, floor): GK15 nodes on the panels [2w/2^(j+1), 2w/2^j]
     down to floor, with Kronrod and Kronrod-minus-Gauss weights times 2w - u."""
-    panels = math.ceil(math.log2(2.0 * w) - math.log2(min(w, s)) - math.log2(_FLOOR))
-    edges = np.ldexp(2.0 * w, -np.arange(panels + 1))
+    edges = _halving_edges(2.0 * w, _FLOOR * min(w, s))
     u, kronrod, excess = _gk_panels(edges)
     u = u.ravel()
     kronrod = kronrod.ravel() * (2.0 * w - u)
@@ -277,8 +264,9 @@ def kernel_batch(cs: CrossSection, swap: bool, ks) -> tuple[np.ndarray, np.ndarr
     inv = 1.0 / kn[far]  # squaring k itself overflows above |k| ~ 1e154
     values[rest[far]] = 0.5 * math.pi * (math.pi * w * inv - inv**2)
     near = rest[~far]
-    if w > 1e150 or near.size or series.size:
-        _check_rule_range(cs, w, s)
+    # the rule's floor must be normal, and its weights (2w - u) du (sum 2 w^2, times logs below 1e3) finite
+    if w > 1e150 or (near.size or series.size) and _FLOOR * min(w, s) < _TINY:
+        raise QuadratureError(f"{cs} is outside the double range of the kernel rule")
     u, kronrod, excess, floor = _surface_rule(w, s)
     du = 2.0 * s * (2.0 * s / (np.hypot(u, 2.0 * s) + u))  # sqrt(u^2 + 4 s^2) - u, no s^2 to underflow
 

@@ -8,8 +8,8 @@ rate-of-convergence inequality
 from above (a true check, since the ansatz value is an upper bound) and from
 below (a sanity implication).  Whenever the right-hand side exceeds
 16/sqrt(pi) itself the record is flagged `vacuous_bound` instead of
-pretending precision.  The sweep takes no tolerance: its energies use kernel
-moments or values whose error estimates are held to a relative 1e-8.
+pretending precision.  The sweep takes no tolerance: the error estimate of
+its surface energies is held to a relative 1e-8.
 """
 
 from __future__ import annotations

@@ -29,9 +29,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .errors import QuadratureError, ResolutionError, WallscaleError
-from .kernels import _TINY, CrossSection
-from .quad import _GL16_NODES, _GL16_WEIGHTS, _gk_panels
+from .errors import ResolutionError, WallscaleError
+from .kernels import CrossSection
+from .quad import _GL16_NODES, _GL16_WEIGHTS, _TINY, _check_rule, _gk_panels, _halving_edges
 from .walls import Profile1D, _trapezoid, exchange_integral, profile_derivative
 
 __all__ = [
@@ -345,33 +345,33 @@ def e_v_spectral(p: Profile1D, cs: CrossSection) -> float:
     return _normal_energy((4.0 / math.pi**2) * _spectral_sum(frequencies, g_hat, kernel) * dk, g_hat)
 
 
+def _face_pair(t: np.ndarray) -> np.ndarray:
+    """phi(q)/d = F(q/d) for the face-pair integral phi(q) = int_0^2d (2d - u)
+    / sqrt(u^2 + q^2) du = 2d asinh(2d/q) - 4d^2/(sqrt(4d^2 + q^2) + q), with
+    t = q/d: F(t) = 2 asinh(2/t) - 4/(hypot(2, t) + t), which overflows nowhere."""
+    return 2.0 * np.arcsinh(2.0 / t) - 4.0 / (np.hypot(2.0, t) + t)
+
+
 def _section_pair_green(cs: CrossSection, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, errors) of the cross-section pair Green integral
 
         F(s) = int_{R x R} 1/sqrt(s^2 + (y-y1)^2 + (z-z1)^2)
-             = 4 int_0^{2l} (2l - u) [2d asinh(2d/k) - (sqrt(k^2 + 4d^2) - k)] du,
+             = 4 int_0^{2l} (2l - u) phi(hypot(s, u)) du
 
-    k = hypot(s, u), at every axial separation s > 0: the autocorrelation
-    reduction to one dimension with the inner transverse integral in closed
-    form, its last term written without cancellation.  quad's GK15 rule runs
-    on panels halving from 2l toward u = 0 until the last is at most min(s);
-    the errors sum each panel's Kronrod-minus-Gauss estimate.  Raises
-    QuadratureError when an error is not within _PAIR_REL_TOL of its value.
+    at every axial separation s > 0, with phi the face pair of _face_pair.
+    quad's GK15 rule runs on panels halving from 2l toward u = 0 until the
+    last is at most min(s); the errors sum each panel's Kronrod-minus-Gauss
+    estimate, held to _PAIR_REL_TOL by quad._check_rule.
     """
-    tl, td = 2.0 * cs.l, 2.0 * cs.d
-    halvings = math.ceil(math.log2(tl / s.min()))
-    nodes, kronrod, excess = _gk_panels(np.append(np.ldexp(tl, -np.arange(halvings + 1)), 0.0))
+    tl, d = 2.0 * cs.l, cs.d
+    nodes, kronrod, excess = _gk_panels(np.append(_halving_edges(tl, s.min()), 0.0))
     values = np.zeros(s.size)
     errors = np.zeros(s.size)
     for u, wk, we in zip(nodes, kronrod, excess):
-        kappa = np.hypot(s[:, None], u)
-        f = (tl - u) * (td * np.arcsinh(td / kappa) - td * td / (np.hypot(kappa, td) + kappa))
+        f = (tl - u) * (d * _face_pair(np.hypot(s[:, None], u) / d))
         values += 4.0 * (f @ wk)
         errors += 4.0 * np.abs(f @ we)
-    bad = np.flatnonzero(~(errors <= _PAIR_REL_TOL * values))
-    if bad.size:
-        i = bad[0]
-        raise QuadratureError(f"pair integral {values[i]:.3e} with error {errors[i]:.3e} at s={s[i]:.17g}")
+    _check_rule("pair integral", values, errors, _PAIR_REL_TOL, lambda i: f"s={s[i]:.17g}")
     return values, errors
 
 

@@ -25,10 +25,10 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import QuadratureError, StallError, WallscaleError
-from .kernels import _FLOOR, _REL_TOL, _TINY, CrossSection, a_c
-from .magnetostatics import RescalingParams, _e_v_bound_coefficients
-from .quad import _gk_panels
+from .errors import StallError, WallscaleError
+from .kernels import _FLOOR, _REL_TOL, CrossSection, a_c
+from .magnetostatics import RescalingParams, _e_v_bound_coefficients, _face_pair
+from .quad import _TINY, _check_rule, _gk_panels, _halving_edges
 # perfbench/tracing.py imports DiscreteReducedEnergy from this module
 from .walls import M3_TOLERANCE, DiscreteReducedEnergy, Profile1D, ReducedEnergyWeights, _reduced_model
 
@@ -158,15 +158,8 @@ _NEWTON_STEPS = 8  # energy evaluations the scale search may take
 _TOP = 40.0  # the rule's top edge in wall widths s sqrt(pi): g(40) = 3.4e-16
 
 
-def _face_pair(t: np.ndarray) -> np.ndarray:
-    """phi(q)/d = F(q/d) for the face-pair integral phi(q) = int_0^2d (2d - u)
-    / sqrt(u^2 + q^2) du = 2d asinh(2d/q) - 4d^2/(sqrt(4d^2 + q^2) + q), with
-    t = q/d: F(t) = 2 asinh(2/t) - 4/(hypot(2, t) + t), which overflows nowhere."""
-    return 2.0 * np.arcsinh(2.0 / t) - 4.0 / (np.hypot(2.0, t) + t)
-
-
-def _real_space_surface(cs: CrossSection, mu: float, lo: float, hi: float) -> Callable:
-    """surface(s) -> (E_s, s E_s', s^2 E_s'') over mu for s in [lo, hi].
+def _real_space_surface(cs: CrossSection, lam: float, lo: float, hi: float) -> Callable:
+    """surface(s) -> (E_s, s E_s', s^2 E_s'') over mu = l d/lam for s in [lo, hi].
 
     E_s = (8 s/pi^1.5) mean, and the cosine transform int_0^inf K0(k u)
     cos(k xi) dk = pi/(2 sqrt(u^2 + xi^2)) with the sech autocorrelation
@@ -176,26 +169,23 @@ def _real_space_surface(cs: CrossSection, mu: float, lo: float, hi: float) -> Ca
         mean = int_0^inf I(d, l, 2 a x/pi) sech^2 x dx
              = (pi/2) int_0^inf g(a xi) [phi(xi) - phi(sqrt(xi^2 + 4 l^2))] dxi,
 
-    g(x) = x/sinh x, a = 1/(s sqrt(pi)), phi the face pair of _face_pair.
-    quad's GK15 rule runs on panels halving from _TOP hi sqrt(pi) down to
-    kernels._FLOOR min(d, lo sqrt(pi)), as kernels._surface_rule does, plus
-    the sliver below that floor to leading order, where g = 1; no kernel is
-    evaluated.  surface raises QuadratureError when the mean is below the
-    normal range or its Kronrod-minus-Gauss estimate is not within _REL_TOL
-    of it.
+    g(x) = x/sinh x, a = 1/(s sqrt(pi)), phi = d F(q/d) of
+    magnetostatics._face_pair.  The mean, of order d^2, is never formed: d/mu
+    is taken as lam/l.  quad's GK15 rule runs on panels halving from _TOP hi
+    sqrt(pi) down to kernels._FLOOR min(d, lo sqrt(pi)), plus the sliver
+    below that floor to leading order, where g = 1; no kernel is evaluated.
+    quad._check_rule raises QuadratureError unless E_s/mu is a finite normal
+    double with its Kronrod-minus-Gauss estimate within _REL_TOL of it.
     """
     root_pi = math.sqrt(math.pi)
     d = cs.d
-    top = _TOP * hi * root_pi
-    # a difference of logs: the quotient top/floor overflows on thin sections
-    panels = math.ceil(math.log2(top) - math.log2(_FLOOR * min(d, lo * root_pi)))
-    edges = np.ldexp(top, -np.arange(panels + 1))
+    edges = _halving_edges(_TOP * hi * root_pi, _FLOOR * min(d, lo * root_pi))
     xi, kronrod, excess = _gk_panels(edges)
     jump = _face_pair(xi / d) - _face_pair(np.hypot(xi, 2.0 * cs.l) / d)  # [phi(xi) - phi(r)]/d
     kronrod, excess = jump * kronrod, jump * excess
     # int_0^floor [phi(xi) - phi(r)] dxi/d = floor [2 ln(4d/floor) - F(2l/d)] to leading order
     sliver = edges[-1] * (2.0 * math.log(4.0 * d / edges[-1]) - _face_pair(2.0 / cs.c))
-    half_pi_d = 0.5 * math.pi * d
+    half_pi_d_mu = 0.5 * math.pi * lam / cs.l  # (pi/2) d/mu
 
     @np.errstate(over="ignore")  # sinh overflows past x = 710 on wide windows, where g = 0
     def surface(s: float) -> tuple[float, float, float]:
@@ -203,18 +193,15 @@ def _real_space_surface(cs: CrossSection, mu: float, lo: float, hi: float) -> Ca
         u = x / np.sinh(x)  # g
         y = x / np.tanh(x)  # u cosh x
         weighted = u * kronrod
-        mean = half_pi_d * (weighted.sum() + sliver)
-        error = half_pi_d * np.abs((u * excess).sum(axis=1)).sum()
-        if not mean >= _TINY:
-            raise QuadratureError(f"mean kernel value {mean:.3e} below the normal range at {cs}, s={s!r}")
-        if not error <= _REL_TOL * mean:
-            raise QuadratureError(f"mean kernel value {mean:.3e} with error {error:.3e} above tolerance at {cs}, s={s!r}")
+        scale = 8.0 / math.pi**1.5 * s * half_pi_d_mu
+        e_s = scale * (weighted.sum() + sliver)
+        error = scale * np.abs((u * excess).sum(axis=1)).sum()
+        _check_rule("surface energy", e_s, error, _REL_TOL, lambda i: f"{cs}, s={s!r}")
         # s g(a xi) in t = ln s has the derivatives s (g - x g') = s u y and
         # s x^2 g'' = s u (u^2 + y^2 - 2y), with no 1/sinh^2 to overflow
-        slope = half_pi_d * ((weighted * y).sum() + sliver)
-        curve = half_pi_d * (weighted * (u * u + y * (y - 2.0))).sum()
-        scale = 8.0 / math.pi**1.5 * s
-        return mean / mu * scale, slope / mu * scale, curve / mu * scale
+        slope = scale * ((weighted * y).sum() + sliver)
+        curve = scale * (weighted * (u * u + y * (y - 2.0))).sum()
+        return e_s, slope, curve
 
     return surface
 
@@ -240,14 +227,14 @@ def _ansatz_energy(cs: CrossSection, window: Optional[tuple[float, float]] = Non
     # windows whose 4 s^2 leaves the normal range are refused before the rule takes logs of them
     if not (0.0 < lo <= hi and _TINY <= 4.0 * lo * lo and 4.0 * hi * hi < math.inf):
         raise WallscaleError(f"scale window [{lo!r}, {hi!r}] outside the normal range at {cs}")
-    surface = _real_space_surface(cs, params.mu, lo, hi)
+    surface = _real_space_surface(cs, params.lam, lo, hi)
 
     def energy(s: float) -> tuple[float, float, float]:
         if not lo <= s <= hi:
             raise WallscaleError(f"scale s={s!r} outside the window [{lo!r}, {hi!r}] at {cs}")
         e_s, slope_s, curve_s = surface(s)
         closed = p / s + q * s + const * params.lam
-        if not all(_TINY <= t < math.inf for t in (closed, e_s)):
+        if not _TINY <= closed < math.inf:
             raise WallscaleError(f"ansatz energy term outside the normal range at {cs}, s={s!r}")
         return closed + e_s, q * s - p / s + slope_s, 2.0 * p / s + curve_s
 

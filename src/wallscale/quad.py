@@ -10,6 +10,9 @@ so scipy.integrate is imported by the first call, not with the package.
 The module also holds the two fixed-rule tables: GK15 (_gk_panels) for the
 tail panels, both kernel rules, the ansatz surface rule and the volume
 oracle's pair function, and GL16 for the spectral E_v's k = 0 cell average.
+The four GK15 rules share one contract: panels halving down to a floor
+(_halving_edges), and values that are finite normal doubles whose
+Kronrod-minus-Gauss error is within the rule's tolerance (_check_rule).
 
 All routines are pure functions of their inputs: identical calls produce
 bit-identical results.
@@ -155,6 +158,7 @@ _GK_WEIGHTS = np.concatenate([_WGK, _WGK[-2::-1]])
 _GK_GAUSS = np.zeros(15)
 _GK_GAUSS[1::2] = _WG + _WG[-2::-1]
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 # abscissa offset past which a semi-infinite tail takes the panel scheme
 _SEMI_INFINITE_SPLIT = 60.0
@@ -170,6 +174,26 @@ def _gk_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * np.abs(edges[:-1] - edges[1:])[:, None]
     return mid + half * _GK_NODES, half * _GK_WEIGHTS, half * (_GK_WEIGHTS - _GK_GAUSS)
+
+
+def _halving_edges(top: float, floor: float) -> np.ndarray:
+    """Edges top/2^j down to the first at or below floor, counted by a
+    difference of logs: the quotient top/floor overflows on thin sections."""
+    panels = math.ceil(math.log2(top) - math.log2(floor))
+    return np.ldexp(top, -np.arange(panels + 1))
+
+
+def _check_rule(name: str, values, errors, rel_tol: float, where: Callable[[int], str]) -> None:
+    """Raise QuadratureError at the first of values (array or scalar) that is not a
+    finite normal double, or whose error is not within rel_tol of it, located by where(i)."""
+    size = abs(values)
+    ok = (size >= _TINY) & (size < math.inf) & (errors <= rel_tol * size)
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):  # a scalar's .all() costs 2 us
+        i = int(np.argmin(ok))  # the first failure
+        value, error, size = (np.ravel(a)[i] for a in (values, errors, size))
+        what = "below the normal range" if size < _TINY else "not finite" if not size < math.inf else (
+            f"with error {error:.3e} above tolerance")
+        raise QuadratureError(f"{name} {value:.3e} {what} at {where(i)}")
 
 
 def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:

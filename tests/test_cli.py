@@ -190,7 +190,7 @@ def test_sweep_rate_wide_section_passes(tmp_path, capsys):
 @pytest.mark.parametrize("c", ["1e-155", "1e-160", "1e-214"])
 def test_sweep_rate_below_double_range_exits_3(tmp_path, capsys, c):
     out_path = tmp_path / "thin.csv"
-    code = run(["sweep", "rate", "--c-grid", c, "--l", "1e-3", "--out", str(out_path)])
+    code = run(["sweep", "rate", "--c-grid", c, "--l", "1e-40", "--out", str(out_path)])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
     row = out_path.read_text().strip().splitlines()[1].split(",")

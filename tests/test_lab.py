@@ -51,14 +51,18 @@ class TestRateSweep:
 
     @pytest.mark.parametrize("c", [1e-155, 1e-160, 1e-214])
     def test_case_below_double_range_is_a_nan_row(self, c):
-        # the kernels leave the normal double range near c = 1e-152 at l = 1e-3
-        # and mu = l d / lambda underflows to 0 near c = 1e-202
-        (r,) = rate_sweep([CrossSection(l=1e-3, d=c * 1e-3)])
+        # mu = l d / lambda leaves the normal double range near c = 1e-153 at l = 1e-40
+        (r,) = rate_sweep([CrossSection(l=1e-40, d=c * 1e-40)])
         assert math.isnan(r.rescaled_min_upper) and math.isnan(r.gap)
         assert not r.passed
 
+    def test_double_range_ends_between_c_1e_201_and_1e_203_at_l_1e_3(self):
+        inside, below = rate_sweep([CrossSection(l=1e-3, d=1e-204), CrossSection(l=1e-3, d=1e-206)])
+        assert inside.passed and math.isfinite(inside.rescaled_min_upper)
+        assert math.isnan(below.rescaled_min_upper) and not below.passed
+
     def test_typed_failure_logged_without_traceback(self, caplog):
-        (r,) = rate_sweep([CrossSection(l=1e-3, d=1e-163)])
+        (r,) = rate_sweep([CrossSection(l=1e-3, d=1e-217)])
         assert math.isnan(r.rescaled_min_upper)
         assert [(rec.levelname, bool(rec.exc_info)) for rec in caplog.records] == [("ERROR", False)]
 

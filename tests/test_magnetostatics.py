@@ -381,6 +381,22 @@ class TestSectionPairGreen:
         with pytest.raises(QuadratureError):
             e_v_volume_oracle(standard_wall_profile, GOLDEN_CS)
 
+    def test_value_below_normal_range_raises(self):
+        # F ~ l^2 d underflows to 0.0 with an error of 0.0, which the error check alone let pass
+        with pytest.raises(QuadratureError, match="normal range"):
+            _section_pair_green(CrossSection(l=1e-160, d=1e-160), np.array([2.5e-161]))
+
+    @pytest.mark.parametrize("scale", [1e-103, 1e-110])
+    def test_volume_oracle_below_normal_range_raises(self, scale):
+        # the golden wall with l, d, L and the wall width scaled down: its pair
+        # integrals are subnormal at 1e-103, which read "above tolerance", and
+        # 0.0 at 1e-110, which returned E_v = 0.0
+        cs = CrossSection(l=GOLDEN_CS.l * scale, d=GOLDEN_CS.d * scale)
+        wall = ClosedFormWall(alpha=GOLDEN_WALL.alpha / scale**2, beta=GOLDEN_WALL.beta)
+        p = sample_wall(wall, GOLDEN_L * scale, GOLDEN_N)
+        with pytest.raises(QuadratureError, match="normal range"):
+            e_v_volume_oracle(p, cs)
+
     @settings(derandomize=True, database=None, deadline=None)
     @given(
         st.floats(min_value=-3.0, max_value=0.0),

@@ -18,7 +18,8 @@ from wallscale import (
     integrate_semi_infinite,
     quad,
 )
-from wallscale.quad import _gk15, _gk_panels
+from wallscale.errors import QuadratureError
+from wallscale.quad import _check_rule, _gk15, _gk_panels
 
 PI_HALF = math.pi / 2.0
 
@@ -169,6 +170,30 @@ def test_gk15_is_the_one_panel_sum():
 
 
 PHYSICS_MODULES = ["kernels", "walls", "minimize", "magnetostatics", "lab", "cli"]
+
+
+@pytest.mark.parametrize(
+    "value, error, what",
+    [
+        (0.0, 0.0, "below the normal range"),
+        (1e-310, 0.0, "below the normal range"),
+        (math.nan, 0.0, "not finite"),
+        (math.inf, 0.0, "not finite"),
+        (2.0, 2.1e-8, "above tolerance"),
+    ],
+    ids=["zero", "subnormal", "nan", "inf", "error"],
+)
+def test_check_rule_raises_at_the_first_bad_value(value, error, what):
+    values, errors = np.array([1.0, value, 0.0]), np.array([0.0, error, 0.0])
+    with pytest.raises(QuadratureError, match=f"^v .* {what} at i=1$"):
+        _check_rule("v", values, errors, 1e-8, lambda i: f"i={i}")
+    with pytest.raises(QuadratureError, match=what):
+        _check_rule("v", value, error, 1e-8, lambda i: "here")
+
+
+def test_check_rule_passes_normal_values_within_tolerance():
+    assert _check_rule("v", np.array([1.0, -1e-300, 1e300]), np.array([1e-8, 0.0, 1e292]), 1e-8, str) is None
+    assert _check_rule("v", 2.0, 2e-8, 1e-8, str) is None
 
 
 @pytest.mark.parametrize("name", PHYSICS_MODULES)
