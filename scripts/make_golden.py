@@ -3,7 +3,11 @@
 
 Runs the boundary-integral oracle for the standard wall on the reference
 cross-section at three doubling resolutions, Richardson-extrapolates, and
-freezes the result under tests/data/.  Run from the repository root:
+freezes the result under tests/data/ with the relative tolerance that
+criterion 7 holds spectral E_s to.  Beside the spectral difference it prints
+both values' difference from the real-space referee: the standard wall is the
+ansatz at s = 1, whose E_s minimize._real_space_surface gives with no grid.
+Run from the repository root:
 
     python3 scripts/make_golden.py
 """
@@ -17,9 +21,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from wallscale import ClosedFormWall, CrossSection, e_s_spectral, sample_wall
-from wallscale.magnetostatics import richardson_boundary_oracle
+from wallscale.magnetostatics import RescalingParams, richardson_boundary_oracle
+from wallscale.minimize import _real_space_surface
 
 CASE_ID = "rect_l0.1_d0.05_standard_wall"
+# spectral E_s is 7.1e-5 from the oracle value; a regeneration must not loosen this
+TOLERANCE = "1e-4"
 OUT = Path(__file__).resolve().parents[1] / "tests" / "data" / "golden_energies.csv"
 
 
@@ -32,17 +39,22 @@ def main() -> None:
     extrapolated, raw = richardson_boundary_oracle(profile, cs)
     oracle_seconds = time.perf_counter() - t0
     spectral = e_s_spectral(profile, cs)
+    params = RescalingParams.from_cross_section(cs)
+    referee = float(_real_space_surface(cs, params.lam, 1.0, 1.0)(1.0)[0] * params.mu)
 
     print(f"oracle raw values : {raw}")
     print(f"oracle extrapolated: {extrapolated!r}  ({oracle_seconds:.2f}s)")
     print(f"spectral           : {spectral!r}")
-    print(f"relative difference: {abs(spectral - extrapolated) / extrapolated:.3%}")
+    print(f"real-space referee : {referee!r}")
+    print(f"spectral - oracle  : {spectral / extrapolated - 1.0:+.3e} relative")
+    print(f"spectral - referee : {spectral / referee - 1.0:+.3e} relative")
+    print(f"oracle - referee   : {extrapolated / referee - 1.0:+.3e} relative")
 
     OUT.parent.mkdir(parents=True, exist_ok=True)
     with open(OUT, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["case_id", "component", "value", "tolerance"])
-        writer.writerow([CASE_ID, "e_s", repr(extrapolated), "0.02"])
+        writer.writerow([CASE_ID, "e_s", repr(extrapolated), TOLERANCE])
     print(f"wrote {OUT}")
 
 

@@ -15,9 +15,10 @@ upper bound (always) and optionally through the spectral evaluation
 K of the kernels module, validated against a real-space Green-function oracle.
 
 Both spectral energies take their kernel values from the fixed rules of the
-kernels module, whose error estimates are held to a relative 1e-8; the
-real-space volume oracle holds its pair integrals, on quad's GK15 table, to a
-relative 1e-9.
+kernels module, whose error estimates are held to a relative 1e-8; both
+real-space oracles take the section pair integral F (_section_pair_green), on
+quad's GK15 table, to a relative 1e-9: the volume oracle at every lag, the
+boundary oracle for its singular self cell.
 """
 
 from __future__ import annotations
@@ -60,6 +61,11 @@ GAMMA_LIMIT = 16.0 / math.sqrt(math.pi)
 _SPECTRAL_FLOOR = 1e-15
 # bound on every pair integral's error estimate, relative to the integral
 _PAIR_REL_TOL = 1e-9
+# lowest halving edge, over d, of a pair rule with a zero lag: the panel
+# below it holds under 1e-12 of F(0), so its log singularity costs no digit
+_ZERO_LAG_FLOOR = 1e-14
+# node values per block of lags of the pair rule, bounding its temporaries
+_PAIR_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -200,18 +206,6 @@ def e_s_spectral(p: Profile1D, cs: CrossSection, cache: Optional[KernelCache] = 
     return _normal_energy((4.0 / math.pi**2) * total, spec.m2_hat, spec.m3_hat)
 
 
-def _self_patch(a: float, b: float) -> float:
-    """int_cell int_cell 1/|p-q| for a flat a x b rectangular cell."""
-    s = math.hypot(a, b)
-    A = math.asinh(b / a)
-    B = math.asinh(a / b)
-    t1 = a * b * (a * A + b * B)
-    t2 = b * ((b / 2.0) * s + (a * a / 2.0) * A - b * b / 2.0)
-    t3 = a * ((a / 2.0) * s + (b * b / 2.0) * B - a * a / 2.0)
-    t4 = (s**3 - a**3 - b**3) / 3.0
-    return 4.0 * (t1 - t2 - t3 + t4)
-
-
 def _lag_weights(g: np.ndarray) -> np.ndarray:
     """Autocorrelation of g at lags m >= 0 with the lags m > 0 doubled, so
     that sum_m w[m] f(m) = sum_{i,j} g[i] g[j] f(|i - j|)."""
@@ -230,7 +224,7 @@ def _face_family_energy(
     2*half_across/n_across; the two faces of the family sit `separation`
     apart with opposite charge sign.  The pair table holds, per axial lag,
     the panel-pair sum of 1/r_same - 1/r_cross over the transverse offsets;
-    the singular self cell takes the analytic flat-cell integral instead.
+    the singular self cell takes F(0) of the flat cell instead.
     """
     dz = 2.0 * half_across / n_across
     lag2 = (np.arange(sigma.size) * dx) ** 2
@@ -242,8 +236,14 @@ def _face_family_energy(
         same = np.divide(1.0, np.sqrt(r2), out=np.zeros_like(r2), where=r2 > 0.0)
         pair += count * (same - 1.0 / np.sqrt(r2 + sep2))
     w = _lag_weights(sigma)
-    diagonal = w[0] * n_across * _self_patch(dx, dz) / (2.0 * math.pi)
+    cell = CrossSection(0.5 * max(dx, dz), 0.5 * min(dx, dz))  # the flat dx x dz self cell
+    diagonal = w[0] * n_across * _section_pair_green(cell, np.zeros(1))[0][0] / (2.0 * math.pi)
     return float(w @ pair) * (dx * dz) ** 2 / (2.0 * math.pi) + diagonal, diagonal
+
+
+# widest axial cell of the boundary oracle, in units of a face family's
+# smaller transverse scale (see e_s_boundary_oracle)
+_MAX_CELL_RATIO = 2.25
 
 
 def e_s_boundary_oracle(
@@ -252,17 +252,23 @@ def e_s_boundary_oracle(
     """Direct double-surface-integral oracle for the surface-charge energy.
 
     Midpoint panels over the four faces of the cross-section boundary
-    (`resolution` = panels along x, panels across each face), with the
-    singular same-cell interaction replaced by the analytic flat-cell
-    integral.  Mixed pairs between the y-faces (charge m2) and z-faces
-    (charge m3) cancel exactly by the reflection symmetry of the rectangle
-    and are not computed.
+    (`resolution` = panels along x, panels across each face); the singular
+    same-cell interaction takes F(0) of the flat dx x dz cell from
+    _section_pair_green.  Mixed pairs between the y-faces (charge m2) and
+    z-faces (charge m3) cancel exactly by the reflection symmetry of the
+    rectangle and are not computed.
 
     Converges O(h); meant to be Richardson-extrapolated across resolutions.
 
     Raises:
+        ResolutionError: a charged face family's axial cell dx exceeds
+            _MAX_CELL_RATIO times 2d, the smaller of its face width and face
+            separation.  On the golden-shape wall (L = 26, 512 cells at the
+            coarsest level) the Richardson value is off the spectral E_s by
+            -7e-5 at dx = 1.02 (2d), +1.1e-3 at 2.03, +3.1e-3 at 2.54, +0.29
+            at 16.9, and 10x to 1e4x at l = 1e-3.
         ResolutionError: the analytic diagonal dominates (> 20% of the
-            total), meaning the resolution is too coarse to trust.
+            total), which refuses too few panels across, such as (2048, 2).
     """
     n_axial, n_across = resolution
     if n_axial < 8 or n_across < 2:
@@ -275,6 +281,12 @@ def e_s_boundary_oracle(
     for column, half_across, separation in ((1, cs.d, 2.0 * cs.l), (2, cs.l, 2.0 * cs.d)):
         sigma = np.interp(centers, p.x, p.m[:, column])
         if sigma.any():
+            scale = min(2.0 * half_across, separation)
+            if dx > _MAX_CELL_RATIO * scale:
+                raise ResolutionError(
+                    f"axial cell {dx:.3e} exceeds {_MAX_CELL_RATIO} times the face scale {scale:.3e}; "
+                    "refine the resolution"
+                )
             e, dg = _face_family_energy(sigma, dx, half_across, n_across, separation)
             total += e
             diag += dg
@@ -358,19 +370,25 @@ def _section_pair_green(cs: CrossSection, s: np.ndarray) -> tuple[np.ndarray, np
         F(s) = int_{R x R} 1/sqrt(s^2 + (y-y1)^2 + (z-z1)^2)
              = 4 int_0^{2l} (2l - u) phi(hypot(s, u)) du
 
-    at every axial separation s > 0, with phi the face pair of _face_pair.
-    quad's GK15 rule runs on panels halving from 2l toward u = 0 until the
-    last is at most min(s); the errors sum each panel's Kronrod-minus-Gauss
-    estimate, held to _PAIR_REL_TOL by quad._check_rule.
+    at every axial separation s >= 0, with phi the face pair of _face_pair;
+    F(0) is the flat 2l x 2d cell's self integral, whose closed form cancels
+    on thin cells.  quad's GK15 rule runs on panels halving from 2l toward
+    u = 0 until the last is at most min(s), or _ZERO_LAG_FLOOR d when
+    min(s) = 0, then on the panel down to 0, all panels at once for blocks
+    of lags of at most _PAIR_BLOCK node values.  The errors sum each panel's
+    Kronrod-minus-Gauss estimate, held to _PAIR_REL_TOL by quad._check_rule.
+    F(0) is within 1.1e-15 of the closed form in mpmath for l from 1e-3 to
+    100 and c from 1 to 1e-150.
     """
     tl, d = 2.0 * cs.l, cs.d
-    nodes, kronrod, excess = _gk_panels(np.append(_halving_edges(tl, s.min()), 0.0))
-    values = np.zeros(s.size)
-    errors = np.zeros(s.size)
-    for u, wk, we in zip(nodes, kronrod, excess):
-        f = (tl - u) * (d * _face_pair(np.hypot(s[:, None], u) / d))
-        values += 4.0 * (f @ wk)
-        errors += 4.0 * np.abs(f @ we)
+    nodes, kronrod, excess = _gk_panels(np.append(_halving_edges(tl, s.min() or _ZERO_LAG_FLOOR * d), 0.0))
+    weights, excess = 4.0 * (tl - nodes) * kronrod, 4.0 * (tl - nodes) * excess
+    values, errors = np.empty(s.size), np.empty(s.size)
+    step = max(1, _PAIR_BLOCK // nodes.size)
+    for lo in range(0, s.size, step):
+        f = d * _face_pair(np.hypot(s[lo : lo + step, None, None], nodes) / d)  # (lags, panels, 15)
+        values[lo : lo + step] = f.reshape(f.shape[0], -1) @ weights.ravel()
+        errors[lo : lo + step] = np.abs((f * excess).sum(axis=2)).sum(axis=1)
     _check_rule("pair integral", values, errors, _PAIR_REL_TOL, lambda i: f"s={s[i]:.17g}")
     return values, errors
 
@@ -383,21 +401,27 @@ def e_v_volume_oracle(p: Profile1D, cs: CrossSection) -> float:
     with g = d m1/dx and F the transverse pair integral of 1/r over the
     cross-section (_section_pair_green, independent of the spectral path).
 
-    The lag sum samples F at multiples of h and converges like h^2: on the
-    golden wall it is off by 1.45% at h = 0.51 l and 0.38% at h = 0.25 l.
+    The lag sum samples F at multiples of h, lag 0 included, and converges
+    like h^2: on the golden wall it is off by 1.45% at h = 0.51 l and 0.38%
+    at h = 0.25 l.
 
     Raises:
         ResolutionError: the grid spacing exceeds l/2, so the lag sum cannot
-            resolve F, which varies on the scale of the section.
+            resolve F, which varies on the scale of the section; or it
+            exceeds d, where F(0) stands far above F's average over the
+            first cell.  On the golden wall at l = 0.1, N = 2049 the oracle
+            is above the spectral E_v (itself 3.6e-3 low) by 7.4e-3 at
+            h = 0.51 d, 1.2e-2 at 1.27 d and 0.13 at 254 d.
     """
     h = p.spacing
-    if h > 0.5 * cs.l:
+    if h > min(0.5 * cs.l, cs.d):
         raise ResolutionError(
-            f"grid spacing {h:.3e} exceeds half the section half-width {cs.l:.3e}; refine the grid"
+            f"grid spacing {h:.3e} exceeds half the section half-width {cs.l:.3e} "
+            f"or the half-thickness {cs.d:.3e}; refine the grid"
         )
     w = _lag_weights(profile_derivative(p)[:, 0])
     pair, _ = _section_pair_green(cs, h * np.arange(1, w.size))
-    total = w[0] * _self_patch(2.0 * cs.l, 2.0 * cs.d) + w[1:] @ pair
+    total = w[0] * _section_pair_green(cs, np.zeros(1))[0][0] + w[1:] @ pair
     return float(total * h * h / (4.0 * math.pi))
 
 

@@ -211,11 +211,12 @@ def _ansatz_energy(cs: CrossSection, window: Optional[tuple[float, float]] = Non
     energy (E_ex + E_s + E_v_bound)/mu of m1 = tanh(ax), m2 = sech(ax),
     a = 1/(s sqrt(pi)), for s in window, by default [s0/2, 2 s0].
 
-    E = P/s + Q s + R + S(s), each term formed over mu as l d underflows: the
-    exchange 8 l d a and the bound's ||d m1||^2 = 4a/3 terms make P, the
-    leading E_s 8 I(0)/(pi^2 a), I(0) = 2 pi l d a_c, and the bound's
-    ||m*||^2 = 2(2 ln 2 - 1)/a term make Q, and s0 = sqrt(P/Q).  E_s is one
-    real-space integral over the window (_real_space_surface).
+    E = P/s + Q s + R + E_s(s), each term formed over mu as l d underflows:
+    the exchange 8 l d a and the bound's ||d m1||^2 = 4a/3 terms make P, the
+    bound's ||m*||^2 = 2(2 ln 2 - 1)/a term makes Q and its constant term R,
+    and E_s, all of it, is one real-space integral over the window
+    (_real_space_surface).  The leading E_s, 8 I(0)/(pi^2 a) with
+    I(0) = 2 pi l d a_c, enters only the start s0 = sqrt(P/(Q + 16 a_c lam/sqrt(pi))).
     """
     params = RescalingParams.from_cross_section(cs)
     dm1, mstar, const = _e_v_bound_coefficients(cs)

@@ -28,11 +28,14 @@ from wallscale import (
 from wallscale import magnetostatics
 from wallscale.errors import QuadratureError, ResolutionError, WallscaleError
 from wallscale.magnetostatics import (
+    _face_pair,
     _section_pair_green,
     e_v_volume_oracle,
     offset_m1,
     richardson_boundary_oracle,
 )
+from wallscale.minimize import _real_space_surface
+from wallscale.quad import _gk_panels, _halving_edges
 from wallscale.walls import DiscreteReducedEnergy, profile_derivative
 
 from conftest import GOLDEN_CS, GOLDEN_WALL, GOLDEN_L, GOLDEN_N, load_golden
@@ -41,6 +44,8 @@ SQRT_PI = math.sqrt(math.pi)
 
 # E_v of the golden wall from its closed-form spectrum |g_hat|^2 against K
 GOLDEN_E_V = 2.0036953923e-4
+# E_s of the golden wall from its closed-form spectrum
+GOLDEN_E_S = 0.0249314674
 
 
 def uniform_bulk_profile(L=10.0, N=257) -> Profile1D:
@@ -188,8 +193,19 @@ class TestSurfaceEnergy:
     def test_live_richardson_oracle_agrees(self, standard_wall_profile):
         extrapolated, raw = richardson_boundary_oracle(standard_wall_profile, GOLDEN_CS)
         value = e_s_spectral(standard_wall_profile, GOLDEN_CS)
-        assert abs(value - extrapolated) / extrapolated <= 0.02
+        assert abs(value - extrapolated) / extrapolated <= 1e-4  # measured 7.1e-5
         assert raw[0] > raw[1] > raw[2] > 0.0  # O(h) convergence from above
+
+    def test_golden_referee_from_ansatz_surface(self, standard_wall_profile):
+        # the golden wall is the ansatz at s = 1, whose E_s the real-space
+        # surface integral gives with no grid, window or extrapolation
+        params = RescalingParams.from_cross_section(GOLDEN_CS)
+        referee = _real_space_surface(GOLDEN_CS, params.lam, 1.0, 1.0)(1.0)[0] * params.mu
+        assert referee == pytest.approx(GOLDEN_E_S, rel=0.0, abs=1e-10)
+        # measured +6.98e-7 (the same at N = 1025 and 4097) and -7.04e-5
+        assert abs(e_s_spectral(standard_wall_profile, GOLDEN_CS) / referee - 1.0) <= 1e-6
+        extrapolated, _ = richardson_boundary_oracle(standard_wall_profile, GOLDEN_CS)
+        assert abs(extrapolated / referee - 1.0) <= 1e-4
 
     @pytest.mark.parametrize(
         "theta, raw, extrapolated",
@@ -237,6 +253,26 @@ class TestSurfaceEnergy:
         with pytest.raises(ResolutionError):
             e_s_boundary_oracle(standard_wall_profile, GOLDEN_CS, (16, 2))
 
+    @pytest.mark.parametrize("resolution", [(2048, 2), (512, 4)])
+    def test_oracle_diagonal_check_refuses_few_panels_across(self, standard_wall_profile, resolution):
+        # fine enough along x, so only the diagonal share sees the coarse faces
+        with pytest.raises(ResolutionError, match="diagonal"):
+            e_s_boundary_oracle(standard_wall_profile, GOLDEN_CS, resolution)
+
+    @pytest.mark.parametrize("l, c, theta", [(1e-3, 0.5, math.pi / 2), (1e-3, 1e-4, 0.0), (0.3, 1e-2, 0.0)])
+    def test_oracle_refuses_axial_cells_wider_than_section(self, l, c, theta):
+        # dx = 0.102 at 512 axial cells against 2d = 1e-3, 2e-7 and 6e-3:
+        # unchecked, the Richardson value was 11.5, 1.1e4 and 1.29 times
+        # the spectral E_s
+        wall = ClosedFormWall(alpha=1.0 / math.pi, beta=1.0, theta=theta)
+        with pytest.raises(ResolutionError, match="axial cell"):
+            richardson_boundary_oracle(sample_wall(wall, GOLDEN_L, GOLDEN_N), CrossSection(l=l, d=c * l))
+
+    def test_oracle_refuses_coarse_axial_cells_on_golden_section(self, standard_wall_profile):
+        # dx = 8.1 (2d) at (64, 16): unchecked, the raw value was 8.0 times the spectral E_s
+        with pytest.raises(ResolutionError, match="axial cell"):
+            e_s_boundary_oracle(standard_wall_profile, GOLDEN_CS, (64, 16))
+
     def test_oracle_m3_family_mirrors_m2_on_square_section(self):
         # at l = d the theta = pi/2 wall is the theta = 0 wall reflected, so
         # the z-face family must reproduce the y-face family exactly
@@ -280,7 +316,7 @@ class TestSurfaceEnergy:
         p = sample_wall(wall, GOLDEN_L, GOLDEN_N)
         extrapolated, _ = richardson_boundary_oracle(p, GOLDEN_CS)
         value = e_s_spectral(p, GOLDEN_CS)
-        assert abs(value - extrapolated) / extrapolated <= 0.02
+        assert abs(value - extrapolated) / extrapolated <= 1e-3  # measured 4.05e-4
 
 
 class TestVolumeBound:
@@ -348,6 +384,19 @@ def pair_green_mpmath(cs, s):
         return float(4 * mpmath.quad(f, [0, s, tl] if s < tl else [0, tl]))
 
 
+def zero_lag_mpmath(cs):
+    """F(0), the self integral of 1/|p - q| over the flat 2l x 2d cell, from
+    its closed form in 2|log10 c| + 30 digits, which absorb the form's
+    cancellation, about c^-2, on thin cells."""
+    with mpmath.workdps(int(2 * abs(math.log10(cs.c))) + 30):
+        a, b = mpmath.mpf(2.0 * cs.l), mpmath.mpf(2.0 * cs.d)
+        r, A, B = mpmath.hypot(a, b), mpmath.asinh(b / a), mpmath.asinh(a / b)
+        t1 = a * b * (a * A + b * B)
+        t2 = b * ((b / 2) * r + (a * a / 2) * A - b * b / 2)
+        t3 = a * ((a / 2) * r + (b * b / 2) * B - a * a / 2)
+        return float(4 * (t1 - t2 - t3 + (r**3 - a**3 - b**3) / 3))
+
+
 _QUADPACK = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-12, max_subdivisions=200)
 
 
@@ -375,6 +424,27 @@ class TestSectionPairGreen:
         values, _ = _section_pair_green(GOLDEN_CS, s)
         for si, value in zip(s, values):
             assert value == pytest.approx(pair_green_mpmath(GOLDEN_CS, si), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("l", [1e-3, 0.1, 1.0, 100.0])
+    @pytest.mark.parametrize("c", [1.0, 0.5, 1e-2, 1e-6, 1e-8, 1e-12])
+    def test_zero_lag_matches_mpmath(self, l, c):
+        # the closed form in doubles was 1.6e-4 off at 0.1 x 1.25e-8 and 96% at 0.1 x 1.25e-12
+        cs = CrossSection(l=l, d=c * l)
+        values, _ = _section_pair_green(cs, np.array([0.0]))
+        assert values[0] == pytest.approx(zero_lag_mpmath(cs), rel=1e-15, abs=0.0)
+
+    def test_lag_blocks_match_per_panel_loop(self):
+        # every crosscheck lag, over several blocks of lags, against the
+        # per-panel loop that summed one panel of all lags at a time
+        s = self.H * np.arange(1, GOLDEN_N)
+        tl, d = 2.0 * GOLDEN_CS.l, GOLDEN_CS.d
+        nodes, kronrod, _ = _gk_panels(np.append(_halving_edges(tl, self.H), 0.0))
+        reference = sum(
+            4.0 * (((tl - u) * (d * _face_pair(np.hypot(s[:, None], u) / d))) @ wk) for u, wk in zip(nodes, kronrod)
+        )
+        values, _ = _section_pair_green(GOLDEN_CS, s)
+        assert s.size * nodes.size > magnetostatics._PAIR_BLOCK
+        np.testing.assert_allclose(values, reference, rtol=1e-15, atol=0.0)
 
     def test_error_above_tolerance_raises(self, monkeypatch, standard_wall_profile):
         monkeypatch.setattr(magnetostatics, "_PAIR_REL_TOL", 1e-18)
@@ -464,6 +534,13 @@ class TestVolumeSpectral:
         p = sample_wall(GOLDEN_WALL, GOLDEN_L, 1025)
         with pytest.raises(ResolutionError):
             e_v_volume_oracle(p, GOLDEN_CS)
+
+    def test_volume_oracle_rejects_spacing_above_half_thickness(self):
+        # h = 25 d at l = 0.1, c = 1e-2: F falls steeply over d < s < l, and
+        # the lag-0 sample F(0) put the oracle 6.6e-2 above the spectral E_v
+        p = sample_wall(GOLDEN_WALL, GOLDEN_L, 2049)
+        with pytest.raises(ResolutionError, match="half-thickness"):
+            e_v_volume_oracle(p, CrossSection(l=0.1, d=1e-3))
 
     def test_below_closed_form_bound(self):
         p = sample_wall(GOLDEN_WALL, GOLDEN_L, 513)
