@@ -9,7 +9,11 @@ Evaluates, in 30-digit arithmetic with mpmath's tanh-sinh quadrature,
 with (w, s) = (d, l) for swap=True and (l, d) for swap=False, on l = 1,
 d = c over c in {1, 0.5, 1e-2, 1e-6, 1e-12} and k = 0 plus
 geomspace(1e-3, 1e4, 15), both swaps, plus the golden-section case
-l = 0.1, d = 0.05, swap=True, k = 166.4488.  At k = 0 the bracket is its
+l = 0.1, d = 0.05, swap=True, k = 166.4488, and THIN_RULE_ROWS: the three
+thin m3-channel rows of a 2400-row scan (l in [1e-3, 1], c in [1e-13,
+1e-11], |k| hypot(2l, 2d) in [1, 10^0.5]) on which kernels._k0_gap's
+direct difference K0(ku) - K0(kr) left the rule 0.96e-14 to 1.04e-14 off.
+At k = 0 the bracket is its
 limit ln(sqrt(u^2 + 4 s^2)/u), which checks the closed forms of a_c and b_c
 independently.  The working precision absorbs the cancellation of the two
 K0 terms in thin films.
@@ -39,6 +43,11 @@ VOLUME_OUT = DATA / "volume_kernel_refs.csv"
 ASPECT_RATIOS = (1.0, 0.5, 1e-2, 1e-6, 1e-12)
 FREQUENCIES = (0.0,) + tuple(float(k) for k in np.geomspace(1e-3, 1e4, 15))
 GOLDEN = (0.1, 0.05, True, 166.4488)
+THIN_RULE_ROWS = (
+    (0.013130716669740925, 1.983833257321592e-15, False, 60.84105533186294),
+    (0.03755675073654604, 8.823597341161185e-14, False, 32.15989164716003),
+    (0.026139488598142486, 8.634299073692019e-14, False, 53.01227242454014),
+)
 VOLUME_CASES = (
     (0.1, 0.05, 0.5),
     (0.1, 0.05, 5.0),
@@ -153,7 +162,7 @@ def write_table(path: Path, header: list[str], cases, evaluate) -> None:
 def main() -> None:
     mp.mp.dps = 30
     cases = [(1.0, c, swap, k) for c in ASPECT_RATIOS for swap in (True, False) for k in FREQUENCIES]
-    cases.append(GOLDEN)
+    cases += [GOLDEN, *THIN_RULE_ROWS]
     DATA.mkdir(parents=True, exist_ok=True)
     write_table(OUT, ["l", "d", "swap", "k", "value", "quad_error"], cases, reference)
     write_table(VOLUME_OUT, ["l", "d", "k", "value", "quad_error"], VOLUME_CASES, volume_reference)

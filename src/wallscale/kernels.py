@@ -154,15 +154,28 @@ def k1(z: np.ndarray) -> np.ndarray:
 def _k0_gap(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
     """K0(z) - K0(z + dz) for z > 0, dz >= 0, without cancellation.
 
-    Where dz (1 + 1/z) < 0.05 the direct difference would lose digits, and
+    Where z + dz <= 0.1 both K0 carry the large -ln(z/2) I0(z), and the
+    series K0(z) = sum_n b^2n/(n!)^2 (psi(n+1) - ln b), b = z/2 (DLMF
+    10.31.2), gives the gap as L I0(2a) + sum_n a^2n (-expm1(-2nL)) (ln b -
+    psi(n+1))/(n!)^2, a = (z + dz)/2, L = ln(a/b) = log1p(dz/z).  Elsewhere,
+    where dz (1 + 1/z) < 0.05, the direct difference would lose digits, and
     the gap is the integral of K1 over [z, z + dz] by 7-point Gauss-Legendre.
     """
-    gap = k0(z) - k0(z + dz)
-    near = np.flatnonzero(dz * (z + 1.0) < 0.05 * z)  # times z: 1/z overflows for subnormal z
+    end = z + dz
+    gap = k0(z) - k0(end)
+    series = (end <= 0.1) & (z >= _TINY)  # normal z: dz/z stays finite
+    near = np.flatnonzero((dz * (z + 1.0) < 0.05 * z) & ~series)  # times z: 1/z overflows for subnormal z
     if near.size:
         zn, h = z.ravel()[near, None], 0.5 * dz.ravel()[near, None]
         nodes = zn + h * (1.0 + _GK_NODES[1::2])
         gap.ravel()[near] = (h * k1(nodes) * _GK_GAUSS[1::2]).sum(axis=1)
+    rows = np.flatnonzero(series)
+    if rows.size:
+        zn = z.ravel()[rows, None]
+        log_ratio = np.log1p(dz.ravel()[rows, None] / zn)  # L
+        terms = np.cumprod(0.25 * end.ravel()[rows, None] ** 2 / _N**2, axis=1)  # a^2n/(n!)^2
+        gap.ravel()[rows] = log_ratio[:, 0] * (1.0 + terms.sum(axis=1)) - (
+            terms * np.expm1(-2.0 * _N * log_ratio) * (np.log(0.5 * zn) - _PSI)).sum(axis=1)
     return gap
 
 

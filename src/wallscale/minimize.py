@@ -9,10 +9,10 @@ renormalization after every step, boundary nodes pinned.
 
 The ansatz search takes Newton steps on the closed-form energy of the
 recovery wall m0(x/s) and its exact derivatives in s.  Its surface energy
-is one real-space GK15 integral of elementary factors, the face-pair
-Coulomb integral of the cross-section against the autocorrelation of the
-wall's sech profile (_real_space_surface), at every width and aspect
-ratio, with no kernel evaluation.
+is one real-space integral of elementary factors, the face-pair Coulomb
+integral of the cross-section against the autocorrelation of the wall's
+sech profile, by the trapezoid rule in ln xi (_real_space_surface), at
+every width and aspect ratio, with no kernel evaluation.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import StallError, WallscaleError
-from .kernels import _FLOOR, _REL_TOL, CrossSection, a_c
+from .kernels import _REL_TOL, CrossSection, a_c
 from .magnetostatics import RescalingParams, _e_v_bound_coefficients, _face_pair
-from .quad import _TINY, _check_rule, _gk_panels, _halving_edges
+from .quad import _TINY, _check_rule
 # perfbench/tracing.py imports DiscreteReducedEnergy from this module
 from .walls import M3_TOLERANCE, DiscreteReducedEnergy, Profile1D, ReducedEnergyWeights, _reduced_model
 
@@ -155,7 +155,8 @@ def arc_profile(L: float, N: int) -> Profile1D:
 
 
 _NEWTON_STEPS = 8  # energy evaluations the scale search may take
-_TOP = 40.0  # the rule's top edge in wall widths s sqrt(pi): g(40) = 3.4e-16
+_TOP = 40.0  # the rule's top node in wall widths s sqrt(pi): g(40) = 3.4e-16
+_STEP = 0.15  # the rule's step h in ln xi
 
 
 def _real_space_surface(cs: CrossSection, lam: float, lo: float, hi: float) -> Callable:
@@ -171,36 +172,38 @@ def _real_space_surface(cs: CrossSection, lam: float, lo: float, hi: float) -> C
 
     g(x) = x/sinh x, a = 1/(s sqrt(pi)), phi = d F(q/d) of
     magnetostatics._face_pair.  The mean, of order d^2, is never formed: d/mu
-    is taken as lam/l.  quad's GK15 rule runs on panels halving from _TOP hi
-    sqrt(pi) down to kernels._FLOOR min(d, lo sqrt(pi)), plus the sliver
-    below that floor to leading order, where g = 1; no kernel is evaluated.
+    is taken as lam/l.  The integrand's singularities all have xi^2 < 0, so
+    the trapezoid rule in ln xi converges like exp(-pi^2/h) (Trefethen and
+    Weideman, SIAM Review 56 (2014) 385); its nodes below 1e-8 lo sqrt(pi),
+    where x/sinh x = x/tanh x = 1 in doubles for s >= lo, are summed once.
     quad._check_rule raises QuadratureError unless E_s/mu is a finite normal
-    double with its Kronrod-minus-Gauss estimate within _REL_TOL of it.
+    double with its estimate |T_h - T_2h| within _REL_TOL of it.
     """
-    root_pi = math.sqrt(math.pi)
-    d = cs.d
-    edges = _halving_edges(_TOP * hi * root_pi, _FLOOR * min(d, lo * root_pi))
-    xi, kronrod, excess = _gk_panels(edges)
-    jump = _face_pair(xi / d) - _face_pair(np.hypot(xi, 2.0 * cs.l) / d)  # [phi(xi) - phi(r)]/d
-    kronrod, excess = jump * kronrod, jump * excess
-    # int_0^floor [phi(xi) - phi(r)] dxi/d = floor [2 ln(4d/floor) - F(2l/d)] to leading order
-    sliver = edges[-1] * (2.0 * math.log(4.0 * d / edges[-1]) - _face_pair(2.0 / cs.c))
-    half_pi_d_mu = 0.5 * math.pi * lam / cs.l  # (pi/2) d/mu
+    root_pi, d, tl = math.sqrt(math.pi), cs.d, 2.0 * cs.l
+    log_top = math.log(min(_TOP * hi * root_pi, 2.0**30 * tl))  # past 2l, [phi(xi) - phi(r)]/d <= 4 d l^2/xi^3
+    # down to 1e-19 min(d, lo sqrt(pi)): the head left out is about 1e-17 of E_s
+    j = np.arange(math.ceil((log_top - math.log(1e-19 * min(d, lo * root_pi))) / _STEP) + 1)
+    xi = np.exp(log_top - _STEP * j)
+    # (8/pi^1.5) (pi/2) (d/mu) h xi [phi(xi) - phi(r)]/d, with d/mu = lam/l
+    jump = (4.0 * _STEP * lam / (root_pi * cs.l)) * xi * (_face_pair(xi / d) - _face_pair(np.hypot(xi, tl) / d))
+    alternate = np.where(j % 2, jump, -jump)  # T_h - T_2h
+    curved = np.count_nonzero(xi >= 1e-8 * lo * root_pi)
+    flat, flat_alternate = jump[curved:].sum(), alternate[curved:].sum()
+    width, jump, alternate = xi[:curved] / root_pi, jump[:curved], alternate[:curved]
 
-    @np.errstate(over="ignore")  # sinh overflows past x = 710 on wide windows, where g = 0
     def surface(s: float) -> tuple[float, float, float]:
-        x = xi / (root_pi * s)  # a xi
-        u = x / np.sinh(x)  # g
+        x = width / s  # a xi
+        with np.errstate(over="ignore"):  # sinh overflows past x = 710 on wide windows, where g = 0
+            u = x / np.sinh(x)  # g
         y = x / np.tanh(x)  # u cosh x
-        weighted = u * kronrod
-        scale = 8.0 / math.pi**1.5 * s * half_pi_d_mu
-        e_s = scale * (weighted.sum() + sliver)
-        error = scale * np.abs((u * excess).sum(axis=1)).sum()
+        weighted = u * jump
+        e_s = s * (weighted.sum() + flat)
+        error = s * abs(u @ alternate + flat_alternate)
         _check_rule("surface energy", e_s, error, _REL_TOL, lambda i: f"{cs}, s={s!r}")
         # s g(a xi) in t = ln s has the derivatives s (g - x g') = s u y and
         # s x^2 g'' = s u (u^2 + y^2 - 2y), with no 1/sinh^2 to overflow
-        slope = scale * ((weighted * y).sum() + sliver)
-        curve = scale * (weighted * (u * u + y * (y - 2.0))).sum()
+        slope = s * (weighted @ y + flat)
+        curve = s * (weighted @ (u * u + y * (y - 2.0)))
         return e_s, slope, curve
 
     return surface

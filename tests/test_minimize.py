@@ -370,6 +370,35 @@ class TestAnsatzSearch:
         assert abs(slope - first) <= 1e-9 * value
         assert abs(curvature - (second - first)) <= 1e-9 * value
 
+    @pytest.mark.parametrize("c, most", [(1e-2, 700), (1e-12, 700), (1e-150, 3000)])
+    def test_surface_rule_node_gate(self, monkeypatch, c, most):
+        # the trapezoid in ln xi has 412, 621 and 2739 nodes here, and sinh runs
+        # on at most 157 of them per evaluation; GK15 halving panels took 990,
+        # 1725 and 12,015, every one of them in every evaluation
+        faces, curved = [], []
+        face_pair, sinh = minimize_module._face_pair, np.sinh
+        monkeypatch.setattr(minimize_module, "_face_pair", lambda t: faces.append(np.size(t)) or face_pair(t))
+        monkeypatch.setattr(np, "sinh", lambda x: curved.append(np.size(x)) or sinh(x))
+        res = minimize_full_ansatz(CrossSection(l=1e-3, d=c * 1e-3))
+        assert sum(faces) <= 2 * most  # phi at xi and at sqrt(xi^2 + 4 l^2)
+        assert len(curved) == res.evaluations and max(curved) <= 200
+
+    def test_surface_error_estimates_keep_a_margin(self, monkeypatch):
+        # |T_h - T_2h| is at most 1.2e-12 of E_s on this grid at h = 0.15; at
+        # h = 0.2 it reached 3.6e-9, so a coarser step fails here first
+        checked = []
+        check_rule = minimize_module._check_rule
+        monkeypatch.setattr(
+            minimize_module, "_check_rule", lambda *args: checked.append(args[1:3]) or check_rule(*args)
+        )
+        for l in (1e-3, 1.0, 100.0, 1e4, 1e6):
+            for c in (1e-200, 1e-50, 1e-12, 1e-4, 1e-2, 0.5, 0.99):
+                energy, s0 = _ansatz_energy(CrossSection(l=l, d=c * l))
+                for s in (0.5 * s0, s0, 2.0 * s0):
+                    energy(s)
+        assert len(checked) == 105
+        assert all(error <= 1e-11 * value for value, error in checked)
+
     def test_real_space_surface_error_above_tolerance_raises(self, monkeypatch):
         monkeypatch.setattr(minimize_module, "_REL_TOL", 1e-30)
         with pytest.raises(QuadratureError, match="above tolerance"):
