@@ -25,8 +25,16 @@ The volume kernel
 goes to a second table, on the square [0, 2d]^2 in Duffy coordinates
 (rho, t) and the strip [2d, 2l] x [0, 2d] in (u, v), by two-dimensional
 tanh-sinh, at the VOLUME_CASES below: square, moderate, thin and very thin
-sections, k from 1e-3 to past the switch to the asymptotic form at
-k d = 20.  Run from the repository root (takes about twenty minutes):
+sections, k from 1e-3 to past k d = 20, and THIN_VOLUME_ROWS, two thin
+sections just past the series edge k hypot(2l, 2d) = 1; at c = 1e-12 the
+weight 2 l floor of the rule's sliver below its floor is of the order of K
+k^2 itself, so a sliver integrand that cancels shows there.  The library
+takes K from the surface channels by the demagnetizing trace, k^2 K =
+J(l,d,k) + J(d,l,k) with J = I(0) - I, so this two-dimensional integral
+stays the independent referee of that identity; the one-dimensional form
+sum_swap [reference(k=0) - reference(k)]/k^2 at 60 digits agrees with both
+thin rows to all 25 digits written.  Run from the repository root (takes about thirty
+minutes, eight of them on the c = 1e-12 row):
 
     python3 scripts/make_kernel_refs.py
 """
@@ -61,6 +69,10 @@ VOLUME_CASES = (
     (1.0, 1e-6, 1e-3),
     (1.0, 1e-6, 1.0),
     (1.0, 1e-6, 1e3),
+)
+THIN_VOLUME_ROWS = (
+    (1.0, 1e-6, 0.6),
+    (1.0, 1e-12, 0.6414798172704325),
 )
 
 
@@ -165,7 +177,7 @@ def main() -> None:
     cases += [GOLDEN, *THIN_RULE_ROWS]
     DATA.mkdir(parents=True, exist_ok=True)
     write_table(OUT, ["l", "d", "swap", "k", "value", "quad_error"], cases, reference)
-    write_table(VOLUME_OUT, ["l", "d", "k", "value", "quad_error"], VOLUME_CASES, volume_reference)
+    write_table(VOLUME_OUT, ["l", "d", "k", "value", "quad_error"], VOLUME_CASES + THIN_VOLUME_ROWS, volume_reference)
 
 
 if __name__ == "__main__":

@@ -19,16 +19,15 @@ x != 0, I is the Fourier transform of one face pair's 1/r interaction
 
 Over the whole cross-section the same transform gives the volume kernel
 K = (pi/2) int_0^{2l} int_0^{2d} (2l - u)(2d - v) K0(|x| sqrt(u^2 + v^2)) dv du,
-which weights the spectrum of d m1/dx.  kernel_batch and volume_kernel_batch
-evaluate them for many x at once with quad's 15-point Gauss-Kronrod table on
-graded panels, whose embedded Gauss rule gives an error estimate.  Where
-|x| hypot(2w, 2s) <= 1, kernel_batch instead sums the K0 ascending series
-(DLMF 10.31.2) on moments that do not depend on x, taken once per call on
-the same panels, and makes no Bessel function call.  Every kernel value is
-returned only when its error estimate is within 1e-8 of the value
-(_REL_TOL) and the value is a finite normal double (quad._check_rule);
-otherwise the call raises QuadratureError.  scipy.special is imported by
-the first Kronrod-rule row (see k0), not with the module.
+which weights the spectrum of d m1/dx.  By the trace of the demagnetizing
+tensor x^2 K = J(l, d, x) + J(d, l, x), J = I(0) - I, so one per-channel
+evaluation (_channel) gives both kernels for many x at once: the K0 series
+(DLMF 10.31.2) on x-free moments where |x| hypot(2w, 2s) <= 1, an asymptotic
+form far out, and otherwise quad's GK15 table on panels halving toward u = 0,
+whose embedded Gauss rule gives an error estimate.  Each value is returned
+only when that estimate is within 1e-8 of it (_REL_TOL) and it is a finite
+normal double (quad._check_rule); otherwise the call raises QuadratureError.
+scipy.special is imported by the rule's first Bessel call (see k0).
 
 Every function here is pure and reentrant; sweep drivers may call them
 concurrently.
@@ -64,8 +63,7 @@ __all__ = [
 _FLOOR = 1e-12
 _SERIES_EDGE = 1.0  # |x| hypot(2w, 2s) up to this: I from the K0 ascending series
 _TERMS = 12  # series terms; the first one left out is at most 2.1e-28 of I(0) at the edge
-_FAR = 20.0  # see the asymptotic branches of kernel_batch and volume_kernel_batch
-_CORNER_PANELS = 24  # halvings of the volume rule's corner toward the origin
+_FAR = 20.0  # see the asymptotic branch of _channel
 _ROUNDING = 1e-14  # relative rounding error claimed for every value
 _REL_TOL = 1e-8  # bound on every returned value's error estimate, relative to the value
 _BLOCK = 16  # frequencies per block; bounds the (block x nodes) temporaries
@@ -137,8 +135,7 @@ def b_c(c: float) -> float:
 
 
 def k0(z: np.ndarray) -> np.ndarray:
-    """scipy.special.k0; scipy.special (24 MB) is imported by the first
-    Kronrod-rule row, not with the package."""
+    """scipy.special.k0; scipy.special (24 MB) is imported on first use."""
     from scipy.special import k0 as bessel_k0
 
     return bessel_k0(z)
@@ -151,56 +148,47 @@ def k1(z: np.ndarray) -> np.ndarray:
     return bessel_k1(z)
 
 
-def _k0_gap(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """K0(z) - K0(z + dz) for z > 0, dz >= 0, without cancellation.
+def _k0_gap(z: np.ndarray, dz: np.ndarray, complement: bool = False) -> np.ndarray:
+    """K0(z) - K0(z + dz), or with complement H(z + dz) - H(z) where
+    H(t) = K0(t) + ln t, for z > 0, dz >= 0, without cancellation.
 
-    Where z + dz <= 0.1 both K0 carry the large -ln(z/2) I0(z), and the
-    series K0(z) = sum_n b^2n/(n!)^2 (psi(n+1) - ln b), b = z/2 (DLMF
-    10.31.2), gives the gap as L I0(2a) + sum_n a^2n (-expm1(-2nL)) (ln b -
-    psi(n+1))/(n!)^2, a = (z + dz)/2, L = ln(a/b) = log1p(dz/z).  Elsewhere,
-    where dz (1 + 1/z) < 0.05, the direct difference would lose digits, and
-    the gap is the integral of K1 over [z, z + dz] by 7-point Gauss-Legendre.
+    Where z is normal and z + dz <= 0.1 (2 with complement), the series
+    K0(z) = sum_n b^2n/(n!)^2 (psi(n+1) - ln b), b = z/2 (DLMF 10.31.2),
+    gives the H gap sum_n a^2n [(psi(n+1) - ln a)(1 - q^2n) - L q^2n]/(n!)^2,
+    a = (z + dz)/2, q = z/(z + dz), L = log1p(dz/z), and the K0 gap is L
+    minus it.  Elsewhere the K0 gap is the direct difference, or where dz (1
+    + 1/z) < 0.05 the integral of K1 by 7-point Gauss-Legendre; the H gap is
+    L minus it for z >= 1, and split at 1 below, where ln z + K0(z) cancels.
     """
+    z = np.maximum(z, _TINY) if complement else z  # H(z) = H(0) to rounding below _TINY
+    shape, z, dz = z.shape, z.ravel(), dz.ravel()
     end = z + dz
-    gap = k0(z) - k0(end)
-    series = (end <= 0.1) & (z >= _TINY)  # normal z: dz/z stays finite
-    near = np.flatnonzero((dz * (z + 1.0) < 0.05 * z) & ~series)  # times z: 1/z overflows for subnormal z
-    if near.size:
-        zn, h = z.ravel()[near, None], 0.5 * dz.ravel()[near, None]
-        nodes = zn + h * (1.0 + _GK_NODES[1::2])
-        gap.ravel()[near] = (h * k1(nodes) * _GK_GAUSS[1::2]).sum(axis=1)
+    gap = np.empty(z.size)
+    series = (end <= (2.0 if complement else 0.1)) & (z >= _TINY)  # normal z: dz/z stays finite
+    low = complement & (z < 1.0) & ~series
+    rows = np.flatnonzero(~series & ~low)
+    if rows.size:
+        zn, dn = z[rows], dz[rows]
+        gap[rows] = k0(zn) - k0(end[rows])
+        near = np.flatnonzero(dn * (zn + 1.0) < 0.05 * zn)  # times z: 1/z overflows for subnormal z
+        if near.size:
+            zr, h = zn[near, None], 0.5 * dn[near, None]
+            gap[rows[near]] = (h * k1(zr + h * (1.0 + _GK_NODES[1::2])) * _GK_GAUSS[1::2]).sum(axis=1)
+        if complement:  # z >= 1 here
+            gap[rows] = np.log1p(dn / zn) - gap[rows]
+    rows = np.flatnonzero(low)
+    if rows.size:
+        gap[rows] = _k0_gap(z[rows], 1.0 - z[rows], True) + _k0_gap(np.ones(rows.size), end[rows] - 1.0, True)
     rows = np.flatnonzero(series)
     if rows.size:
-        zn = z.ravel()[rows, None]
-        log_ratio = np.log1p(dz.ravel()[rows, None] / zn)  # L
-        terms = np.cumprod(0.25 * end.ravel()[rows, None] ** 2 / _N**2, axis=1)  # a^2n/(n!)^2
-        gap.ravel()[rows] = log_ratio[:, 0] * (1.0 + terms.sum(axis=1)) - (
-            terms * np.expm1(-2.0 * _N * log_ratio) * (np.log(0.5 * zn) - _PSI)).sum(axis=1)
-    return gap
-
-
-def _graded_rule(k, values, errors, rows, integrand, kronrod, excess, shape):
-    """(values, errors) reshaped to shape, with values[rows] filled by pi/2
-    times a panel rule and every error carrying the _ROUNDING term.
-
-    integrand(kb) gives the integrand at the nodes for a column kb of
-    frequencies, and the integral below the rule's floor; each array in
-    excess holds Kronrod-minus-Gauss weights shaped (panels, nodes per
-    panel); errors outside rows are kept as passed in.  Blocks of _BLOCK
-    frequencies bound the temporaries; each row is reduced on its own, so a
-    batch gives bitwise the values of its frequencies one at a time.  Raises
-    QuadratureError when any value is not a finite normal double, or its
-    error is not within _REL_TOL of it (quad._check_rule).
-    """
-    for start in range(0, rows.size, _BLOCK):
-        idx = rows[start : start + _BLOCK]
-        f, sliver = integrand(k[idx][:, None])
-        values[idx] = 0.5 * math.pi * ((f * kronrod).sum(axis=1) + sliver)
-        panels = f.reshape(idx.size, *excess[0].shape)
-        errors[idx] = 0.5 * math.pi * sum(np.abs((panels * e).sum(axis=2)).sum(axis=1) for e in excess)
-    errors += _ROUNDING * np.abs(values)
-    _check_rule("kernel value", values, errors, _REL_TOL, lambda i: f"k={k[i]:.17g}")
-    return values.reshape(shape), errors.reshape(shape)
+        zn, dn, en = z[rows, None], dz[rows, None], end[rows, None]
+        log_ratio = np.log1p(dn / zn)  # L
+        powers = np.cumprod(np.repeat((zn / en) ** 2, _TERMS, axis=1), axis=1)  # q^2n
+        shrink = (dn / en) * ((zn + en) / en) * (np.cumsum(powers, axis=1) - powers + 1.0)  # 1 - q^2n
+        terms = np.cumprod(0.25 * en**2 / _N**2, axis=1)  # a^2n/(n!)^2
+        h_gap = (terms * ((_PSI - np.log(0.5 * en)) * shrink - log_ratio * powers)).sum(axis=1)
+        gap[rows] = h_gap if complement else log_ratio[:, 0] - h_gap
+    return gap.reshape(shape)
 
 
 def _surface_rule(w: float, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -240,32 +228,29 @@ def _series_moments(w, s, rho, u, kronrod, excess, floor):
     return moments[:_TERMS], moments[_TERMS:], deltas[:_TERMS], deltas[_TERMS:]
 
 
-def kernel_batch(cs: CrossSection, swap: bool, ks) -> tuple[np.ndarray, np.ndarray]:
-    """Surface kernel I(l, d, k) (swap=False) or I(d, l, k) (swap=True) at
-    every frequency in ks, returned as (values, errors) shaped like ks.
+def _channel(cs: CrossSection, swap: bool, k: np.ndarray, complement: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(values, errors) at every k >= 0 of the flat array k of the surface
+    kernel I = (pi/2) int_0^{2w} (2w - u) [K0(k u) - K0(k r)] du, r = hypot(u,
+    2s), for I(l, d, k) (swap=False) or I(d, l, k) (swap=True); with
+    complement, of J/k^2 at k > 0, where J = I(0) - I = (pi/2) int_0^{2w}
+    (2w - u) [H(k r) - H(k u)] du with H(t) = K0(t) + ln t.
 
-    k = 0 takes the closed forms 2*pi*l*d*a_c and 2*pi*l*d*b_c.  Other k
-    with |k| rho <= _SERIES_EDGE, rho = hypot(2w, 2s), take the K0
-    ascending series (DLMF 10.31.2) summed to _TERMS terms,
+    k = 0 takes the closed forms 2*pi*l*d*a_c and 2*pi*l*d*b_c; 0 < k rho <=
+    _SERIES_EDGE, rho = hypot(2w, 2s), the K0 ascending series to _TERMS terms,
 
-        I = I(0) + (pi/2) sum_n kappa^2n/(n!)^2 [(ln kappa - psi(n+1)) P_n + Q_n],
+        I - I(0) = -J = (pi/2) sum_n kappa^2n/(n!)^2 [(ln kappa - psi(n+1)) P_n + Q_n],
 
-    kappa = |k| rho/2, on moments P_n, Q_n that do not depend on k (see
-    _series_moments); their error is the moments' Gauss estimates times the
-    coefficients plus the last term.  Very large |k| takes a closed
-    asymptotic form, all other k the Kronrod rule on panels halving toward
-    u = 0, with the error from its embedded Gauss rule (see _graded_rule:
-    batches are bitwise consistent).  Raises ValueError for a non-finite
-    frequency, QuadratureError for w > 1e150, when a value is below the
-    smallest normal double or an error estimate is not within _REL_TOL.
+    kappa = k rho/2, on the k-free moments of _series_moments, with their
+    Gauss estimates times the coefficients plus the last term as error; very
+    large k a closed asymptotic form; all other k the Kronrod rule on the
+    integrand of _k0_gap, with the error from its embedded Gauss rule, in
+    blocks of _BLOCK rows, each reduced on its own, so that batches are
+    bitwise consistent.  Every error carries the _ROUNDING term.  Raises
+    QuadratureError for w > 1e150 or a rule floor below the normal range.
     """
-    k = np.abs(np.asarray(ks, dtype=float)).ravel()
-    if not np.all(np.isfinite(k)):
-        raise ValueError("frequencies must be finite")
     w, s = (cs.d, cs.l) if swap else (cs.l, cs.d)
     rho = math.hypot(2.0 * w, 2.0 * s)
-    values = np.empty(k.size)
-    errors = np.zeros(k.size)
+    values, errors = np.empty(k.size), np.zeros(k.size)
     i0 = 2.0 * math.pi * cs.l * cs.d * (a_c(cs.c) if swap else b_c(cs.c))
     values[k == 0.0] = i0
     with np.errstate(over="ignore"):  # a product that overflows lies past the series edge, in the far branch
@@ -275,7 +260,8 @@ def kernel_batch(cs: CrossSection, swap: bool, ks) -> tuple[np.ndarray, np.ndarr
         # far out the integral is (pi/2)(pi w/k - 1/k^2) up to a relative e^-40
         far = (kn * w >= _FAR) & (kn * s >= _FAR + 0.5 * np.maximum(0.0, np.log(kn) + math.log(w)))
     inv = 1.0 / kn[far]  # squaring k itself overflows above |k| ~ 1e154
-    values[rest[far]] = 0.5 * math.pi * (math.pi * w * inv - inv**2)
+    asymptote = 0.5 * math.pi * (math.pi * w * inv - inv**2)
+    values[rest[far]] = i0 - asymptote if complement else asymptote
     near = rest[~far]
     # the rule's floor must be normal, and its weights (2w - u) du (sum 2 w^2, times logs below 1e3) finite
     if w > 1e150 or (near.size or series.size) and _FLOOR * min(w, s) < _TINY:
@@ -287,66 +273,67 @@ def kernel_batch(cs: CrossSection, swap: bool, ks) -> tuple[np.ndarray, np.ndarr
         p, q, dp, dq = _series_moments(w, s, rho, u, kronrod, excess, floor)
         kb = k[series][:, None]
         log_kappa = np.log(kb) + math.log(0.5 * rho) - _PSI  # ln kappa - psi(n+1), exact for tiny k
-        coef = np.cumprod((0.5 * rho * kb) ** 2 / _N**2, axis=1)  # kappa^2n / (n!)^2
+        ratio = (0.5 * rho * kb) ** 2 / _N**2
+        if complement:
+            ratio[:, 0] = (0.5 * rho) ** 2  # kappa^2/k^2: J/k^2 does not underflow with k^2 at tiny k
+        coef = np.cumprod(ratio, axis=1)  # kappa^2n / (n!)^2, over k^2 with complement
         terms = coef * (log_kappa * p + q)
-        values[series] = i0 + 0.5 * math.pi * terms.sum(axis=1)
+        total = 0.5 * math.pi * terms.sum(axis=1)
+        values[series] = -total if complement else i0 + total
         errors[series] = 0.5 * math.pi * ((coef * (np.abs(log_kappa) * dp + dq)).sum(axis=1) + np.abs(terms[:, -1]))
 
-    def integrand(kb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # int_0^floor (2w - u) [K0(k u) - K0(k r)] du to leading order in floor
-        sliver = 2.0 * w * floor * (
-            1.0 - np.euler_gamma - np.log(0.5 * kb * floor) - k0(kb * math.hypot(floor, 2.0 * s))
-        )
-        return _k0_gap(kb * u, kb * du), sliver[:, 0]
+    top = 2.0 * s * (2.0 * s / (math.hypot(floor, 2.0 * s) + floor))  # du at the floor
+    for start in range(0, near.size, _BLOCK):
+        idx = near[start : start + _BLOCK]
+        kb = k[idx]
+        f = _k0_gap(kb[:, None] * u, kb[:, None] * du, complement)
+        # int_0^floor (2w - u) [...] du to leading order in floor: int_0^f K0(k u) du = f (1 + K0(k f))
+        sliver = 2.0 * w * floor * (_k0_gap(kb * floor, kb * top, complement) + (0.0 if complement else 1.0))
+        values[idx] = 0.5 * math.pi * ((f * kronrod).sum(axis=1) + sliver)
+        errors[idx] = 0.5 * math.pi * np.abs((f.reshape(idx.size, *excess.shape) * excess).sum(axis=2)).sum(axis=1)
+    errors += _ROUNDING * np.abs(values)
+    if complement:  # J/k^2 outside the series, by (1/k)^2: k^2 overflows above k ~ 1e154
+        for array in (values, errors):
+            array[rest] *= (1.0 / kn) ** 2
+    return values, errors
 
-    return _graded_rule(k, values, errors, near, integrand, kronrod, (excess,), np.shape(ks))
+
+def kernel_batch(cs: CrossSection, swap: bool, ks) -> tuple[np.ndarray, np.ndarray]:
+    """Surface kernel I(l, d, k) (swap=False) or I(d, l, k) (swap=True) at
+    every frequency in ks, as (values, errors) shaped like ks (see _channel).
+    Raises ValueError for a non-finite frequency, QuadratureError for w >
+    1e150, a value below the smallest normal double or an error estimate not
+    within _REL_TOL.
+    """
+    k = np.abs(np.asarray(ks, dtype=float)).ravel()
+    if not np.all(np.isfinite(k)):
+        raise ValueError("frequencies must be finite")
+    values, errors = _channel(cs, swap, k, False)
+    _check_rule("kernel value", values, errors, _REL_TOL, lambda i: f"k={k[i]:.17g}")
+    return values.reshape(np.shape(ks)), errors.reshape(np.shape(ks))
 
 
 def volume_kernel_batch(cs: CrossSection, ks) -> tuple[np.ndarray, np.ndarray]:
     """Volume kernel K(l, d, k) at every frequency in ks, returned as
     (values, errors) shaped like ks.
 
-    |k| d >= _FAR takes the quarter-plane form (pi/2)(2 pi l d/k^2 -
-    pi (l + d)/k^3 + 2/k^4), short by a relative e^(-2|k|d)/(2|k|d).  Other k
-    take the Kronrod rule (see _graded_rule) on outer panels x doubling from
-    2d up to 2l and halving from 2d toward 0 times one panel t in [0, 1]:
-    with y = min(x, 2d) t, (u, v) = (x, y) covers the strip [2d, 2l] x [0, 2d]
-    and, with its mirror (y, x), the corner [0, 2d]^2 as two Duffy triangles.
-    The error sums the Gauss estimates of both directions.  Raises ValueError
+    By the trace of the demagnetizing tensor, k^2 K + I(l,d,k) + I(d,l,k) =
+    pi^2 l d = I(l,d,0) + I(d,l,0), so K = (J(l,d,k) + J(d,l,k))/k^2 with
+    J = I(0) - I, each taken by _channel from the same series, asymptotic
+    form and Kronrod rule as I, and the errors summed.  Raises ValueError
     for a zero or non-finite frequency (K diverges like -ln|k|), and
-    QuadratureError for l or l d above 1e150 or a section too thin for it.
+    QuadratureError for l or l d above 1e150 (K ~ l^2 d^2 leaves the double
+    range), a section too thin for the rule, a value below the smallest
+    normal double or an error estimate not within _REL_TOL.
     """
     k = np.abs(np.asarray(ks, dtype=float)).ravel()
     if not np.all(np.isfinite(k) & (k > 0.0)):
         raise ValueError("frequencies must be finite and nonzero")
-    l, d = cs.l, cs.d
-    values = np.empty(k.size)
-    far = k * d >= _FAR
-    inv = 1.0 / k[far]  # squaring k itself overflows above |k| ~ 1e154
-    values[far] = 0.5 * math.pi * (2.0 * math.pi * l * d - math.pi * (l + d) * inv + 2.0 * inv**2) * inv**2
-    floor = math.ldexp(2.0 * d, -_CORNER_PANELS)
-    # the rule's floor must be normal, its weights (up to 8 l^2 d^2) and mirror term (4 l^2) finite
-    if max(l, l * d) > 1e150 or floor < _TINY and not np.all(far):
+    if max(cs.l, cs.l * cs.d) > 1e150:
         raise QuadratureError(f"{cs} is outside the double range of the kernel rule")
-    doublings = math.ceil(math.log2(l / d))
-    edges = np.append(2.0 * l, np.ldexp(2.0 * d, np.arange(doublings - 1, -_CORNER_PANELS - 1, -1)))
-    x, w_x, e_x = (a[:, :, None] for a in _gk_panels(edges))
-    t, w_t, e_t = (a[0] for a in _gk_panels(np.array([1.0, 0.0])))
-    side = np.minimum(x, 2.0 * d)
-    y = side * t
-    mirror = np.where(x < 2.0 * d, (2.0 * l - y) * (2.0 * d - x), 0.0)
-    poly = side * ((2.0 * l - x) * (2.0 * d - y) + mirror)
-    r = np.hypot(x, y).ravel()
-    kronrod = (w_x * w_t * poly).ravel()
-    excess = tuple((a * b * poly).reshape(x.shape[0], -1) for a, b in ((e_x, w_t), (w_x, e_t)))
-    log_mean = 0.5 * (math.log(2.0) - 3.0 + 0.5 * math.pi)  # mean of ln|(u, v)| on [0, 1]^2
-
-    def integrand(kb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the square [0, floor]^2 with K0(z) = -ln(z/2) - gamma, to leading order
-        sliver = 4.0 * l * d * floor**2 * (-np.euler_gamma - np.log(0.5 * kb * floor) - log_mean)
-        return k0(kb * r), sliver[:, 0]
-
-    return _graded_rule(k, values, np.zeros(k.size), np.flatnonzero(~far), integrand, kronrod, excess, np.shape(ks))
+    values, errors = (a + b for a, b in zip(_channel(cs, False, k, True), _channel(cs, True, k, True)))
+    _check_rule("kernel value", values, errors, _REL_TOL, lambda i: f"k={k[i]:.17g}")
+    return values.reshape(np.shape(ks)), errors.reshape(np.shape(ks))
 
 
 def i_kernel(cs: CrossSection, swap: bool, x: float) -> float:

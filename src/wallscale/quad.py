@@ -8,10 +8,10 @@ extrapolated to infinity (Neville in the reciprocal endpoint) for envelopes
 decaying as slowly as 1/t^2.  Only the public API uses these integrators,
 so scipy.integrate is imported by the first call, not with the package.
 The module also holds the two fixed-rule tables: GK15 (_gk_panels) for the
-tail panels and, on panels halving to a floor (_halving_edges), both kernel
-rules and the section pair function of the real-space oracles, and GL16 for
-the spectral E_v's k = 0 cell average.  _check_rule holds those three rules
-and the ansatz surface's trapezoid rule to values that are finite normal
+tail panels and, on panels halving to a floor (_halving_edges), the kernel
+rule (both kernels) and the section pair function of the real-space oracles,
+and GL16 for the spectral E_v's k = 0 cell average.  _check_rule holds both
+kernels, the pair function and the ansatz surface's trapezoid rule to values that are finite normal
 doubles with error estimates within the rule's tolerance.
 
 All routines are pure functions of their inputs: identical calls produce

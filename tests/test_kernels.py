@@ -3,6 +3,7 @@ import math
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -366,7 +367,7 @@ class TestKernelBatch:
 
     @pytest.mark.parametrize("l, d, k", [(1e300, 1e-3, 1e-3), (1e300, 1.0, 1e3), (1e100, 1e51, 1e-60)])
     def test_volume_rule_on_a_very_wide_section_raises_typed_error(self, l, d, k):
-        # the rule's mirror term (2l - v)(2d - u) and weights overflowed with a RuntimeWarning
+        # K ~ l^2 d^2 leaves the double range, and the l channel's rule weights overflow
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(QuadratureError, match="double range"):
@@ -438,7 +439,40 @@ class TestKernelBatch:
         assert np.all(values >= np.finfo(float).tiny)
         assert np.all((errors > 0.0) & (errors <= 1e-8 * values))
 
+    @pytest.mark.parametrize("cs", [CrossSection(l=0.1, d=0.05), CrossSection(l=1.0, d=1e-6)])
+    def test_volume_kernel_log_slope_at_tiny_frequency(self, cs):
+        # K = -2 pi l^2 d^2 ln k + const + O(k^2): (J_l + J_d)/k^2 must not
+        # lose K to an underflowing k^2 (k^2 is 1e-600 at k = 1e-300)
+        values, errors = volume_kernel_batch(cs, [1e-300, 1e-200])
+        slope = (values[0] - values[1]) / (100.0 * math.log(10.0))
+        assert slope == pytest.approx(2.0 * math.pi * cs.l**2 * cs.d**2, rel=1e-13, abs=0.0)
+        assert np.all(errors <= 1e-8 * values)
+
     @pytest.mark.parametrize("k", [math.inf, math.nan, 0.0])
     def test_volume_rejects_nonfinite_or_zero_frequency(self, k):
         with pytest.raises(ValueError):
             volume_kernel_batch(CrossSection(l=0.1, d=0.05), [1.0, k])
+
+
+# (z, dz): the H series with L = log1p(dz/z) from 1e-20 to 700 (subnormal z
+# counts as the smallest normal one), the split at 1 for z < 1 < 2 < z + dz,
+# and L minus the K1 rule (near) or the direct K0 difference for z >= 1
+H_GAP_ROWS = [
+    (1.0, 1e-20), (0.5, 1e-12), (1e-3, 1e-11), (0.3, 3e-9), (1e-3, 1e-3), (1e-10, 1.0),
+    (1e-304, 1.0), (0.2, 1.7), (1.5e-300, 1.9), (1.8, 0.2),
+    (0.3, 5.0), (0.9, 1.2), (1e-8, 30.0),
+    (1.0, 0.04), (1.5, 0.01), (700.0, 1e-3), (50.0, 1.0), (1.0, 3.0), (3.0, 10.0),
+    (1e-310, 1.5), (5e-320, 3.0), (2e-315, 1e-3),
+]
+
+
+class TestK0Gap:
+    def test_h_gap_matches_mpmath(self):
+        # H(t) = K0(t) + ln t; the volume kernel's rule integrates H(k r) - H(k u)
+        z, dz = np.array(H_GAP_ROWS).T
+        gaps = kernels._k0_gap(z, dz, True)  # under the suite's error::RuntimeWarning
+        for (zi, dzi), gap in zip(H_GAP_ROWS, gaps):
+            with mpmath.workdps(50 + max(0, int(-2.0 * math.log10(zi + dzi)))):
+                a, b = mpmath.mpf(zi), mpmath.mpf(zi) + mpmath.mpf(dzi)
+                ref = float(mpmath.besselk(0, b) + mpmath.log(b) - mpmath.besselk(0, a) - mpmath.log(a))
+            assert abs(gap - ref) <= 2e-15 * ref, (zi, dzi, gap, ref)

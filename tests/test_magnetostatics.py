@@ -25,7 +25,7 @@ from wallscale import (
     sample_wall,
     spectrum,
 )
-from wallscale import magnetostatics
+from wallscale import kernels, magnetostatics
 from wallscale.errors import QuadratureError, ResolutionError, WallscaleError
 from wallscale.magnetostatics import (
     _face_pair,
@@ -359,6 +359,13 @@ class TestVolumeBound:
         assert values[1] / values[2] == pytest.approx(1e3, rel=0.05)
 
 
+def scaled_golden_case(scale):
+    """The golden wall and section with l, d, L and the wall width times scale."""
+    cs = CrossSection(l=GOLDEN_CS.l * scale, d=GOLDEN_CS.d * scale)
+    wall = ClosedFormWall(alpha=GOLDEN_WALL.alpha / scale**2, beta=GOLDEN_WALL.beta)
+    return sample_wall(wall, GOLDEN_L * scale, GOLDEN_N), cs
+
+
 @pytest.fixture(scope="module")
 def volume_oracle_levels():
     """The volume oracle on the golden wall at N = 2049, 4097 and 8193."""
@@ -458,14 +465,20 @@ class TestSectionPairGreen:
 
     @pytest.mark.parametrize("scale", [1e-103, 1e-110])
     def test_volume_oracle_below_normal_range_raises(self, scale):
-        # the golden wall with l, d, L and the wall width scaled down: its pair
-        # integrals are subnormal at 1e-103, which read "above tolerance", and
-        # 0.0 at 1e-110, which returned E_v = 0.0
-        cs = CrossSection(l=GOLDEN_CS.l * scale, d=GOLDEN_CS.d * scale)
-        wall = ClosedFormWall(alpha=GOLDEN_WALL.alpha / scale**2, beta=GOLDEN_WALL.beta)
-        p = sample_wall(wall, GOLDEN_L * scale, GOLDEN_N)
+        # E_v of the scaled golden case is subnormal at 1e-103 and 0.0 at 1e-110
         with pytest.raises(QuadratureError, match="normal range"):
-            e_v_volume_oracle(p, cs)
+            e_v_volume_oracle(*scaled_golden_case(scale))
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-101])
+    def test_volume_oracle_on_a_merely_small_section(self, scale, standard_wall_profile):
+        # E_v ~ scale^3 is normal down to scale ~ 1e-101.7, while the pair
+        # integrals F ~ l^2 d of the scaled section leave the normal range
+        # from 1e-101: the oracle must take F on the unit section
+        golden = e_v_volume_oracle(standard_wall_profile, GOLDEN_CS)
+        value = e_v_volume_oracle(*scaled_golden_case(scale))
+        assert value == pytest.approx(scale**3 * golden, rel=1e-13, abs=0.0)
+        if scale == 1e-100:
+            assert value == pytest.approx(2.0113440860081874e-304, rel=1e-13, abs=0.0)
 
     @settings(derandomize=True, database=None, deadline=None)
     @given(
@@ -488,6 +501,16 @@ class TestVolumeSpectral:
     def test_zero_without_volume_charge(self):
         p = uniform_bulk_profile()
         assert e_v_spectral(p, GOLDEN_CS) == 0.0
+
+    def test_bessel_work_gate(self, monkeypatch, standard_wall_profile):
+        # every rule node of the golden E_v lies in the H-gap series, so K
+        # needs no Bessel call; counts, unlike seconds, do not depend on the host
+        counted = []
+        for name in ("k0", "k1"):
+            bessel = getattr(kernels, name)
+            monkeypatch.setattr(kernels, name, lambda z, bessel=bessel: counted.append(np.size(z)) or bessel(z))
+        e_v_spectral(standard_wall_profile, GOLDEN_CS)
+        assert sum(counted) <= 20_000
 
     def test_subnormal_energy_raises_typed_error(self):
         # dk = pi/L = 3e-300 on this window: E_v was 8.50e-310, a subnormal value
