@@ -2,9 +2,9 @@
 domain walls in thin rectangular magnetic films.
 
 Modules:
-    quad            adaptive quadrature (public API); the GK15 and GL16 fixed-rule tables
+    quad            adaptive quadrature (public API); the GK15 and Gauss-Laguerre fixed-rule tables
     kernels         magnetostatic kernels a_c, b_c, I, K and bounds on I
-    walls           closed-form transverse walls and the discrete reduced energies
+    walls           closed-form transverse walls, the discrete reduced energies, the table format
     minimize        sphere-constrained descent and ansatz-family search
     magnetostatics  spectral/boundary-integral surface and volume energies
     lab             sweeps, verification tables, report files

@@ -1,21 +1,24 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 numerical
-failure.  Diagnostics go to stderr; data to stdout or --out.  Every numeric
-printed to stdout uses full round-trippable precision.
+failure.  Diagnostics go to stderr; data to stdout or --out.  Values and
+tables are written by walls._cell and walls._table_text, the package's one
+table format, with numbers at full round-trippable precision.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import lab, magnetostatics, minimize, walls
 from .errors import VerificationError, WallscaleError
-from .kernels import CrossSection, a_c, i_kernel, verify_lemma32
+from .kernels import CrossSection, Lemma32Sample, a_c, i_kernel, verify_lemma32
+from .walls import _cell, _table_text
 
 __all__ = ["run", "main", "build_parser"]
 
@@ -32,10 +35,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: D102 - argparse hook
         raise _UsageError(message)
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -140,11 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
     if args.subcommand == "a_c":
-        _emit(_fmt(a_c(args.c)), args)
+        _emit(_cell(a_c(args.c)), args)
         return EXIT_OK
     if args.subcommand == "i":
         cs = CrossSection(l=args.l, d=args.d)
-        _emit(_fmt(i_kernel(cs, args.swap, args.x)), args)
+        _emit(_cell(i_kernel(cs, args.swap, args.x)), args)
         return EXIT_OK
     cs = CrossSection(l=args.l, d=args.d)
     if args.x_samples is None:
@@ -153,14 +152,8 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     else:
         samples = _parse_grid(args.x_samples)
     report = verify_lemma32(cs, samples)
-    lines = ["x,kernel_value,upper_i_margin,upper_ii_margin,lower_margin,passed"]
-    for s in report.samples:
-        lower = "" if s.lower_margin is None else _fmt(s.lower_margin)
-        lines.append(
-            f"{_fmt(s.x)},{_fmt(s.kernel_value)},{_fmt(s.upper_i_margin)},"
-            f"{_fmt(s.upper_ii_margin)},{lower},{str(s.passed).lower()}"
-        )
-    _emit("\n".join(lines), args)
+    columns = [f.name for f in fields(Lemma32Sample) if f.name != "budget"]
+    _emit(_table_text(columns, ([getattr(s, name) for name in columns] for s in report.samples)), args)
     if not report.passed:
         print("kernel bound verification failed", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -171,16 +164,9 @@ def _cmd_wall(args: argparse.Namespace) -> int:
     w = walls.ClosedFormWall(alpha=args.alpha, beta=args.beta, theta=args.theta)
     if args.subcommand == "eval":
         v = walls.eval_wall(w, args.x)
-        _emit(" ".join(_fmt(t) for t in v), args)
+        _emit(" ".join(map(_cell, v)), args)
         return EXIT_OK
-    p = walls.sample_wall(w, args.half_length, args.nodes)
-    if args.out:
-        p.to_csv(args.out)
-    else:
-        lines = ["x,m1,m2,m3"]
-        for xi, mi in zip(p.x, p.m):
-            lines.append(",".join([_fmt(xi)] + [_fmt(v) for v in mi]))
-        sys.stdout.write("\n".join(lines) + "\n")
+    _emit(walls.sample_wall(w, args.half_length, args.nodes)._csv_text(), args)
     return EXIT_OK
 
 
@@ -192,22 +178,10 @@ def _cmd_energy(args: argparse.Namespace) -> int:
             value = walls.reduced_energy_E0(p, weights)
         else:
             value = walls.reduced_energy_alpha(p, args.alpha)
-        _emit(_fmt(value) if value != float("inf") else "inf", args)
+        _emit(_cell(value), args)
         return EXIT_OK
-    cs = CrossSection(l=args.l, d=args.d)
-    br = magnetostatics.full_energy(p, cs, include_e_v_exact=args.e_v_exact)
-    lines = [
-        f"exchange,{_fmt(br.exchange)}",
-        f"e_s,{_fmt(br.e_s)}",
-        f"e_v_bound,{_fmt(br.e_v_bound)}",
-    ]
-    if br.e_v_exact is not None:
-        lines.append(f"e_v_exact,{_fmt(br.e_v_exact)}")
-    lines += [
-        f"total_upper,{_fmt(br.total_upper)}",
-        f"rescaled_upper,{_fmt(br.rescaled_upper)}",
-    ]
-    _emit("\n".join(lines), args)
+    br = magnetostatics.full_energy(p, CrossSection(l=args.l, d=args.d), include_e_v_exact=args.e_v_exact)
+    _emit(_table_text(None, [(k, v) for k, v in asdict(br).items() if v is not None]), args)
     return EXIT_OK
 
 
@@ -220,15 +194,10 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
         )
         if args.out:
             profile.to_csv(args.out)
-            sys.stdout.write(_fmt(energy) + "\n")
-        else:
-            _emit(_fmt(energy), args)
+        sys.stdout.write(_cell(energy) + "\n")
         return EXIT_OK
     res = minimize.minimize_full_ansatz(CrossSection(l=args.l, d=args.d))
-    _emit(
-        f"best_scale,{_fmt(res.best_scale)}\nenergy,{_fmt(res.energy)}\nevaluations,{res.evaluations}",
-        args,
-    )
+    _emit(_table_text(None, asdict(res).items()), args)
     return EXIT_OK
 
 
@@ -250,14 +219,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             return EXIT_VERIFICATION
         return EXIT_OK
     report = lab.corollary33_report(grid)
-    lines = ["c,ratio,bracket_low,bracket_high,in_bracket"]
-    for row in report.rows:
-        lines.append(
-            f"{_fmt(row.c)},{_fmt(row.ratio)},{_fmt(row.bracket_low)},"
-            f"{_fmt(row.bracket_high)},{str(row.in_bracket).lower()}"
-        )
-    lines.append(f"deviations_decreasing,{str(report.deviations_decreasing).lower()}")
-    _emit("\n".join(lines), args)
+    rows = [*map(astuple, report.rows), ("deviations_decreasing", report.deviations_decreasing)]
+    _emit(_table_text([f.name for f in fields(lab.CorollaryRow)], rows), args)
     if not report.deviations_decreasing:
         print("scaling-ratio deviations not decreasing along the grid", file=sys.stderr)
         return EXIT_VERIFICATION

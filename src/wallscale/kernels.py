@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import QuadratureError, WallscaleError
 from .quad import _GK_GAUSS, _GK_NODES, _TINY, _check_rule, _gk_panels, _halving_edges
 
 __all__ = [
@@ -76,7 +76,7 @@ class CrossSection:
     """Half-width l and half-thickness d of the film cross-section.
 
     The standing assumption 0 < d <= l holds throughout, so the aspect ratio
-    c = d/l lies in (0, 1].
+    c = d/l lies in (0, 1]: a ratio that underflows to 0 raises WallscaleError.
     """
 
     l: float
@@ -89,6 +89,8 @@ class CrossSection:
         if not (0.0 < self.d <= self.l):
             raise ValueError(f"require 0 < d <= l, got l={self.l!r}, d={self.d!r}")
         object.__setattr__(self, "c", self.d / self.l)
+        if self.c == 0.0:
+            raise WallscaleError(f"aspect ratio d/l underflows to 0 at l={self.l!r}, d={self.d!r}")
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,15 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
-
 
 from .errors import VerificationError, WallscaleError
 from .kernels import CrossSection, a_c_scaling_ratio
 from .magnetostatics import GAMMA_LIMIT, RescalingParams
 from .minimize import minimize_full_ansatz
+from .walls import _table_text
 
 __all__ = [
     "SweepRecord",
@@ -39,23 +39,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-# columns exactly in declared field order; `lambda` and `pass` are spelled
-# out here because they are reserved words in Python
-_CSV_COLUMNS = (
-    "l",
-    "d",
-    "c",
-    "lambda",
-    "mu",
-    "rescaled_min_upper",
-    "gamma_limit",
-    "gap",
-    "rate_rhs",
-    "pass",
-    "vacuous_bound",
-)
-
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -75,6 +58,11 @@ class SweepRecord:
 
     def as_row(self) -> tuple:
         return astuple(self)
+
+
+# report columns: the record's fields in declared order, with `lambda` and
+# `pass` spelled out, as they are reserved words in Python
+_CSV_COLUMNS = tuple({"lam": "lambda", "passed": "pass"}.get(f.name, f.name) for f in fields(SweepRecord))
 
 
 def _rate_rhs(c: float, l: float) -> float:
@@ -172,19 +160,14 @@ def plot_companion_path(path: str | Path) -> Path:
 def emit_report(records: Sequence[SweepRecord], format: str, path: str | Path) -> Path:
     """Persist sweep records as CSV or JSON plus a plot companion file.
 
-    CSV columns follow the declared record field order; JSON is an array of
-    objects keyed identically.  The companion file holds three whitespace
-    columns (|ln c|, gap, rate_rhs) next to the main output.
+    CSV columns follow the declared record field order, in the package's one
+    table format (walls._table_text); JSON is an array of objects keyed
+    identically.  The companion file holds three whitespace columns
+    (|ln c|, gap, rate_rhs) next to the main output.
     """
     out = Path(path)
     if format == "csv":
-        lines = [",".join(_CSV_COLUMNS)]
-        for r in records:
-            cells = []
-            for v in r.as_row():
-                cells.append(str(v).lower() if isinstance(v, bool) else repr(float(v)))
-            lines.append(",".join(cells))
-        out.write_text("\n".join(lines) + "\n")
+        out.write_text(_table_text(_CSV_COLUMNS, [r.as_row() for r in records]))
     elif format == "json":
         payload = [dict(zip(_CSV_COLUMNS, r.as_row())) for r in records]
         out.write_text(json.dumps(payload, indent=2) + "\n")

@@ -32,7 +32,7 @@ import numpy as np
 from . import kernels
 from .errors import ResolutionError, WallscaleError
 from .kernels import CrossSection
-from .quad import _GL16_NODES, _GL16_WEIGHTS, _TINY, _check_rule, _gk_panels, _halving_edges
+from .quad import _LAGUERRE16_NODES, _LAGUERRE16_WEIGHTS, _TINY, _check_rule, _gk_panels, _halving_edges
 from .walls import Profile1D, _trapezoid, exchange_integral, profile_derivative
 
 __all__ = [
@@ -338,8 +338,10 @@ def e_v_spectral(p: Profile1D, cs: CrossSection) -> float:
     """Volume-charge energy (4/pi^2) int K(l,d,k) |g_hat(k)|^2 dk with g the
     sampled derivative of m1.
 
-    The k = 0 node (where K has an integrable logarithmic singularity) is
-    replaced by the average of K over (0, dk/2] by 16-point Gauss-Legendre.
+    The k = 0 node (where K ~ A ln k + B has an integrable logarithmic
+    singularity) is replaced by the average of K over (0, dk/2], the integral
+    of K((dk/2) e^-t) e^-t over t > 0 by 16-point Gauss-Laguerre, exact for
+    that logarithm.
     All kernel values come from one kernels.volume_kernel_batch call.
     Raises WallscaleError when the energy of a nonzero spectrum is below the
     normal range (see _normal_energy).
@@ -349,9 +351,9 @@ def e_v_spectral(p: Profile1D, cs: CrossSection) -> float:
     def kernel(keys: np.ndarray) -> np.ndarray:
         has_zero = keys[0] == 0.0
         values, _ = kernels.volume_kernel_batch(
-            cs, np.concatenate([0.25 * dk * (_GL16_NODES + 1.0), keys[1:] if has_zero else keys])
+            cs, np.concatenate([0.5 * dk * np.exp(-_LAGUERRE16_NODES), keys[1:] if has_zero else keys])
         )
-        cell_average = [np.sum(0.5 * _GL16_WEIGHTS * values[:16])] if has_zero else []
+        cell_average = [np.dot(_LAGUERRE16_WEIGHTS, values[:16])] if has_zero else []
         return np.concatenate([cell_average, values[16:]])
 
     return _normal_energy((4.0 / math.pi**2) * _spectral_sum(frequencies, g_hat, kernel) * dk, g_hat)

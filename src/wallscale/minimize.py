@@ -30,7 +30,7 @@ from .kernels import _REL_TOL, CrossSection, a_c
 from .magnetostatics import RescalingParams, _e_v_bound_coefficients, _face_pair
 from .quad import _TINY, _check_rule
 # perfbench/tracing.py imports DiscreteReducedEnergy from this module
-from .walls import M3_TOLERANCE, DiscreteReducedEnergy, Profile1D, ReducedEnergyWeights, _reduced_model
+from .walls import M3_TOLERANCE, DiscreteReducedEnergy, Profile1D, ReducedEnergyWeights, _reduced_model, _table_text
 
 __all__ = [
     "AnsatzSearchResult",
@@ -132,10 +132,7 @@ def minimize_reduced(
         e, g = model.energy_grad(m)
 
     if trace_path is not None:
-        with open(trace_path, "w") as fh:
-            fh.write("iteration,energy,grad_norm\n")
-            for row in trace_rows:
-                fh.write(f"{row[0]},{row[1]!r},{row[2]!r}\n")
+        Path(trace_path).write_text(_table_text(("iteration", "energy", "grad_norm"), trace_rows))
 
     out = Profile1D(init.x, m, check_boundary=False)
     return out, e

@@ -10,7 +10,7 @@ so scipy.integrate is imported by the first call, not with the package.
 The module also holds the two fixed-rule tables: GK15 (_gk_panels) for the
 tail panels and, on panels halving to a floor (_halving_edges), the kernel
 rule (both kernels) and the section pair function of the real-space oracles,
-and GL16 for the spectral E_v's k = 0 cell average.  _check_rule holds both
+and 16-point Gauss-Laguerre for the spectral E_v's k = 0 cell average.  _check_rule holds both
 kernels, the pair function and the ansatz surface's trapezoid rule to values that are finite normal
 doubles with error estimates within the rule's tolerance.
 
@@ -157,7 +157,8 @@ _GK_NODES = np.concatenate([np.negative(_XGK), _XGK[-2::-1]])
 _GK_WEIGHTS = np.concatenate([_WGK, _WGK[-2::-1]])
 _GK_GAUSS = np.zeros(15)
 _GK_GAUSS[1::2] = _WG + _WG[-2::-1]
-_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# 16-point Gauss-Laguerre: sum w f(t) ~ int_0^inf f(t) e^-t dt, the weights summing to 1
+_LAGUERRE16_NODES, _LAGUERRE16_WEIGHTS = np.polynomial.laguerre.laggauss(16)
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 # abscissa offset past which a semi-infinite tail takes the panel scheme

@@ -12,15 +12,17 @@ beta > 0; negative beta amounts to the rotation theta -> theta + pi.
 Discretization conventions, shared by every sampled energy in the package:
 centered differences in the interior, one-sided differences at the ends,
 composite trapezoid for integrals.
+
+Every table the package writes, profile files included, is _table_text.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import InitVar, dataclass
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,6 +46,28 @@ UNIT_NORM_TOLERANCE = 1e-12
 BOUNDARY_TOLERANCE = 1e-6
 M3_TOLERANCE = 1e-9
 SNAP_LIMIT = 1e-6
+_PROFILE_COLUMNS = ("x", "m1", "m2", "m3")
+
+
+def _cell(v) -> str:
+    """One table cell: empty for None, text as is, true/false for booleans,
+    integers in decimal, any other number as the round-trippable repr of a float."""
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (bool, np.bool_)):  # before int: bool is an int
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(v)
+    return repr(float(v))
+
+
+def _table_text(header: Sequence[str] | None, rows: Iterable[Sequence]) -> str:
+    """The package's one table format: an optional header row, then one row
+    per line of comma-separated _cell values, every line ending in a newline."""
+    table = rows if header is None else [header, *rows]
+    return "".join(",".join(map(_cell, row)) + "\n" for row in table)
 
 
 @dataclass(frozen=True)
@@ -147,22 +171,22 @@ class Profile1D:
     def spacing(self) -> float:
         return float(self.x[1] - self.x[0])
 
+    def _csv_text(self) -> str:
+        return _table_text(_PROFILE_COLUMNS, np.column_stack([self.x, self.m]))
+
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "m1", "m2", "m3"])
-            for xi, mi in zip(self.x, self.m):
-                writer.writerow([repr(float(xi))] + [repr(float(v)) for v in mi])
+        Path(path).write_text(self._csv_text())
 
     @staticmethod
     def from_csv(path: str | Path, check_boundary: bool = True) -> "Profile1D":
         with open(path) as fh:
             header = fh.readline().strip()
-        if header != "x,m1,m2,m3":
-            raise ValueError(f"missing mandatory header row 'x,m1,m2,m3' in {path}")
+        columns = ",".join(_PROFILE_COLUMNS)
+        if header != columns:
+            raise ValueError(f"missing mandatory header row {columns!r} in {path}")
         data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float)
         if data.ndim != 2 or data.shape[1] != 4:
-            raise ValueError(f"expected 4 columns x,m1,m2,m3 in {path}")
+            raise ValueError(f"expected 4 columns {columns} in {path}")
         return Profile1D(data[:, 0], data[:, 1:4], check_boundary=check_boundary)
 
 

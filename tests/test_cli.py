@@ -86,6 +86,17 @@ def test_wall_sample_and_energy_round_trip(tmp_path, capsys):
     assert float(out) == pytest.approx(4.0, rel=1e-2)
 
 
+def test_wall_sample_same_bytes_on_stdout_and_out(tmp_path, capsysbinary):
+    # Profile1D.to_csv wrote CRLF through the csv module, stdout LF
+    sample = ["wall", "sample", "--alpha", "1.0", "--theta", "0.3", "--half-length", "20.0", "--nodes", "33"]
+    assert run(sample) == 0
+    printed = capsysbinary.readouterr().out
+    profile_path = tmp_path / "wall.csv"
+    assert run(["--out", str(profile_path), *sample]) == 0
+    assert profile_path.read_bytes() == printed
+    assert printed.startswith(b"x,m1,m2,m3\n") and b"\r" not in printed
+
+
 def test_energy_reduced_overflow_is_a_numerical_failure(tmp_path, capsys):
     # alpha int m2^2 overflowed and printed "inf", the output of the forbid_m3 sentinel
     profile_path = tmp_path / "wall.csv"

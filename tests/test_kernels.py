@@ -17,7 +17,7 @@ from wallscale import (
     verify_lemma32,
 )
 from wallscale import kernels
-from wallscale.errors import QuadratureError
+from wallscale.errors import QuadratureError, WallscaleError
 from wallscale.kernels import kernel_batch, volume_kernel_batch
 
 PI_HALF = math.pi / 2.0
@@ -238,6 +238,20 @@ class TestCrossSection:
             CrossSection(l=0.1, d=0.2)
         with pytest.raises(ValueError):
             CrossSection(l=0.1, d=0.0)
+
+    def test_underflowing_aspect_ratio_raises_typed_error(self):
+        # d/l = 1e-448 rounds to 0.0: a_c raised a bare ValueError for it, and
+        # RescalingParams a math-domain one that rate_sweep logged with a traceback
+        with pytest.raises(WallscaleError, match="underflows"):
+            CrossSection(l=1e150, d=1e-298)
+
+    def test_subnormal_aspect_ratio_constructs_and_kernels_refuse_it(self):
+        cs = CrossSection(l=1.0, d=5e-324)
+        assert cs.c == 5e-324
+        with pytest.raises(QuadratureError):
+            kernel_batch(cs, False, [1.0])
+        with pytest.raises(QuadratureError):
+            volume_kernel_batch(cs, [1.0])
 
 
 class TestClosedFormRange:

@@ -518,9 +518,33 @@ class TestVolumeSpectral:
         with pytest.raises(WallscaleError, match="normal range"):
             e_v_spectral(p, CrossSection(l=1e-3, d=1e-4))
 
+    @pytest.mark.parametrize(
+        "l, d, rtol", [(0.1, 0.05, 1e-13), (1.0, 0.5, 1e-13), (1e-3, 1e-9, 1e-13), (10.0, 1e-3, 1e-9)]
+    )
+    def test_zero_cell_is_the_exact_cell_average(self, l, d, rtol):
+        # a linear m1 puts all of g = dm1/dx, |g_hat|^2 = 2/pi, at k = 0, so
+        # E_v is (4/pi^2)(2/pi) dk times the average of K over (0, dk/2].
+        # K ~ A ln k + B there, which 16-point Gauss-Legendre missed by 2e-4
+        # to 9.4e-4 of the average.  The referee is QUADPACK on the same
+        # average in t = ln(dk/(2k)); at l = 10, dk l = 1.2 reaches past the
+        # logarithmic range of K
+        cs = CrossSection(l=l, d=d)
+        L, N = 26.0, 513
+        x = np.linspace(-L, L, N)
+        p = Profile1D(x, np.column_stack([x / L, np.sqrt(1.0 - (x / L) ** 2), np.zeros(N)]))
+        dk = math.pi / L
+
+        def weighted(t):
+            (value,), _ = kernels.volume_kernel_batch(cs, [0.5 * dk * math.exp(-t)])
+            return value * math.exp(-t)
+
+        average = integrate_finite(weighted, 0.0, 80.0, QuadratureConfig(abs_tol=0.0, rel_tol=1e-13)).value
+        expected = (4.0 / math.pi**2) * (2.0 / math.pi) * dk * average
+        assert e_v_spectral(p, cs) == pytest.approx(expected, rel=rtol, abs=0.0)
+
     def test_against_volume_oracle(self, volume_oracle_levels):
         # the raw oracle is h^2-high by 3.8e-3 at N = 2049, so the referee is
-        # its Richardson value; spectral E_v sits 3.58e-3 below it, the 1/L
+        # its Richardson value; spectral E_v sits 3.52e-3 below it, the 1/L
         # bias of its k = 0 cell
         spectral = e_v_spectral(sample_wall(GOLDEN_WALL, GOLDEN_L, 2049), GOLDEN_CS)
         assert spectral == pytest.approx(richardson_h2_h3(volume_oracle_levels), rel=5e-3)

@@ -110,6 +110,18 @@ class TestDescent:
         assert all(b <= a for a, b in zip(energies, energies[1:]))
         assert len(energies) >= 2
 
+    def test_trace_file_is_one_table(self, tmp_path, monkeypatch):
+        # a header line, then one LF row per iteration, counted in decimal integers
+        monkeypatch.setattr(minimize_module, "_MAX_ITERS", 5)
+        trace = tmp_path / "trace.csv"
+        minimize_reduced(arc_profile(20.0, 65), 1.0, trace_path=trace)
+        data = trace.read_bytes()
+        assert data.endswith(b"\n") and b"\r" not in data
+        header, *rows = data.decode().splitlines()
+        assert header == "iteration,energy,grad_norm"
+        assert [row.split(",")[0] for row in rows] == [str(i) for i in range(len(rows))]
+        assert len(rows) == 6 and all(len(row.split(",")) == 3 for row in rows)
+
     def test_boundary_nodes_pinned(self, monkeypatch):
         monkeypatch.setattr(minimize_module, "_MAX_ITERS", 200)
         init = arc_profile(20.0, 257)
