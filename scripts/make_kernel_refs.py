@@ -11,7 +11,7 @@ d = c over c in {1, 0.5, 1e-2, 1e-6, 1e-12} and k = 0 plus
 geomspace(1e-3, 1e4, 15), both swaps, plus the golden-section case
 l = 0.1, d = 0.05, swap=True, k = 166.4488, and THIN_RULE_ROWS: the three
 thin m3-channel rows of a 2400-row scan (l in [1e-3, 1], c in [1e-13,
-1e-11], |k| hypot(2l, 2d) in [1, 10^0.5]) on which kernels._k0_gap's
+1e-11], |k| hypot(2l, 2d) in [1, 10^0.5]) on which the rule's former
 direct difference K0(ku) - K0(kr) left the rule 0.96e-14 to 1.04e-14 off.
 At k = 0 the bracket is its
 limit ln(sqrt(u^2 + 4 s^2)/u), which checks the closed forms of a_c and b_c

@@ -24,10 +24,11 @@ tensor x^2 K = J(l, d, x) + J(d, l, x), J = I(0) - I, so one per-channel
 evaluation (_channel) gives both kernels for many x at once: the K0 series
 (DLMF 10.31.2) on x-free moments where |x| hypot(2w, 2s) <= 1, an asymptotic
 form far out, and otherwise quad's GK15 table on panels halving toward u = 0,
-whose embedded Gauss rule gives an error estimate.  Each value is returned
-only when that estimate is within 1e-8 of it (_REL_TOL) and it is a finite
-normal double (quad._check_rule); otherwise the call raises QuadratureError.
-scipy.special is imported by the rule's first Bessel call (see k0).
+whose embedded Gauss rule gives an error estimate, on gaps of K0 from the
+series and a trapezoid rule (_k0_gap): no Bessel library call, no scipy.
+Each value is returned only when that estimate is within 1e-8 of it
+(_REL_TOL) and it is a finite normal double (quad._check_rule); otherwise
+the call raises QuadratureError.
 
 Every function here is pure and reentrant; sweep drivers may call them
 concurrently.
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadratureError, WallscaleError
-from .quad import _GK_GAUSS, _GK_NODES, _TINY, _check_rule, _gk_panels, _halving_edges
+from .quad import _TINY, _check_rule, _gk_panels, _halving_edges
 
 __all__ = [
     "CrossSection",
@@ -69,6 +70,8 @@ _REL_TOL = 1e-8  # bound on every returned value's error estimate, relative to t
 _BLOCK = 16  # frequencies per block; bounds the (block x nodes) temporaries
 _N = np.arange(1, _TERMS + 1)  # series term index n
 _PSI = np.cumsum(1.0 / _N) - np.euler_gamma  # psi(n + 1)
+_V2 = (2.0 / 9.0 * np.arange(28)) ** 2  # squared trapezoid nodes of _trapezoid
+_WEIGHTS = 2.0 / 9.0 * np.exp(-_V2) * np.where(_V2 == 0.0, 0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -136,60 +139,91 @@ def b_c(c: float) -> float:
     return math.pi / 2.0 - a_c(c) if c < 1.0 else a_c(1.0 / c)
 
 
-def k0(z: np.ndarray) -> np.ndarray:
-    """scipy.special.k0; scipy.special (24 MB) is imported on first use."""
-    from scipy.special import k0 as bessel_k0
+def _trapezoid(z, dz=None):
+    """K0(z) - K0(z + dz), or K0(z) without dz, for z >= 1 (a float or an
+    array like dz): v = sqrt(2z) sinh(t/2) in K0(z) = int_0^inf e^(-z cosh t)
+    dt (DLMF 10.32.9) gives sqrt(2/z) e^-z int_0^inf e^(-v^2) [1 - e^(-dz (1
+    + v^2/z))] / sqrt(1 + v^2/(2z)) dv, by the trapezoid rule on v = 0, 2/9,
+    ..., 6: within 1e-15 for dz <= z, as e^(a^2 (1 + dz/z) - 2 pi a/h), a =
+    sqrt(2z) (Trefethen and Weideman, SIAM Rev. 56 (2014) 385)."""
+    inv = 1.0 / z
+    total = 0.0
+    for v2, weight in zip(_V2, _WEIGHTS):
+        term = weight / np.sqrt(1.0 + 0.5 * v2 * inv)
+        total = total + (term if dz is None else -term * np.expm1(-(1.0 + v2 * inv) * dz))
+    return np.sqrt(2.0 * inv) * np.exp(-z) * total
 
-    return bessel_k0(z)
+
+def _rule_gap(z, dz: np.ndarray, complement: bool) -> np.ndarray:
+    """_k0_gap for z >= 1 (a float or an array like dz) by _trapezoid; where
+    dz > z as K0(z) - K0(z + dz), which cancels nothing: K0(2z) <= 0.27 K0(z)."""
+    near, far = np.flatnonzero(dz <= z), np.flatnonzero(dz > z)
+    z_near, z_far = (z, z) if np.ndim(z) == 0 else (z[near], z[far])
+    gap = np.empty(dz.size)
+    gap[near] = _trapezoid(z_near, dz[near])
+    if far.size:
+        gap[far] = _trapezoid(z_far) - _trapezoid(z_far + dz[far])
+    return np.log1p(dz / z) - gap if complement else gap
 
 
-def k1(z: np.ndarray) -> np.ndarray:
-    """scipy.special.k1, imported on first use as for k0."""
-    from scipy.special import k1 as bessel_k1
-
-    return bessel_k1(z)
+def _series_gap(z: np.ndarray, dz: np.ndarray, complement: bool) -> np.ndarray:
+    """_k0_gap for normal z and z + dz <= 2 by the series K0(z) = sum_n
+    b^2n/(n!)^2 (psi(n+1) - ln b), b = z/2 (DLMF 10.31.2): the H gap is
+    sum_n a^2n/(n!)^2 [(psi(n+1) - ln a)(1 - q^2n) - L q^2n], a = (z + dz)/2,
+    q = z/(z + dz), L = log1p(dz/z), 1 - q^2n = (1 - q^2) sum_{j<n} q^2j, and
+    the K0 gap is L minus it.
+    """
+    end = z + dz
+    log_ratio = np.log1p(dz / z)  # L
+    q2 = (z / end) ** 2
+    shrink = (dz / end) * ((z + end) / end)  # 1 - q^2
+    log_shrink = np.log(0.5 * end) * shrink
+    a2 = 0.25 * end**2
+    power, geometric, coef, h_gap = np.ones(z.size), np.zeros(z.size), np.ones(z.size), np.zeros(z.size)
+    term, tail = np.empty(z.size), np.empty(z.size)
+    # term by term, in place: most of a kernel evaluation; the K0 gap's 10th
+    # term is below 3e-18 of it for z + dz <= 1
+    for n, psi in zip(_N[: _TERMS if complement else 9], _PSI):
+        geometric += power  # sum_{j<n} q^2j
+        power *= q2  # q^2n
+        coef *= a2
+        coef /= n * n  # a^2n/(n!)^2
+        np.multiply(shrink, psi, out=term)
+        term -= log_shrink
+        term *= geometric
+        term -= np.multiply(log_ratio, power, out=tail)
+        term *= coef
+        h_gap += term
+    return h_gap if complement else log_ratio - h_gap
 
 
 def _k0_gap(z: np.ndarray, dz: np.ndarray, complement: bool = False) -> np.ndarray:
     """K0(z) - K0(z + dz), or with complement H(z + dz) - H(z) where
-    H(t) = K0(t) + ln t, for z > 0, dz >= 0, without cancellation.
-
-    Where z is normal and z + dz <= 0.1 (2 with complement), the series
-    K0(z) = sum_n b^2n/(n!)^2 (psi(n+1) - ln b), b = z/2 (DLMF 10.31.2),
-    gives the H gap sum_n a^2n [(psi(n+1) - ln a)(1 - q^2n) - L q^2n]/(n!)^2,
-    a = (z + dz)/2, q = z/(z + dz), L = log1p(dz/z), and the K0 gap is L
-    minus it.  Elsewhere the K0 gap is the direct difference, or where dz (1
-    + 1/z) < 0.05 the integral of K1 by 7-point Gauss-Legendre; the H gap is
-    L minus it for z >= 1, and split at 1 below, where ln z + K0(z) cancels.
+    H(t) = K0(t) + ln t, for z > 0, dz >= 0, without cancellation: by
+    _series_gap below a split, 2 for the H gap and 1 for the K0 gap (its L -
+    H gap loses up to 3e-15 near 2), by _rule_gap above it, and as the sum of
+    the pieces (z, split - z) and (split, the rest) across it.  H(z) = H(0)
+    below the smallest normal double _TINY, K0(z) = K0(_TINY) + ln(_TINY/z).
     """
-    z = np.maximum(z, _TINY) if complement else z  # H(z) = H(0) to rounding below _TINY
     shape, z, dz = z.shape, z.ravel(), dz.ravel()
-    end = z + dz
-    gap = np.empty(z.size)
-    series = (end <= (2.0 if complement else 0.1)) & (z >= _TINY)  # normal z: dz/z stays finite
-    low = complement & (z < 1.0) & ~series
-    rows = np.flatnonzero(~series & ~low)
+    gap = np.zeros(z.size)
+    if complement:
+        z = np.maximum(z, _TINY)
+    elif np.any(z < _TINY):  # 1/z overflows in the series
+        tiny, end = z < _TINY, z + dz
+        gap = np.where(tiny, np.log(np.minimum(end, _TINY) / z), 0.0)
+        z, dz = np.where(tiny, _TINY, z), np.where(tiny, np.maximum(end - _TINY, 0.0), dz)
+    split = 2.0 if complement else 1.0
+    rows = np.flatnonzero(z >= split)
     if rows.size:
-        zn, dn = z[rows], dz[rows]
-        gap[rows] = k0(zn) - k0(end[rows])
-        near = np.flatnonzero(dn * (zn + 1.0) < 0.05 * zn)  # times z: 1/z overflows for subnormal z
-        if near.size:
-            zr, h = zn[near, None], 0.5 * dn[near, None]
-            gap[rows[near]] = (h * k1(zr + h * (1.0 + _GK_NODES[1::2])) * _GK_GAUSS[1::2]).sum(axis=1)
-        if complement:  # z >= 1 here
-            gap[rows] = np.log1p(dn / zn) - gap[rows]
-    rows = np.flatnonzero(low)
-    if rows.size:
-        gap[rows] = _k0_gap(z[rows], 1.0 - z[rows], True) + _k0_gap(np.ones(rows.size), end[rows] - 1.0, True)
-    rows = np.flatnonzero(series)
-    if rows.size:
-        zn, dn, en = z[rows, None], dz[rows, None], end[rows, None]
-        log_ratio = np.log1p(dn / zn)  # L
-        powers = np.cumprod(np.repeat((zn / en) ** 2, _TERMS, axis=1), axis=1)  # q^2n
-        shrink = (dn / en) * ((zn + en) / en) * (np.cumsum(powers, axis=1) - powers + 1.0)  # 1 - q^2n
-        terms = np.cumprod(0.25 * en**2 / _N**2, axis=1)  # a^2n/(n!)^2
-        h_gap = (terms * ((_PSI - np.log(0.5 * en)) * shrink - log_ratio * powers)).sum(axis=1)
-        gap[rows] = h_gap if complement else log_ratio[:, 0] - h_gap
+        gap[rows] += _rule_gap(z[rows], dz[rows], complement)
+    rows = np.flatnonzero(z < split)
+    zn, dn = z[rows], dz[rows]
+    over = zn + dn > split
+    head = np.where(over, split - zn, dn)
+    gap[rows] += _series_gap(zn, head, complement)
+    if np.any(over):
+        gap[rows[over]] += _rule_gap(split, (dn - head)[over], complement)
     return gap.reshape(shape)
 
 
@@ -269,7 +303,6 @@ def _channel(cs: CrossSection, swap: bool, k: np.ndarray, complement: bool) -> t
     if w > 1e150 or (near.size or series.size) and _FLOOR * min(w, s) < _TINY:
         raise QuadratureError(f"{cs} is outside the double range of the kernel rule")
     u, kronrod, excess, floor = _surface_rule(w, s)
-    du = 2.0 * s * (2.0 * s / (np.hypot(u, 2.0 * s) + u))  # sqrt(u^2 + 4 s^2) - u, no s^2 to underflow
 
     if series.size:
         p, q, dp, dq = _series_moments(w, s, rho, u, kronrod, excess, floor)
@@ -284,13 +317,15 @@ def _channel(cs: CrossSection, swap: bool, k: np.ndarray, complement: bool) -> t
         values[series] = -total if complement else i0 + total
         errors[series] = 0.5 * math.pi * ((coef * (np.abs(log_kappa) * dp + dq)).sum(axis=1) + np.abs(terms[:, -1]))
 
-    top = 2.0 * s * (2.0 * s / (math.hypot(floor, 2.0 * s) + floor))  # du at the floor
+    nodes = np.append(u, floor)  # the last column gives the sliver below the floor
+    du = 2.0 * s * (2.0 * s / (np.hypot(nodes, 2.0 * s) + nodes))  # sqrt(u^2 + 4 s^2) - u, no s^2 to underflow
     for start in range(0, near.size, _BLOCK):
         idx = near[start : start + _BLOCK]
-        kb = k[idx]
-        f = _k0_gap(kb[:, None] * u, kb[:, None] * du, complement)
+        kb = k[idx, None]
+        gaps = _k0_gap(kb * nodes, kb * du, complement)
+        f = gaps[:, :-1]
         # int_0^floor (2w - u) [...] du to leading order in floor: int_0^f K0(k u) du = f (1 + K0(k f))
-        sliver = 2.0 * w * floor * (_k0_gap(kb * floor, kb * top, complement) + (0.0 if complement else 1.0))
+        sliver = 2.0 * w * floor * (gaps[:, -1] + (0.0 if complement else 1.0))
         values[idx] = 0.5 * math.pi * ((f * kronrod).sum(axis=1) + sliver)
         errors[idx] = 0.5 * math.pi * np.abs((f.reshape(idx.size, *excess.shape) * excess).sum(axis=2)).sum(axis=1)
     errors += _ROUNDING * np.abs(values)

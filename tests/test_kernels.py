@@ -468,15 +468,28 @@ class TestKernelBatch:
             volume_kernel_batch(CrossSection(l=0.1, d=0.05), [1.0, k])
 
 
-# (z, dz): the H series with L = log1p(dz/z) from 1e-20 to 700 (subnormal z
-# counts as the smallest normal one), the split at 1 for z < 1 < 2 < z + dz,
-# and L minus the K1 rule (near) or the direct K0 difference for z >= 1
+# (z, dz): the H series with L = log1p(dz/z) for z + dz <= 2, from 1e-20
+# (subnormal z counts as the smallest normal one); L minus the trapezoid rule
+# for z >= 2, with its far form K0(z) - K0(z + dz) where dz > z; and the sum
+# of both pieces for rows across 2, from just below it to far above
 H_GAP_ROWS = [
     (1.0, 1e-20), (0.5, 1e-12), (1e-3, 1e-11), (0.3, 3e-9), (1e-3, 1e-3), (1e-10, 1.0),
     (1e-304, 1.0), (0.2, 1.7), (1.5e-300, 1.9), (1.8, 0.2),
-    (0.3, 5.0), (0.9, 1.2), (1e-8, 30.0),
-    (1.0, 0.04), (1.5, 0.01), (700.0, 1e-3), (50.0, 1.0), (1.0, 3.0), (3.0, 10.0),
+    (0.3, 5.0), (0.9, 1.2), (1e-8, 30.0), (1.99, 0.02), (0.5, 1.6),
+    (1.0, 0.04), (1.5, 0.01), (700.0, 1e-3), (50.0, 1.0), (1.0, 3.0), (3.0, 10.0), (2.0, 1e-12),
     (1e-310, 1.5), (5e-320, 3.0), (2e-315, 1e-3),
+]
+
+# (z, dz) for K0(z) - K0(z + dz): just above the old switch from a K1 rule
+# to the direct difference, dz (z + 1) = 0.05 z, and at single nodes where
+# that difference lost up to 1e-13; the split at 1 and z + dz = 2 exactly;
+# dz from 1e-14 z to 1e3, with (2, 16) where a trapezoid step of 1/4 was
+# 2.6e-15 off; and subnormal z, which the direct difference took to 3e-12
+K0_GAP_ROWS = [
+    *((z, 0.0505 * z / (z + 1.0)) for z in (0.05, 0.2, 0.5, 0.9, 1.0, 1.5, 2.0)),
+    (666.19, 0.314), (700.0, 1e-3), (700.0, 1.0), (2.0, 1e-12), (1.5, 0.5), (0.75, 1.25),
+    (1.0, 1e-14), (0.999, 0.002), (3.0, 3e-14), (2.0, 16.0), (1.2, 5.0), (0.3, 10.0), (1e-20, 1e3),
+    (2e-315, 1e-3), (1e-310, 1.5), (5e-320, 3.0),
 ]
 
 
@@ -489,4 +502,14 @@ class TestK0Gap:
             with mpmath.workdps(50 + max(0, int(-2.0 * math.log10(zi + dzi)))):
                 a, b = mpmath.mpf(zi), mpmath.mpf(zi) + mpmath.mpf(dzi)
                 ref = float(mpmath.besselk(0, b) + mpmath.log(b) - mpmath.besselk(0, a) - mpmath.log(a))
+            assert abs(gap - ref) <= 2e-15 * ref, (zi, dzi, gap, ref)
+
+    def test_k0_gap_matches_mpmath(self):
+        # the surface kernel's rule integrates K0(k u) - K0(k r)
+        z, dz = np.array(K0_GAP_ROWS).T
+        gaps = kernels._k0_gap(z, dz)
+        for (zi, dzi), gap in zip(K0_GAP_ROWS, gaps):
+            with mpmath.workdps(50):
+                a, b = mpmath.mpf(zi), mpmath.mpf(zi) + mpmath.mpf(dzi)
+                ref = float(mpmath.besselk(0, a) - mpmath.besselk(0, b))
             assert abs(gap - ref) <= 2e-15 * ref, (zi, dzi, gap, ref)

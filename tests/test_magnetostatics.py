@@ -504,13 +504,15 @@ class TestVolumeSpectral:
 
     def test_bessel_work_gate(self, monkeypatch, standard_wall_profile):
         # every rule node of the golden E_v lies in the H-gap series, so K
-        # needs no Bessel call; counts, unlike seconds, do not depend on the host
+        # gives no row to the trapezoid rule above z = 2; counts, unlike
+        # seconds, do not depend on the host
         counted = []
-        for name in ("k0", "k1"):
-            bessel = getattr(kernels, name)
-            monkeypatch.setattr(kernels, name, lambda z, bessel=bessel: counted.append(np.size(z)) or bessel(z))
+        trapezoid = kernels._trapezoid
+        monkeypatch.setattr(kernels, "_trapezoid", lambda *args: counted.append(np.size(args[-1])) or trapezoid(*args))
         e_v_spectral(standard_wall_profile, GOLDEN_CS)
-        assert sum(counted) <= 20_000
+        assert sum(counted) == 0
+        kernels.volume_kernel_batch(GOLDEN_CS, [300.0])  # its rule nodes reach k u = 60
+        assert sum(counted) > 0
 
     def test_subnormal_energy_raises_typed_error(self):
         # dk = pi/L = 3e-300 on this window: E_v was 8.50e-310, a subnormal value

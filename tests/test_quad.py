@@ -219,11 +219,10 @@ def test_physics_modules_bind_no_scipy_optimizer(name):
 
 def test_package_import_loads_no_scipy_integrate_or_optimize():
     # scipy.integrate (which pulls in scipy.optimize) is imported by the first
-    # integrate_finite call, and scipy.special by the first Kronrod-rule row
-    # of a kernel, not with the package: the rate sweep on the criterion-8
-    # grid, the ansatz search on wide films and the descent load none of
-    # them; a fresh interpreter shows it
-    src = str(Path(quad.__file__).resolve().parents[1])
+    # integrate_finite call, not with the package, and no kernel loads
+    # scipy.special: the rate sweep on the criterion-8 grid, the ansatz
+    # search on wide films, the descent and a kernel call load none of them;
+    # a fresh interpreter shows it
     code = """
 import sys, wallscale, wallscale.cli
 from wallscale import CrossSection, arc_profile, kernels, minimize_full_ansatz, minimize_reduced, rate_sweep
@@ -238,6 +237,36 @@ print(loaded())
 kernels.kernel_batch(CrossSection(1.0, 1e-2), True, [3.0])
 print(loaded())
 """
+    assert _fresh_interpreter(code).split("\n")[:3] == ["[]", "[]", "[]"]
+
+
+def test_crosscheck_operation_loads_no_scipy():
+    # the oracle path: the Lipschitz check, the Richardson E_s oracle and
+    # spectral and real-space E_v on a perturbed golden wall at N = 2049 load
+    # no scipy module at all (importing scipy.special alone adds about 25 MB of
+    # resident memory)
+    code = """
+import sys
+import numpy as np
+from wallscale import ClosedFormWall, CrossSection, Profile1D, emag_lipschitz_check, e_v_spectral, sample_wall
+from wallscale.magnetostatics import e_v_volume_oracle, richardson_boundary_oracle
+cs = CrossSection(0.1, 0.05)
+base = sample_wall(ClosedFormWall(alpha=1.0 / np.pi, beta=1.0, theta=0.0), 26.0, 2049)
+m = base.m.copy()
+m[:, 1] += 0.1 * np.exp(-((base.x - 2.0) ** 2))
+m[:, 2] -= 0.1 * np.exp(-((base.x + 1.0) ** 2))
+m /= np.linalg.norm(m, axis=1)[:, None]
+wall = Profile1D(base.x, m)
+assert emag_lipschitz_check(wall, base, cs).passed
+richardson_boundary_oracle(wall, cs)
+assert abs(e_v_spectral(wall, cs) / e_v_volume_oracle(wall, cs) - 1.0) < 0.05
+print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))
+"""
+    assert _fresh_interpreter(code).split("\n")[0] == "[]"
+
+
+def _fresh_interpreter(code: str) -> str:
+    """Standard output of code run by a new Python process on this source tree."""
+    src = str(Path(quad.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split("\n")[:3] == ["[]", "[]", "['scipy.special']"]
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
