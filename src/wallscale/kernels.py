@@ -197,13 +197,15 @@ def _series_gap(z: np.ndarray, dz: np.ndarray, complement: bool) -> np.ndarray:
     return h_gap if complement else log_ratio - h_gap
 
 
-def _k0_gap(z: np.ndarray, dz: np.ndarray, complement: bool = False) -> np.ndarray:
+def _k0_gap(z: np.ndarray, dz: np.ndarray, complement: bool = False, factors: tuple | None = None) -> np.ndarray:
     """K0(z) - K0(z + dz), or with complement H(z + dz) - H(z) where
     H(t) = K0(t) + ln t, for z > 0, dz >= 0, without cancellation: by
     _series_gap below a split, 2 for the H gap and 1 for the K0 gap (its L -
     H gap loses up to 3e-15 near 2), by _rule_gap above it, and as the sum of
     the pieces (z, split - z) and (split, the rest) across it.  H(z) = H(0)
-    below the smallest normal double _TINY, K0(z) = K0(_TINY) + ln(_TINY/z).
+    below the smallest normal double _TINY, K0(z) = K0(_TINY) + ln(_TINY/z),
+    where factors (k, u) with z = k u, if given, supply ln z = ln k + ln u:
+    the product itself may have underflowed to a subnormal or to 0.
     """
     shape, z, dz = z.shape, z.ravel(), dz.ravel()
     gap = np.zeros(z.size)
@@ -211,7 +213,8 @@ def _k0_gap(z: np.ndarray, dz: np.ndarray, complement: bool = False) -> np.ndarr
         z = np.maximum(z, _TINY)
     elif np.any(z < _TINY):  # 1/z overflows in the series
         tiny, end = z < _TINY, z + dz
-        gap = np.where(tiny, np.log(np.minimum(end, _TINY) / z), 0.0)
+        ln_z = np.log(z) if factors is None else (np.log(factors[0]) + np.log(factors[1])).ravel()
+        gap = np.where(tiny, np.log(np.minimum(end, _TINY)) - ln_z, 0.0)
         z, dz = np.where(tiny, _TINY, z), np.where(tiny, np.maximum(end - _TINY, 0.0), dz)
     split = 2.0 if complement else 1.0
     rows = np.flatnonzero(z >= split)
@@ -322,7 +325,7 @@ def _channel(cs: CrossSection, swap: bool, k: np.ndarray, complement: bool) -> t
     for start in range(0, near.size, _BLOCK):
         idx = near[start : start + _BLOCK]
         kb = k[idx, None]
-        gaps = _k0_gap(kb * nodes, kb * du, complement)
+        gaps = _k0_gap(kb * nodes, kb * du, complement, (kb, nodes))
         f = gaps[:, :-1]
         # int_0^floor (2w - u) [...] du to leading order in floor: int_0^f K0(k u) du = f (1 + K0(k f))
         sliver = 2.0 * w * floor * (gaps[:, -1] + (0.0 if complement else 1.0))

@@ -5,9 +5,9 @@ The surface-charge energy E_s is evaluated spectrally:
     E_s = (4/pi^2) * int [ I(l,d,k) |m3_hat(k)|^2 + I(d,l,k) |m2_hat(k)|^2 ] dk
 
 with the unitary Fourier convention (symmetric 1/sqrt(2 pi) split), so that
-the discrete Plancherel identity holds exactly on the grid.  A direct
-boundary-integral oracle over the four cross-section faces provides an
-independent check of both the constant and the convention.
+the discrete Plancherel identity holds exactly on the grid.  A real-space
+boundary oracle over the four cross-section faces provides an independent
+check of both the constant and the convention.
 
 The volume-charge energy E_v is reported through an explicit closed-form
 upper bound (always) and optionally through the spectral evaluation
@@ -15,10 +15,11 @@ upper bound (always) and optionally through the spectral evaluation
 K of the kernels module, validated against a real-space Green-function oracle.
 
 Both spectral energies take their kernel values from the fixed rules of the
-kernels module, whose error estimates are held to a relative 1e-8; both
-real-space oracles take the section pair integral F (_section_pair_green), on
-quad's GK15 table, to a relative 1e-9: the volume oracle at every lag, the
-boundary oracle for its singular self cell.
+kernels module, whose error estimates are held to a relative 1e-8.  Both
+real-space oracles are one lag sum (_lag_sum): the autocorrelation of the
+charge on the grid dotted with a pair function averaged over each lag cell,
+on quad's GK15 table to a relative 1e-9 -- the closed-form face pair for
+E_s, the section pair integral F (_section_pair_green) for E_v.
 """
 
 from __future__ import annotations
@@ -59,10 +60,12 @@ GAMMA_LIMIT = 16.0 / math.sqrt(math.pi)
 # kernel-weighted spectrum; with kernels bounded by 2*pi*l*d*a_c the skipped
 # mass is below 1e-12 of the total
 _SPECTRAL_FLOOR = 1e-15
-# bound on every pair integral's error estimate, relative to the integral
+# bound on the error estimate of every pair integral, lag-cell average and
+# oracle energy, relative to its value
 _PAIR_REL_TOL = 1e-9
-# lowest halving edge, over d, of a pair rule with a zero lag: the panel
-# below it holds under 1e-12 of F(0), so its log singularity costs no digit
+# lowest halving edge, over the scale d, of a rule on a log singularity at 0
+# (the pair rule at a zero lag, the lag-0 cell of E_s): the panel below it
+# holds under 1e-12 of the integral, so the singularity costs no digit
 _ZERO_LAG_FLOOR = 1e-14
 # node values per block of lags of the pair rule, bounding its temporaries
 _PAIR_BLOCK = 1 << 15
@@ -214,103 +217,87 @@ def _lag_weights(g: np.ndarray) -> np.ndarray:
     return w
 
 
-def _face_family_energy(
-    sigma: np.ndarray, dx: float, half_across: float, n_across: int, separation: float
+# the lag sum averages the pair function over every lag cell out to this
+# span, in units of the section half-width l, and takes point values beyond
+_CELL_SPAN = 10.0
+
+
+def _lag_sum(
+    w: np.ndarray, h: float, l: float, floor: float, pair: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[float, float]:
-    """Same-face minus opposite-face interaction of one face pair family.
-
-    Returns (energy_contribution, diagonal_part).  `sigma` holds the charge
-    at the axial cell centers; cells across the face have width
-    2*half_across/n_across; the two faces of the family sit `separation`
-    apart with opposite charge sign.  The pair table holds, per axial lag,
-    the panel-pair sum of 1/r_same - 1/r_cross over the transverse offsets;
-    the singular self cell takes F(0) of the flat cell instead.
+    """(sum_m w[m] P_m, error) for the lag weights w at spacing h, P_m the
+    average over the lag cell [(m - 1/2)h, (m + 1/2)h] of the pair function,
+    whose values at separations s > 0 pair(s) gives: product integration,
+    which integrates the pair function, singular or steep at 0 on the scale
+    d, and samples only the smooth autocorrelation w.  The lag-0 cell takes
+    GK15 on panels halving from h/2 down to floor and the panel below, the
+    cells out to _CELL_SPAN l a panel each, held to _PAIR_REL_TOL by
+    quad._check_rule; past the span the pair function is smooth on the
+    scale l, and pair(m h) stands for P_m.  The error sums |w| times each
+    average's Kronrod-minus-Gauss estimate.
     """
-    dz = 2.0 * half_across / n_across
-    lag2 = (np.arange(sigma.size) * dx) ** 2
-    sep2 = separation**2
-    pair = np.zeros(sigma.size)
-    # transverse offsets o >= 0 with their panel-pair counts (n - |o| per sign)
-    for o, count in enumerate(_lag_weights(np.ones(n_across))):
-        r2 = lag2 + (o * dz) ** 2
-        same = np.divide(1.0, np.sqrt(r2), out=np.zeros_like(r2), where=r2 > 0.0)
-        pair += count * (same - 1.0 / np.sqrt(r2 + sep2))
-    w = _lag_weights(sigma)
-    cell = CrossSection(0.5 * max(dx, dz), 0.5 * min(dx, dz))  # the flat dx x dz self cell
-    diagonal = w[0] * n_across * _section_pair_green(cell, np.zeros(1))[0][0] / (2.0 * math.pi)
-    return float(w @ pair) * (dx * dz) ** 2 / (2.0 * math.pi) + diagonal, diagonal
+    cells = min(w.size, math.ceil(_CELL_SPAN * l / h))
+    sums = np.zeros((2, cells))  # per cell over s > 0: Kronrod sums, Kronrod-minus-Gauss estimates
+    # the half cell [0, h/2], then the cells beyond, the lag-1 cell in two
+    # halves as it lies as close to 0 as it is wide; one pair call each, so
+    # that a pair rule refined for the smallest s serves the lag-0 cell only
+    for edges in (np.append(_halving_edges(0.5 * h, floor), 0.0), h * np.append([0.5, 1], np.arange(1.5, cells))):
+        nodes, kronrod, excess = _gk_panels(edges)
+        f = pair(nodes.ravel()).reshape(nodes.shape)
+        lag = np.rint((0.5 / h) * (edges[:-1] + edges[1:])).astype(int)
+        sums[0] += np.bincount(lag, (f * kronrod).sum(axis=1), cells)
+        sums[1] += np.bincount(lag, np.abs((f * excess).sum(axis=1)), cells)
+    sums[:, 0] *= 2.0  # the lag-0 cell [-h/2, h/2] is twice its half on s > 0
+    averages, errors = sums / h
+    _check_rule("cell average", averages, errors, _PAIR_REL_TOL, lambda m: f"lag {m}")
+    far = pair(h * np.arange(cells, w.size))
+    return float(w[:cells] @ averages + w[cells:] @ far), float(np.abs(w[:cells]) @ errors)
 
 
-# widest axial cell of the boundary oracle, in units of a face family's
-# smaller transverse scale (see e_s_boundary_oracle)
-_MAX_CELL_RATIO = 2.25
+def e_s_boundary_oracle(p: Profile1D, cs: CrossSection) -> float:
+    """Real-space oracle for the surface-charge energy, independent of the
+    spectral path and the kernels.
 
+    Per face family (charge m2 on the y-faces, of width 2d and 2l apart;
+    m3 on the z-faces, of width 2l and 2d apart) the charge is uniform
+    across each face, so the transverse double integral is the closed-form
+    face pair: E_s = (h^2/pi) sum_m w[m] P_m, with w the lag weights of the
+    charge column and P_m the average over the lag cell (_lag_sum) of
 
-def e_s_boundary_oracle(
-    p: Profile1D, cs: CrossSection, resolution: tuple[int, int] = (512, 16)
-) -> float:
-    """Direct double-surface-integral oracle for the surface-charge energy.
+        Phi(s) = a [F(s/a) - F(hypot(s, b)/a)],  F = _face_pair,
 
-    Midpoint panels over the four faces of the cross-section boundary
-    (`resolution` = panels along x, panels across each face); the singular
-    same-cell interaction takes F(0) of the flat dx x dz cell from
-    _section_pair_green.  Mixed pairs between the y-faces (charge m2) and
-    z-faces (charge m3) cancel exactly by the reflection symmetry of the
-    rectangle and are not computed.
-
-    Converges O(h); meant to be Richardson-extrapolated across resolutions.
+    a the face half-width and b the face separation: same face minus
+    opposite face.  Mixed pairs between the two families cancel by the
+    reflection symmetry of the rectangle.  Converges like h^2.
 
     Raises:
-        ResolutionError: a charged face family's axial cell dx exceeds
-            _MAX_CELL_RATIO times 2d, the smaller of its face width and face
-            separation.  On the golden-shape wall (L = 26, 512 cells at the
-            coarsest level) the Richardson value is off the spectral E_s by
-            -7e-5 at dx = 1.02 (2d), +1.1e-3 at 2.03, +3.1e-3 at 2.54, +0.29
-            at 16.9, and 10x to 1e4x at l = 1e-3.
-        ResolutionError: the analytic diagonal dominates (> 20% of the
-            total), which refuses too few panels across, such as (2048, 2).
+        ResolutionError: the grid spacing exceeds l, so that fewer than
+            _CELL_SPAN cells are averaged before point values take over.
+        QuadratureError: a cell average misses its tolerance, or E_s of a
+            charged profile is not a normal double within its rule error.
     """
-    n_axial, n_across = resolution
-    if n_axial < 8 or n_across < 2:
-        raise ValueError("resolution too small")
-    dx = (p.x[-1] - p.x[0]) / n_axial
-    centers = p.x[0] + (np.arange(n_axial) + 0.5) * dx
-    total = 0.0
-    diag = 0.0
-    # (charge column, face half-width across, face separation) per family
-    for column, half_across, separation in ((1, cs.d, 2.0 * cs.l), (2, cs.l, 2.0 * cs.d)):
-        sigma = np.interp(centers, p.x, p.m[:, column])
-        if sigma.any():
-            scale = min(2.0 * half_across, separation)
-            if dx > _MAX_CELL_RATIO * scale:
-                raise ResolutionError(
-                    f"axial cell {dx:.3e} exceeds {_MAX_CELL_RATIO} times the face scale {scale:.3e}; "
-                    "refine the resolution"
-                )
-            e, dg = _face_family_energy(sigma, dx, half_across, n_across, separation)
-            total += e
-            diag += dg
-    if total != 0.0 and diag > 0.2 * abs(total):
-        raise ResolutionError(
-            f"self-patch diagonal is {diag / abs(total):.1%} of the oracle total; "
-            "refine the resolution"
-        )
-    return float(total)
-
-
-# the three doubling resolutions of the Richardson boundary oracle
-_RICHARDSON_RESOLUTIONS = ((512, 16), (1024, 32), (2048, 64))
+    h = p.spacing
+    if h > cs.l:
+        raise ResolutionError(f"grid spacing {h:.3e} exceeds the section half-width {cs.l:.3e}; refine the grid")
+    sums = [  # per charged face family (charge column, face half-width a, face separation b)
+        _lag_sum(_lag_weights(p.m[:, column]), h, cs.l, _ZERO_LAG_FLOOR * min(cs.d, h),
+                 lambda s: a * (_face_pair(s / a) - _face_pair(np.hypot(s, b) / a)))
+        for column, a, b in ((1, cs.d, 2.0 * cs.l), (2, cs.l, 2.0 * cs.d)) if p.m[:, column].any()
+    ]
+    if not sums:
+        return 0.0
+    energy, error = (sum(terms) * h * h / math.pi for terms in zip(*sums))
+    _check_rule("surface energy", energy, error, _PAIR_REL_TOL, lambda i: f"{cs}")
+    return energy
 
 
 def richardson_boundary_oracle(p: Profile1D, cs: CrossSection) -> tuple[float, list[float]]:
-    """Boundary oracle at three doubling resolutions, Richardson-extrapolated.
-
-    The leading error is O(h); two extrapolation stages remove the first two
-    orders.  Returns (extrapolated_value, raw_values).
-    """
-    raw = [e_s_boundary_oracle(p, cs, resolution) for resolution in _RICHARDSON_RESOLUTIONS]
-    first = [2.0 * raw[1] - raw[0], 2.0 * raw[2] - raw[1]]
-    return first[1] + (first[1] - first[0]) / 3.0, raw
+    """Boundary oracle on p's grid and on its every-other-node subgrid (p
+    needs an odd node count), with the h^2 term removed in one Richardson
+    stage.  Returns (extrapolated_value, [coarse, fine])."""
+    coarse = Profile1D(p.x[::2], p.m[::2], check_boundary=False)
+    raw = [e_s_boundary_oracle(coarse, cs), e_s_boundary_oracle(p, cs)]
+    return raw[1] + (raw[1] - raw[0]) / 3.0, raw
 
 
 def e_v_upper_bound(p: Profile1D, cs: CrossSection) -> float:
@@ -404,35 +391,34 @@ def e_v_volume_oracle(p: Profile1D, cs: CrossSection) -> float:
     cross-section (_section_pair_green, independent of the spectral path),
     as l^3 F(1, c, s/l), so that only E_v itself need be a normal double.
 
-    The lag sum samples F at multiples of h, lag 0 included, and converges
-    like h^2: on the golden wall it is off by 1.45% at h = 0.51 l and 0.38%
-    at h = 0.25 l.
+    The lag sum (_lag_sum) dots the lag weights of g h with F averaged over
+    each lag cell, and converges like h^2 at any thickness: F falls steeply
+    over d < s < l on thin sections, which the cell averages integrate.
 
     Raises:
         ResolutionError: the grid spacing exceeds l/2, so the lag sum cannot
-            resolve F, which varies on the scale of the section; or it
-            exceeds d, where F(0) stands far above F's average over the
-            first cell.  On the golden wall at l = 0.1, N = 2049 the oracle
-            is above the spectral E_v (itself 3.6e-3 low) by 7.4e-3 at
-            h = 0.51 d, 1.2e-2 at 1.27 d and 0.13 at 254 d.
-        QuadratureError: E_v of a charged profile is not a finite normal
-            double.
+            resolve F, which varies on the scale of the section; at l = 1e-3
+            and h = 13 l to 51 l the sum is 2e-3 off and does not converge
+            like h^2.
+        QuadratureError: a cell average misses its tolerance, or E_v of a
+            charged profile is not a normal double within its rule error.
     """
     h = p.spacing
-    if h > min(0.5 * cs.l, cs.d):
+    if h > 0.5 * cs.l:
         raise ResolutionError(
-            f"grid spacing {h:.3e} exceeds half the section half-width {cs.l:.3e} "
-            f"or the half-thickness {cs.d:.3e}; refine the grid"
+            f"grid spacing {h:.3e} exceeds half the section half-width {cs.l:.3e}; refine the grid"
         )
     g = profile_derivative(p)[:, 0] * h  # dimensionless, as are F(1, c, s/l) = F(l, d, s)/l^3
-    w = _lag_weights(g)
+    if not g.any():
+        return 0.0
     unit = CrossSection(1.0, cs.c)
-    pair, _ = _section_pair_green(unit, (h / cs.l) * np.arange(1, w.size))
-    total = (w[0] * _section_pair_green(unit, np.zeros(1))[0][0] + w[1:] @ pair) / (4.0 * math.pi)
-    energy = total * cs.l * cs.l * cs.l  # each factor moves toward the result, so none leaves the range first
-    if g.any():
-        _check_rule("volume energy", energy, 0.0, 1.0, lambda i: f"{cs}")
-    return float(energy)
+    # F is bounded, with a kink at 0 and its fall on the scale d, to a tenth of which the lag-0 cell halves
+    floor = 0.1 * min(cs.c, h / cs.l)
+    sums = _lag_sum(_lag_weights(g), h / cs.l, 1.0, floor, lambda s: _section_pair_green(unit, s)[0])
+    # each factor moves toward the result, so none leaves the range first
+    energy, error = (value / (4.0 * math.pi) * cs.l * cs.l * cs.l for value in sums)
+    _check_rule("volume energy", energy, error, _PAIR_REL_TOL, lambda i: f"{cs}")
+    return energy
 
 
 @dataclass(frozen=True)

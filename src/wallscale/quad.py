@@ -9,10 +9,10 @@ decaying as slowly as 1/t^2.  Only the public API uses these integrators,
 so scipy.integrate is imported by the first call, not with the package.
 The module also holds the two fixed-rule tables: GK15 (_gk_panels) for the
 tail panels and, on panels halving to a floor (_halving_edges), the kernel
-rule (both kernels) and the section pair function of the real-space oracles,
-and 16-point Gauss-Laguerre for the spectral E_v's k = 0 cell average.  _check_rule holds both
-kernels, the pair function and the ansatz surface's trapezoid rule to values that are finite normal
-doubles with error estimates within the rule's tolerance.
+rule (both kernels), the section pair function and the lag-cell averages of
+the real-space oracles, and 16-point Gauss-Laguerre for the spectral E_v's k = 0 cell average.
+_check_rule holds both kernels, the pair function, the cell averages and the ansatz surface's
+trapezoid rule to values that are finite normal doubles with error estimates within the rule's tolerance.
 
 All routines are pure functions of their inputs: identical calls produce
 bit-identical results.
@@ -179,8 +179,9 @@ def _gk_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _halving_edges(top: float, floor: float) -> np.ndarray:
     """Edges top/2^j down to the first at or below floor, counted by a
-    difference of logs: the quotient top/floor overflows on thin sections."""
-    panels = math.ceil(math.log2(top) - math.log2(floor))
+    difference of logs: the quotient top/floor overflows on thin sections;
+    with floor >= top the one edge top."""
+    panels = max(0, math.ceil(math.log2(top) - math.log2(floor)))
     return np.ldexp(top, -np.arange(panels + 1))
 
 

@@ -3,9 +3,10 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from wallscale import ClosedFormWall, CrossSection, full_energy, sample_wall
+from wallscale import ClosedFormWall, CrossSection, full_energy, kernels, sample_wall
 from wallscale.minimize import _ansatz_energy
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -39,6 +40,23 @@ def ansatz_energy(cs: CrossSection, s: float) -> float:
     the window of that one scale."""
     energy, _ = _ansatz_energy(cs, (s, s))
     return energy(s)[0]
+
+
+def closed_form_spectrum_energies(cs: CrossSection, a: float) -> tuple[float, float]:
+    """Test oracle for both charge energies of the wall m1 = tanh(ax), m2 =
+    sech(ax), m3 = 0, from its closed-form unitary spectra, with no grid or
+    window: (E_s, E_v) = (8/pi^2) int_0^inf (I(d,l,k) |m2_hat|^2, K |g_hat|^2)
+    dk, g = dm1/dx, by the trapezoid rule in ln k with step 0.02 over k from
+    e^-40 to 60 a, where both spectra are below 1e-70 of their peaks.
+    GOLDEN_E_S and GOLDEN_E_V of test_magnetostatics come from it."""
+    k = np.exp(np.arange(-40.0, math.log(60.0 * a), 0.02))
+    u = (0.5 * math.pi / a) * k
+    m2_hat2 = (0.5 / math.pi) * (math.pi / a / np.cosh(u)) ** 2
+    g_hat2 = (0.5 / math.pi) * (2.0 * u / np.sinh(u)) ** 2
+    surface, _ = kernels.kernel_batch(cs, True, k)
+    volume, _ = kernels.volume_kernel_batch(cs, k)
+    scale = (8.0 / math.pi**2) * 0.02
+    return scale * float(surface * m2_hat2 @ k), scale * float(volume * g_hat2 @ k)
 
 
 def golden_dir() -> Path:

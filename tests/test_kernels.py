@@ -339,6 +339,21 @@ class TestKernelBatch:
         values, _ = kernel_batch(CrossSection(l=1.0, d=d), False, [0.0, 2.0, 100.0])
         assert np.all(np.abs(values / values[0] - 1.0) <= 1e-13)
 
+    def test_rule_nodes_whose_k_u_underflows(self):
+        # k u underflows to 0 at the rule's smallest nodes (u down to 1e-24):
+        # ln(k u) divided by zero, warned and gave an infinite kernel value;
+        # it is ln k + ln u, under the suite's error::RuntimeWarning
+        (value,), (error,) = kernel_batch(CrossSection(l=1e300, d=1e-12), True, [1e-300])
+        with mpmath.workdps(40):
+            w, s, k = mpmath.mpf(1e-12), mpmath.mpf(1e300), mpmath.mpf(1e-300)
+
+            def f(u):
+                return (2 * w - u) * (mpmath.besselk(0, k * u) - mpmath.besselk(0, k * mpmath.hypot(u, 2 * s)))
+
+            ref = float(mpmath.pi / 2 * mpmath.quad(f, [0, w * 2.0**-39, w * 2.0**-19, 2 * w]))
+        assert abs(value - ref) <= 1e-15 * ref
+        assert error <= 1e-8 * value
+
     def test_error_estimate_enforces_tolerance(self, monkeypatch):
         cs = CrossSection(l=0.1, d=0.05)
         _, (error,) = kernel_batch(cs, True, [3.0])
