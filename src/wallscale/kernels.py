@@ -26,8 +26,8 @@ evaluation (_channel) gives both kernels for many x at once: the K0 series
 form far out, and otherwise quad's GK15 table on panels halving toward u = 0,
 whose embedded Gauss rule gives an error estimate, on gaps of K0 from the
 series and a trapezoid rule (_k0_gap): no Bessel library call, no scipy.
-Each value is returned only when that estimate is within 1e-8 of it
-(_REL_TOL) and it is a finite normal double (quad._check_rule); otherwise
+Each value is returned only when that estimate is within quad._RULE_TOL =
+1e-9 of it and it is a finite normal double (quad._check_rule); otherwise
 the call raises QuadratureError.
 
 Every function here is pure and reentrant; sweep drivers may call them
@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import quad
 from .errors import QuadratureError, WallscaleError
 from .quad import _TINY, _check_rule, _gk_panels, _halving_edges
 
@@ -66,7 +67,6 @@ _SERIES_EDGE = 1.0  # |x| hypot(2w, 2s) up to this: I from the K0 ascending seri
 _TERMS = 12  # series terms; the first one left out is at most 2.1e-28 of I(0) at the edge
 _FAR = 20.0  # see the asymptotic branch of _channel
 _ROUNDING = 1e-14  # relative rounding error claimed for every value
-_REL_TOL = 1e-8  # bound on every returned value's error estimate, relative to the value
 _BLOCK = 16  # frequencies per block; bounds the (block x nodes) temporaries
 _N = np.arange(1, _TERMS + 1)  # series term index n
 _PSI = np.cumsum(1.0 / _N) - np.euler_gamma  # psi(n + 1)
@@ -197,23 +197,23 @@ def _series_gap(z: np.ndarray, dz: np.ndarray, complement: bool) -> np.ndarray:
     return h_gap if complement else log_ratio - h_gap
 
 
-def _k0_gap(z: np.ndarray, dz: np.ndarray, complement: bool = False, factors: tuple | None = None) -> np.ndarray:
+def _k0_gap(k: np.ndarray | float, u: np.ndarray, du: np.ndarray, complement: bool = False) -> np.ndarray:
     """K0(z) - K0(z + dz), or with complement H(z + dz) - H(z) where
-    H(t) = K0(t) + ln t, for z > 0, dz >= 0, without cancellation: by
-    _series_gap below a split, 2 for the H gap and 1 for the K0 gap (its L -
-    H gap loses up to 3e-15 near 2), by _rule_gap above it, and as the sum of
-    the pieces (z, split - z) and (split, the rest) across it.  H(z) = H(0)
-    below the smallest normal double _TINY, K0(z) = K0(_TINY) + ln(_TINY/z),
-    where factors (k, u) with z = k u, if given, supply ln z = ln k + ln u:
+    H(t) = K0(t) + ln t, at z = k u > 0, dz = k du >= 0 (k broadcasting
+    against u and du), without cancellation: by _series_gap below a split, 2
+    for the H gap and 1 for the K0 gap (its L - H gap loses up to 3e-15 near
+    2), by _rule_gap above it, and as the sum of the pieces (z, split - z)
+    and (split, the rest) across it.  H(z) = H(0) below the smallest normal
+    double _TINY, K0(z) = K0(_TINY) + ln(_TINY/z) with ln z = ln k + ln u:
     the product itself may have underflowed to a subnormal or to 0.
     """
-    shape, z, dz = z.shape, z.ravel(), dz.ravel()
+    z, dz = (k * u).ravel(), (k * du).ravel()
     gap = np.zeros(z.size)
     if complement:
         z = np.maximum(z, _TINY)
     elif np.any(z < _TINY):  # 1/z overflows in the series
         tiny, end = z < _TINY, z + dz
-        ln_z = np.log(z) if factors is None else (np.log(factors[0]) + np.log(factors[1])).ravel()
+        ln_z = (np.log(k) + np.log(u)).ravel()
         gap = np.where(tiny, np.log(np.minimum(end, _TINY)) - ln_z, 0.0)
         z, dz = np.where(tiny, _TINY, z), np.where(tiny, np.maximum(end - _TINY, 0.0), dz)
     split = 2.0 if complement else 1.0
@@ -227,7 +227,7 @@ def _k0_gap(z: np.ndarray, dz: np.ndarray, complement: bool = False, factors: tu
     gap[rows] += _series_gap(zn, head, complement)
     if np.any(over):
         gap[rows[over]] += _rule_gap(split, (dn - head)[over], complement)
-    return gap.reshape(shape)
+    return gap.reshape(np.broadcast(k, u).shape)
 
 
 def _surface_rule(w: float, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -325,7 +325,7 @@ def _channel(cs: CrossSection, swap: bool, k: np.ndarray, complement: bool) -> t
     for start in range(0, near.size, _BLOCK):
         idx = near[start : start + _BLOCK]
         kb = k[idx, None]
-        gaps = _k0_gap(kb * nodes, kb * du, complement, (kb, nodes))
+        gaps = _k0_gap(kb, nodes, du, complement)
         f = gaps[:, :-1]
         # int_0^floor (2w - u) [...] du to leading order in floor: int_0^f K0(k u) du = f (1 + K0(k f))
         sliver = 2.0 * w * floor * (gaps[:, -1] + (0.0 if complement else 1.0))
@@ -343,13 +343,13 @@ def kernel_batch(cs: CrossSection, swap: bool, ks) -> tuple[np.ndarray, np.ndarr
     every frequency in ks, as (values, errors) shaped like ks (see _channel).
     Raises ValueError for a non-finite frequency, QuadratureError for w >
     1e150, a value below the smallest normal double or an error estimate not
-    within _REL_TOL.
+    within quad._RULE_TOL.
     """
     k = np.abs(np.asarray(ks, dtype=float)).ravel()
     if not np.all(np.isfinite(k)):
         raise ValueError("frequencies must be finite")
     values, errors = _channel(cs, swap, k, False)
-    _check_rule("kernel value", values, errors, _REL_TOL, lambda i: f"k={k[i]:.17g}")
+    _check_rule("kernel value", values, errors, quad._RULE_TOL, lambda i: f"k={k[i]:.17g}")
     return values.reshape(np.shape(ks)), errors.reshape(np.shape(ks))
 
 
@@ -364,7 +364,7 @@ def volume_kernel_batch(cs: CrossSection, ks) -> tuple[np.ndarray, np.ndarray]:
     for a zero or non-finite frequency (K diverges like -ln|k|), and
     QuadratureError for l or l d above 1e150 (K ~ l^2 d^2 leaves the double
     range), a section too thin for the rule, a value below the smallest
-    normal double or an error estimate not within _REL_TOL.
+    normal double or an error estimate not within quad._RULE_TOL.
     """
     k = np.abs(np.asarray(ks, dtype=float)).ravel()
     if not np.all(np.isfinite(k) & (k > 0.0)):
@@ -372,7 +372,7 @@ def volume_kernel_batch(cs: CrossSection, ks) -> tuple[np.ndarray, np.ndarray]:
     if max(cs.l, cs.l * cs.d) > 1e150:
         raise QuadratureError(f"{cs} is outside the double range of the kernel rule")
     values, errors = (a + b for a, b in zip(_channel(cs, False, k, True), _channel(cs, True, k, True)))
-    _check_rule("kernel value", values, errors, _REL_TOL, lambda i: f"k={k[i]:.17g}")
+    _check_rule("kernel value", values, errors, quad._RULE_TOL, lambda i: f"k={k[i]:.17g}")
     return values.reshape(np.shape(ks)), errors.reshape(np.shape(ks))
 
 

@@ -9,7 +9,7 @@ from above (a true check, since the ansatz value is an upper bound) and from
 below (a sanity implication).  Whenever the right-hand side exceeds
 16/sqrt(pi) itself the record is flagged `vacuous_bound` instead of
 pretending precision.  The sweep takes no tolerance: the error estimate of
-its surface energies is held to a relative 1e-8.
+its surface energies is held to quad._RULE_TOL = 1e-9 of them.
 """
 
 from __future__ import annotations

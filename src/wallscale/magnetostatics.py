@@ -14,12 +14,11 @@ upper bound (always) and optionally through the spectral evaluation
 (4/pi^2) int K(l,d,k) |g_hat(k)|^2 dk, g = d m1/dx, with the volume kernel
 K of the kernels module, validated against a real-space Green-function oracle.
 
-Both spectral energies take their kernel values from the fixed rules of the
-kernels module, whose error estimates are held to a relative 1e-8.  Both
-real-space oracles are one lag sum (_lag_sum): the autocorrelation of the
-charge on the grid dotted with a pair function averaged over each lag cell,
-on quad's GK15 table to a relative 1e-9 -- the closed-form face pair for
-E_s, the section pair integral F (_section_pair_green) for E_v.
+Both real-space oracles are one lag sum (_lag_sum) of the charge's
+autocorrelation on the grid and a pair function averaged over each lag cell
+-- the closed-form face pair for E_s, the section pair integral F for E_v.
+Every kernel value, pair integral, cell average and energy leaves through
+quad._check_rule: a finite normal double within quad._RULE_TOL of its estimate.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import kernels
+from . import kernels, quad
 from .errors import ResolutionError, WallscaleError
 from .kernels import CrossSection
 from .quad import _LAGUERRE16_NODES, _LAGUERRE16_WEIGHTS, _TINY, _check_rule, _gk_panels, _halving_edges
@@ -60,9 +59,6 @@ GAMMA_LIMIT = 16.0 / math.sqrt(math.pi)
 # kernel-weighted spectrum; with kernels bounded by 2*pi*l*d*a_c the skipped
 # mass is below 1e-12 of the total
 _SPECTRAL_FLOOR = 1e-15
-# bound on the error estimate of every pair integral, lag-cell average and
-# oracle energy, relative to its value
-_PAIR_REL_TOL = 1e-9
 # lowest halving edge, over the scale d, of a rule on a log singularity at 0
 # (the pair rule at a zero lag, the lag-0 cell of E_s): the panel below it
 # holds under 1e-12 of the integral, so the singularity costs no digit
@@ -182,23 +178,16 @@ def _spectral_sum(freqs: np.ndarray, amp: np.ndarray, kernel: Callable[[np.ndarr
         return 0.0
     kept = amp2 > _SPECTRAL_FLOOR * peak
     keys, where = np.unique(np.abs(freqs[kept]), return_inverse=True)
-    return float(np.sum(kernel(keys)[where] * amp2[kept]))
-
-
-def _normal_energy(energy: float, *amps: np.ndarray) -> float:
-    """energy, or WallscaleError when it is below the normal range although
-    some spectral amplitude is nonzero: a profile without charge gives 0.0."""
-    if energy < _TINY and any(amp.any() for amp in amps):
-        raise WallscaleError(f"spectral energy {energy:.3e} of a nonzero spectrum below the normal range")
-    return energy
+    weights = kernel(keys)[where]
+    with np.errstate(over="ignore"):  # an overflowing sum is inf, which the caller's _check_rule refuses
+        return float(np.sum(weights * amp2[kept]))
 
 
 def e_s_spectral(p: Profile1D, cs: CrossSection, cache: Optional[KernelCache] = None) -> float:
     """Surface-charge energy via the rectangle spectral representation.
 
     The m2 channel is weighted by I(d,l,k), the m3 channel by I(l,d,k).
-    Raises WallscaleError when the energy of a nonzero spectrum is below the
-    normal range (see _normal_energy).
+    A profile without charge gives 0.0, any other energy passes quad._check_rule.
     """
     if cache is None:
         cache = KernelCache(cs)
@@ -206,7 +195,10 @@ def e_s_spectral(p: Profile1D, cs: CrossSection, cache: Optional[KernelCache] = 
     total = 0.0
     for swap, amp in ((True, spec.m2_hat), (False, spec.m3_hat)):
         total += _spectral_sum(spec.frequencies, amp, lambda ks: cache.values(swap, ks)) * spec.dk
-    return _normal_energy((4.0 / math.pi**2) * total, spec.m2_hat, spec.m3_hat)
+    energy = (4.0 / math.pi**2) * total
+    if spec.m2_hat.any() or spec.m3_hat.any():
+        _check_rule("surface energy", energy, 0.0, quad._RULE_TOL, lambda i: f"{cs}")
+    return energy
 
 
 def _lag_weights(g: np.ndarray) -> np.ndarray:
@@ -231,7 +223,7 @@ def _lag_sum(
     which integrates the pair function, singular or steep at 0 on the scale
     d, and samples only the smooth autocorrelation w.  The lag-0 cell takes
     GK15 on panels halving from h/2 down to floor and the panel below, the
-    cells out to _CELL_SPAN l a panel each, held to _PAIR_REL_TOL by
+    cells out to _CELL_SPAN l a panel each, held to quad._RULE_TOL by
     quad._check_rule; past the span the pair function is smooth on the
     scale l, and pair(m h) stands for P_m.  The error sums |w| times each
     average's Kronrod-minus-Gauss estimate.
@@ -249,7 +241,7 @@ def _lag_sum(
         sums[1] += np.bincount(lag, np.abs((f * excess).sum(axis=1)), cells)
     sums[:, 0] *= 2.0  # the lag-0 cell [-h/2, h/2] is twice its half on s > 0
     averages, errors = sums / h
-    _check_rule("cell average", averages, errors, _PAIR_REL_TOL, lambda m: f"lag {m}")
+    _check_rule("cell average", averages, errors, quad._RULE_TOL, lambda m: f"lag {m}")
     far = pair(h * np.arange(cells, w.size))
     return float(w[:cells] @ averages + w[cells:] @ far), float(np.abs(w[:cells]) @ errors)
 
@@ -287,7 +279,7 @@ def e_s_boundary_oracle(p: Profile1D, cs: CrossSection) -> float:
     if not sums:
         return 0.0
     energy, error = (sum(terms) * h * h / math.pi for terms in zip(*sums))
-    _check_rule("surface energy", energy, error, _PAIR_REL_TOL, lambda i: f"{cs}")
+    _check_rule("surface energy", energy, error, quad._RULE_TOL, lambda i: f"{cs}")
     return energy
 
 
@@ -301,7 +293,7 @@ def richardson_boundary_oracle(p: Profile1D, cs: CrossSection) -> tuple[float, l
 
 
 def e_v_upper_bound(p: Profile1D, cs: CrossSection) -> float:
-    """Closed-form upper bound on the volume-charge energy.
+    """Closed-form upper bound on the volume-charge energy, through quad._check_rule.
 
     Sum of the two explicit estimates, with norms by trapezoid on the grid,
 
@@ -311,7 +303,9 @@ def e_v_upper_bound(p: Profile1D, cs: CrossSection) -> float:
     h = p.spacing
     dm1, mstar, const = _e_v_bound_coefficients(cs)
     norms = dm1 * _trapezoid(profile_derivative(p)[:, 0] ** 2, h) + mstar * _trapezoid(offset_m1(p) ** 2, h)
-    return cs.l * cs.d * (norms + const)
+    bound = cs.l * cs.d * (norms + const)
+    _check_rule("volume energy bound", bound, 0.0, quad._RULE_TOL, lambda i: f"{cs}")
+    return bound
 
 
 def _e_v_bound_coefficients(cs: CrossSection) -> tuple[float, float, float]:
@@ -330,8 +324,7 @@ def e_v_spectral(p: Profile1D, cs: CrossSection) -> float:
     of K((dk/2) e^-t) e^-t over t > 0 by 16-point Gauss-Laguerre, exact for
     that logarithm.
     All kernel values come from one kernels.volume_kernel_batch call.
-    Raises WallscaleError when the energy of a nonzero spectrum is below the
-    normal range (see _normal_energy).
+    A profile without volume charge gives 0.0, any other energy passes quad._check_rule.
     """
     frequencies, dk, (g_hat,) = _unitary_dft(p, profile_derivative(p)[:, 0])
 
@@ -343,7 +336,10 @@ def e_v_spectral(p: Profile1D, cs: CrossSection) -> float:
         cell_average = [np.dot(_LAGUERRE16_WEIGHTS, values[:16])] if has_zero else []
         return np.concatenate([cell_average, values[16:]])
 
-    return _normal_energy((4.0 / math.pi**2) * _spectral_sum(frequencies, g_hat, kernel) * dk, g_hat)
+    energy = (4.0 / math.pi**2) * _spectral_sum(frequencies, g_hat, kernel) * dk
+    if g_hat.any():
+        _check_rule("volume energy", energy, 0.0, quad._RULE_TOL, lambda i: f"{cs}")
+    return energy
 
 
 def _face_pair(t: np.ndarray) -> np.ndarray:
@@ -365,7 +361,7 @@ def _section_pair_green(cs: CrossSection, s: np.ndarray) -> tuple[np.ndarray, np
     u = 0 until the last is at most min(s), or _ZERO_LAG_FLOOR d when
     min(s) = 0, then on the panel down to 0, all panels at once for blocks
     of lags of at most _PAIR_BLOCK node values.  The errors sum each panel's
-    Kronrod-minus-Gauss estimate, held to _PAIR_REL_TOL by quad._check_rule.
+    Kronrod-minus-Gauss estimate, held to quad._RULE_TOL by quad._check_rule.
     F(0) is within 1.1e-15 of the closed form in mpmath for l from 1e-3 to
     100 and c from 1 to 1e-150.
     """
@@ -378,7 +374,7 @@ def _section_pair_green(cs: CrossSection, s: np.ndarray) -> tuple[np.ndarray, np
         f = d * _face_pair(np.hypot(s[lo : lo + step, None, None], nodes) / d)  # (lags, panels, 15)
         values[lo : lo + step] = f.reshape(f.shape[0], -1) @ weights.ravel()
         errors[lo : lo + step] = np.abs((f * excess).sum(axis=2)).sum(axis=1)
-    _check_rule("pair integral", values, errors, _PAIR_REL_TOL, lambda i: f"s={s[i]:.17g}")
+    _check_rule("pair integral", values, errors, quad._RULE_TOL, lambda i: f"s={s[i]:.17g}")
     return values, errors
 
 
@@ -417,23 +413,27 @@ def e_v_volume_oracle(p: Profile1D, cs: CrossSection) -> float:
     sums = _lag_sum(_lag_weights(g), h / cs.l, 1.0, floor, lambda s: _section_pair_green(unit, s)[0])
     # each factor moves toward the result, so none leaves the range first
     energy, error = (value / (4.0 * math.pi) * cs.l * cs.l * cs.l for value in sums)
-    _check_rule("volume energy", energy, error, _PAIR_REL_TOL, lambda i: f"{cs}")
+    _check_rule("volume energy", energy, error, quad._RULE_TOL, lambda i: f"{cs}")
     return energy
 
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
     """Exchange, surface-charge and volume-charge contributions for one
-    profile, plus the rescaled upper total (E_ex + E_s + E_v_bound)/mu."""
+    profile, plus the rescaled upper total (E_ex + E_s + E_v_bound)/mu, None at
+    c = 1, where lambda = 1/sqrt(c |ln c|) is undefined.  All must be finite."""
 
     exchange: float
     e_s: float
     e_v_bound: float
     e_v_exact: Optional[float]
     total_upper: float
-    rescaled_upper: float
+    rescaled_upper: Optional[float]
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if value is not None and not math.isfinite(value):
+                raise WallscaleError(f"{name} = {value!r} is not finite")
         for name in ("exchange", "e_s", "e_v_bound"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -459,14 +459,13 @@ def full_energy(
     e_v_bound = e_v_upper_bound(p, cs)
     e_v_exact = e_v_spectral(p, cs) if include_e_v_exact else None
     total_upper = exchange + e_s + e_v_bound
-    mu = RescalingParams.from_cross_section(cs).mu
     return EnergyBreakdown(
         exchange=exchange,
         e_s=e_s,
         e_v_bound=e_v_bound,
         e_v_exact=e_v_exact,
         total_upper=total_upper,
-        rescaled_upper=total_upper / mu,
+        rescaled_upper=total_upper / RescalingParams.from_cross_section(cs).mu if cs.c < 1.0 else None,
     )
 
 

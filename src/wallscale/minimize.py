@@ -25,8 +25,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from . import quad
 from .errors import StallError, WallscaleError
-from .kernels import _REL_TOL, CrossSection, a_c
+from .kernels import CrossSection, a_c
 from .magnetostatics import RescalingParams, _e_v_bound_coefficients, _face_pair
 from .quad import _TINY, _check_rule
 # perfbench/tracing.py imports DiscreteReducedEnergy from this module
@@ -174,7 +175,7 @@ def _real_space_surface(cs: CrossSection, lam: float, lo: float, hi: float) -> C
     Weideman, SIAM Review 56 (2014) 385); its nodes below 1e-8 lo sqrt(pi),
     where x/sinh x = x/tanh x = 1 in doubles for s >= lo, are summed once.
     quad._check_rule raises QuadratureError unless E_s/mu is a finite normal
-    double with its estimate |T_h - T_2h| within _REL_TOL of it.
+    double with its estimate |T_h - T_2h| within quad._RULE_TOL of it.
     """
     root_pi, d, tl = math.sqrt(math.pi), cs.d, 2.0 * cs.l
     log_top = math.log(min(_TOP * hi * root_pi, 2.0**30 * tl))  # past 2l, [phi(xi) - phi(r)]/d <= 4 d l^2/xi^3
@@ -196,7 +197,7 @@ def _real_space_surface(cs: CrossSection, lam: float, lo: float, hi: float) -> C
         weighted = u * jump
         e_s = s * (weighted.sum() + flat)
         error = s * abs(u @ alternate + flat_alternate)
-        _check_rule("surface energy", e_s, error, _REL_TOL, lambda i: f"{cs}, s={s!r}")
+        _check_rule("surface energy", e_s, error, quad._RULE_TOL, lambda i: f"{cs}, s={s!r}")
         # s g(a xi) in t = ln s has the derivatives s (g - x g') = s u y and
         # s x^2 g'' = s u (u^2 + y^2 - 2y), with no 1/sinh^2 to overflow
         slope = s * (weighted @ y + flat)

@@ -11,8 +11,9 @@ The module also holds the two fixed-rule tables: GK15 (_gk_panels) for the
 tail panels and, on panels halving to a floor (_halving_edges), the kernel
 rule (both kernels), the section pair function and the lag-cell averages of
 the real-space oracles, and 16-point Gauss-Laguerre for the spectral E_v's k = 0 cell average.
-_check_rule holds both kernels, the pair function, the cell averages and the ansatz surface's
-trapezoid rule to values that are finite normal doubles with error estimates within the rule's tolerance.
+_check_rule holds every value it is given (both kernels, the ansatz surface,
+the pair function, the cell averages, the energies) to a finite normal double
+whose error estimate, 0.0 where none is formed, is within the one _RULE_TOL.
 
 All routines are pure functions of their inputs: identical calls produce
 bit-identical results.
@@ -160,6 +161,7 @@ _GK_GAUSS[1::2] = _WG + _WG[-2::-1]
 # 16-point Gauss-Laguerre: sum w f(t) ~ int_0^inf f(t) e^-t dt, the weights summing to 1
 _LAGUERRE16_NODES, _LAGUERRE16_WEIGHTS = np.polynomial.laguerre.laggauss(16)
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
+_RULE_TOL = 1e-9  # bound on every _check_rule error estimate, relative to its value
 
 # abscissa offset past which a semi-infinite tail takes the panel scheme
 _SEMI_INFINITE_SPLIT = 60.0

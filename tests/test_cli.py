@@ -149,6 +149,21 @@ def test_energy_full_e_v_exact_thin_section(tmp_path, capsys):
     assert 0.0 < fields["e_v_exact"] <= fields["e_v_bound"]
 
 
+@pytest.mark.parametrize("l, d, code, rows", [("0.1", "0.1", 0, 4), ("1e100", "1e60", 3, 0)])
+def test_energy_full_square_and_overflowing_sections(tmp_path, capsys, l, d, code, rows):
+    # a square section has no rescaled total, so its breakdown has four rows;
+    # at 1e100 x 1e60 the E_v bound overflows, which prints no row and exits 3
+    profile_path = tmp_path / "wall.csv"
+    run(["--out", str(profile_path), "wall", "sample", "--alpha", str(1.0 / math.pi),
+         "--half-length", "26.0", "--nodes", "513"])
+    capsys.readouterr()
+    assert run(["energy", "full", "--profile", str(profile_path), "--l", l, "--d", d]) == code
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == rows and all(math.isfinite(float(line.split(",")[1])) for line in lines)
+    assert ("numerical failure" in captured.err) == (code == 3)
+
+
 def test_minimize_reduced(capsys):
     code = run(
         ["minimize", "reduced", "--alpha", "1.0", "--half-length", "20.0", "--nodes", "257"]

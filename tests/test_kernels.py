@@ -16,7 +16,7 @@ from wallscale import (
     lemma32_bounds,
     verify_lemma32,
 )
-from wallscale import kernels
+from wallscale import kernels, quad
 from wallscale.errors import QuadratureError, WallscaleError
 from wallscale.kernels import kernel_batch, volume_kernel_batch
 
@@ -359,7 +359,7 @@ class TestKernelBatch:
         _, (error,) = kernel_batch(cs, True, [3.0])
         value = i_kernel(cs, True, 3.0)
         assert error <= 1e-9 * value
-        monkeypatch.setattr(kernels, "_REL_TOL", 1e-15)
+        monkeypatch.setattr(quad, "_RULE_TOL", 1e-15)
         with pytest.raises(QuadratureError):
             i_kernel(cs, True, 3.0)
 
@@ -445,9 +445,38 @@ class TestKernelBatch:
         cs = CrossSection(l=0.1, d=0.05)
         (value,), (error,) = volume_kernel_batch(cs, [3.0])
         assert error <= 1e-9 * value
-        monkeypatch.setattr(kernels, "_REL_TOL", 1e-15)
+        monkeypatch.setattr(quad, "_RULE_TOL", 1e-15)
         with pytest.raises(QuadratureError):
             volume_kernel_batch(cs, [3.0])
+
+    def test_estimates_keep_headroom_under_the_rule_tolerance(self):
+        # quad._RULE_TOL = 1e-9 holds every rule; both kernels estimate at most
+        # 3.3e-11 of their values here, on 60 frequencies from 1e-8/l to 1e8/l
+        for l in (1e-3, 1.0, 100.0):
+            for c in (1.0, 1e-2, 1e-6, 1e-12, 1e-100):
+                cs = CrossSection(l=l, d=c * l)
+                ks = np.geomspace(1e-8, 1e8, 60) / l
+                for values, errors in (kernel_batch(cs, False, ks), kernel_batch(cs, True, ks),
+                                       volume_kernel_batch(cs, ks)):
+                    assert np.all(errors <= 1e-10 * values), (l, c)
+
+    @pytest.mark.parametrize("cs, most", [(CrossSection(l=0.1, d=0.05), 630), (CrossSection(l=1.0, d=1e-12), 1215)])
+    def test_surface_rule_node_gate(self, monkeypatch, cs, most):
+        # GK15 nodes per channel of the kernel rule: 630 and 615 on the golden
+        # section, 1,215 and 615 at c = 1e-12; counts do not depend on the machine
+        sizes = []
+        surface_rule = kernels._surface_rule
+
+        def counted(w, s):
+            rule = surface_rule(w, s)
+            sizes.append(rule[0].size)
+            return rule
+
+        monkeypatch.setattr(kernels, "_surface_rule", counted)
+        kernel_batch(cs, False, [3.0])
+        kernel_batch(cs, True, [3.0])
+        volume_kernel_batch(cs, [3.0])
+        assert len(sizes) == 4 and max(sizes) <= most
 
     @pytest.mark.parametrize("c", [1e-155, 1e-160, 1e-214])
     def test_values_below_normal_range_raise(self, c):
@@ -512,7 +541,7 @@ class TestK0Gap:
     def test_h_gap_matches_mpmath(self):
         # H(t) = K0(t) + ln t; the volume kernel's rule integrates H(k r) - H(k u)
         z, dz = np.array(H_GAP_ROWS).T
-        gaps = kernels._k0_gap(z, dz, True)  # under the suite's error::RuntimeWarning
+        gaps = kernels._k0_gap(1.0, z, dz, True)  # under the suite's error::RuntimeWarning
         for (zi, dzi), gap in zip(H_GAP_ROWS, gaps):
             with mpmath.workdps(50 + max(0, int(-2.0 * math.log10(zi + dzi)))):
                 a, b = mpmath.mpf(zi), mpmath.mpf(zi) + mpmath.mpf(dzi)
@@ -522,7 +551,7 @@ class TestK0Gap:
     def test_k0_gap_matches_mpmath(self):
         # the surface kernel's rule integrates K0(k u) - K0(k r)
         z, dz = np.array(K0_GAP_ROWS).T
-        gaps = kernels._k0_gap(z, dz)
+        gaps = kernels._k0_gap(1.0, z, dz)
         for (zi, dzi), gap in zip(K0_GAP_ROWS, gaps):
             with mpmath.workdps(50):
                 a, b = mpmath.mpf(zi), mpmath.mpf(zi) + mpmath.mpf(dzi)

@@ -25,7 +25,7 @@ from wallscale import (
     sample_wall,
     spectrum,
 )
-from wallscale import kernels, magnetostatics
+from wallscale import kernels, magnetostatics, quad
 from wallscale.errors import QuadratureError, ResolutionError, WallscaleError
 from wallscale.magnetostatics import (
     _face_pair,
@@ -297,6 +297,12 @@ class TestSurfaceEnergy:
             e_s_spectral(p, CrossSection(l=1e-3, d=1e-4))
         assert e_v_spectral(p, CrossSection(l=1e-3, d=1e-4)) == 0.0  # m1 = 1 in double precision
 
+    def test_spectral_overflow_raises_typed_error(self):
+        # every kernel value is finite here, but their spectrum-weighted sum overflows
+        p = sample_wall(ClosedFormWall(alpha=1e-200, beta=1.0, theta=0.0), 3e101, 65)
+        with pytest.raises(QuadratureError, match="not finite"):
+            e_s_spectral(p, CrossSection(l=1e149, d=1e148))
+
     def test_m3_channel_spectral_matches_oracle(self):
         # the theta = pi/2 wall puts all transverse charge on the z-faces,
         # exercising the swap=False kernel channel end to end
@@ -336,6 +342,11 @@ class TestVolumeBound:
             norm_ms + norm_dm1
         )
         assert e_v_upper_bound(p, cs) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_overflow_raises_typed_error(self, standard_wall_profile):
+        # l d (A ||d m1||^2 + ...) with A ~ l d is about (l d)^2 = 1e320, past the double range
+        with pytest.raises(QuadratureError, match="not finite"):
+            e_v_upper_bound(standard_wall_profile, CrossSection(l=1e100, d=1e60))
 
     def test_scaling_trend_at_fixed_aspect_ratio(self, standard_wall_profile):
         p = standard_wall_profile
@@ -447,7 +458,7 @@ class TestSectionPairGreen:
         np.testing.assert_allclose(values, reference, rtol=1e-15, atol=0.0)
 
     def test_error_above_tolerance_raises(self, monkeypatch, standard_wall_profile):
-        monkeypatch.setattr(magnetostatics, "_PAIR_REL_TOL", 1e-18)
+        monkeypatch.setattr(quad, "_RULE_TOL", 1e-18)
         with pytest.raises(QuadratureError):
             e_v_volume_oracle(standard_wall_profile, GOLDEN_CS)
 
@@ -485,7 +496,7 @@ class TestSectionPairGreen:
         h = 10.0**log_h * cs.l
         s = h * np.array([1] + lags, dtype=float)
         values, errors = _section_pair_green(cs, s)
-        assert np.all(errors <= magnetostatics._PAIR_REL_TOL * values)
+        assert np.all(errors <= quad._RULE_TOL * values)
         reference = [pair_green_quadpack(cs, si, h) for si in s]
         np.testing.assert_allclose(values, reference, rtol=1e-13, atol=0.0)
 
@@ -664,6 +675,21 @@ class TestFullEnergy:
         rescaled1 = (br1.exchange + br1.e_s) / mu1
         rescaled2 = (br2.exchange + br2.e_s) / mu2
         assert rescaled2 == pytest.approx(rescaled1, rel=1e-3)
+
+    def test_square_section_has_no_rescaled_total(self, standard_wall_profile):
+        # lambda = 1/sqrt(c |ln c|) is undefined at c = 1, so there is no rescaled total
+        br = full_energy(standard_wall_profile, CrossSection(l=0.1, d=0.1))
+        assert br.rescaled_upper is None and br.e_v_exact is None
+        assert br.total_upper == br.exchange + br.e_s + br.e_v_bound > 0.0
+
+    @pytest.mark.parametrize("name", ["exchange", "e_s", "e_v_bound", "e_v_exact", "total_upper", "rescaled_upper"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_breakdown_refuses_non_finite_fields(self, name, value):
+        # total_upper and total_upper/mu can overflow when every part is finite
+        parts = dict(exchange=1.0, e_s=1.0, e_v_bound=0.1, e_v_exact=0.05, total_upper=2.1, rescaled_upper=1.0)
+        EnergyBreakdown(**parts)
+        with pytest.raises(WallscaleError, match="not finite"):
+            EnergyBreakdown(**{**parts, name: value})
 
     def test_breakdown_invariants(self, standard_wall_profile):
         br = full_energy(standard_wall_profile, GOLDEN_CS, include_e_v_exact=True)

@@ -23,6 +23,7 @@ from wallscale import (
     sample_wall,
 )
 from wallscale import minimize as minimize_module
+from wallscale import quad
 from wallscale.errors import QuadratureError, WallscaleError
 from wallscale.magnetostatics import GAMMA_LIMIT, RescalingParams
 from wallscale.minimize import DiscreteReducedEnergy, _ansatz_energy, _real_space_surface
@@ -395,23 +396,24 @@ class TestAnsatzSearch:
         assert len(curved) == res.evaluations and max(curved) <= 200
 
     def test_surface_error_estimates_keep_a_margin(self, monkeypatch):
-        # |T_h - T_2h| is at most 1.2e-12 of E_s on this grid at h = 0.15; at
-        # h = 0.2 it reached 3.6e-9, so a coarser step fails here first
+        # |T_h - T_2h| is at most 1.2e-12 of E_s on this grid (the criterion-8
+        # c among it) at h = 0.15, far under quad._RULE_TOL = 1e-9; at h = 0.2
+        # it reached 3.6e-9, so a coarser step fails here first
         checked = []
         check_rule = minimize_module._check_rule
         monkeypatch.setattr(
             minimize_module, "_check_rule", lambda *args: checked.append(args[1:3]) or check_rule(*args)
         )
         for l in (1e-3, 1.0, 100.0, 1e4, 1e6):
-            for c in (1e-200, 1e-50, 1e-12, 1e-4, 1e-2, 0.5, 0.99):
+            for c in (1e-200, 1e-50, 1e-12, 1e-6, 1e-4, 1e-2, 0.5, 0.99):
                 energy, s0 = _ansatz_energy(CrossSection(l=l, d=c * l))
                 for s in (0.5 * s0, s0, 2.0 * s0):
                     energy(s)
-        assert len(checked) == 105
+        assert len(checked) == 120
         assert all(error <= 1e-11 * value for value, error in checked)
 
     def test_real_space_surface_error_above_tolerance_raises(self, monkeypatch):
-        monkeypatch.setattr(minimize_module, "_REL_TOL", 1e-30)
+        monkeypatch.setattr(quad, "_RULE_TOL", 1e-30)
         with pytest.raises(QuadratureError, match="above tolerance"):
             minimize_full_ansatz(CrossSection(l=0.3, d=3e-3))
 
