@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import quad
 from .errors import QuadratureError, WallscaleError
 from .quad import _TINY, _check_rule, _gk_panels, _halving_edges
 
@@ -349,7 +348,7 @@ def kernel_batch(cs: CrossSection, swap: bool, ks) -> tuple[np.ndarray, np.ndarr
     if not np.all(np.isfinite(k)):
         raise ValueError("frequencies must be finite")
     values, errors = _channel(cs, swap, k, False)
-    _check_rule("kernel value", values, errors, quad._RULE_TOL, lambda i: f"k={k[i]:.17g}")
+    _check_rule("kernel value", values, errors, lambda i: f"k={k[i]:.17g}")
     return values.reshape(np.shape(ks)), errors.reshape(np.shape(ks))
 
 
@@ -372,7 +371,7 @@ def volume_kernel_batch(cs: CrossSection, ks) -> tuple[np.ndarray, np.ndarray]:
     if max(cs.l, cs.l * cs.d) > 1e150:
         raise QuadratureError(f"{cs} is outside the double range of the kernel rule")
     values, errors = (a + b for a, b in zip(_channel(cs, False, k, True), _channel(cs, True, k, True)))
-    _check_rule("kernel value", values, errors, quad._RULE_TOL, lambda i: f"k={k[i]:.17g}")
+    _check_rule("kernel value", values, errors, lambda i: f"k={k[i]:.17g}")
     return values.reshape(np.shape(ks)), errors.reshape(np.shape(ks))
 
 

@@ -162,15 +162,19 @@ def emit_report(records: Sequence[SweepRecord], format: str, path: str | Path) -
 
     CSV columns follow the declared record field order, in the package's one
     table format (walls._table_text); JSON is an array of objects keyed
-    identically.  The companion file holds three whitespace columns
-    (|ln c|, gap, rate_rhs) next to the main output.
+    identically, with a non-finite float written as null (strict JSON has no
+    NaN).  The companion file holds three whitespace columns (|ln c|, gap,
+    rate_rhs) next to the main output.
     """
     out = Path(path)
     if format == "csv":
         out.write_text(_table_text(_CSV_COLUMNS, [r.as_row() for r in records]))
     elif format == "json":
-        payload = [dict(zip(_CSV_COLUMNS, r.as_row())) for r in records]
-        out.write_text(json.dumps(payload, indent=2) + "\n")
+        payload = [
+            {col: None if isinstance(v, float) and not math.isfinite(v) else v for col, v in zip(_CSV_COLUMNS, r.as_row())}
+            for r in records
+        ]
+        out.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     else:
         raise ValueError(f"unknown format {format!r} (expected 'csv' or 'json')")
     companion = plot_companion_path(out)
@@ -181,6 +185,6 @@ def emit_report(records: Sequence[SweepRecord], format: str, path: str | Path) -
 
 
 def read_report_json(path: str | Path) -> list[SweepRecord]:
-    """Parse a JSON report back into records (round-trip inverse of emit)."""
+    """Parse a JSON report back into records (round-trip inverse of emit), null as NaN."""
     payload = json.loads(Path(path).read_text())
-    return [SweepRecord(*(obj[col] for col in _CSV_COLUMNS)) for obj in payload]
+    return [SweepRecord(*(math.nan if obj[col] is None else obj[col] for col in _CSV_COLUMNS)) for obj in payload]

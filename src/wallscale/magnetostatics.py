@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import kernels, quad
+from . import kernels
 from .errors import ResolutionError, WallscaleError
 from .kernels import CrossSection
 from .quad import _LAGUERRE16_NODES, _LAGUERRE16_WEIGHTS, _TINY, _check_rule, _gk_panels, _halving_edges
@@ -197,7 +197,7 @@ def e_s_spectral(p: Profile1D, cs: CrossSection, cache: Optional[KernelCache] = 
         total += _spectral_sum(spec.frequencies, amp, lambda ks: cache.values(swap, ks)) * spec.dk
     energy = (4.0 / math.pi**2) * total
     if spec.m2_hat.any() or spec.m3_hat.any():
-        _check_rule("surface energy", energy, 0.0, quad._RULE_TOL, lambda i: f"{cs}")
+        _check_rule("surface energy", energy, 0.0, lambda i: f"{cs}")
     return energy
 
 
@@ -241,7 +241,7 @@ def _lag_sum(
         sums[1] += np.bincount(lag, np.abs((f * excess).sum(axis=1)), cells)
     sums[:, 0] *= 2.0  # the lag-0 cell [-h/2, h/2] is twice its half on s > 0
     averages, errors = sums / h
-    _check_rule("cell average", averages, errors, quad._RULE_TOL, lambda m: f"lag {m}")
+    _check_rule("cell average", averages, errors, lambda m: f"lag {m}")
     far = pair(h * np.arange(cells, w.size))
     return float(w[:cells] @ averages + w[cells:] @ far), float(np.abs(w[:cells]) @ errors)
 
@@ -279,7 +279,7 @@ def e_s_boundary_oracle(p: Profile1D, cs: CrossSection) -> float:
     if not sums:
         return 0.0
     energy, error = (sum(terms) * h * h / math.pi for terms in zip(*sums))
-    _check_rule("surface energy", energy, error, quad._RULE_TOL, lambda i: f"{cs}")
+    _check_rule("surface energy", energy, error, lambda i: f"{cs}")
     return energy
 
 
@@ -287,6 +287,8 @@ def richardson_boundary_oracle(p: Profile1D, cs: CrossSection) -> tuple[float, l
     """Boundary oracle on p's grid and on its every-other-node subgrid (p
     needs an odd node count), with the h^2 term removed in one Richardson
     stage.  Returns (extrapolated_value, [coarse, fine])."""
+    if p.n_nodes % 2 == 0:
+        raise ValueError(f"Richardson boundary oracle needs an odd node count, got {p.n_nodes}")
     coarse = Profile1D(p.x[::2], p.m[::2], check_boundary=False)
     raw = [e_s_boundary_oracle(coarse, cs), e_s_boundary_oracle(p, cs)]
     return raw[1] + (raw[1] - raw[0]) / 3.0, raw
@@ -304,7 +306,7 @@ def e_v_upper_bound(p: Profile1D, cs: CrossSection) -> float:
     dm1, mstar, const = _e_v_bound_coefficients(cs)
     norms = dm1 * _trapezoid(profile_derivative(p)[:, 0] ** 2, h) + mstar * _trapezoid(offset_m1(p) ** 2, h)
     bound = cs.l * cs.d * (norms + const)
-    _check_rule("volume energy bound", bound, 0.0, quad._RULE_TOL, lambda i: f"{cs}")
+    _check_rule("volume energy bound", bound, 0.0, lambda i: f"{cs}")
     return bound
 
 
@@ -338,7 +340,7 @@ def e_v_spectral(p: Profile1D, cs: CrossSection) -> float:
 
     energy = (4.0 / math.pi**2) * _spectral_sum(frequencies, g_hat, kernel) * dk
     if g_hat.any():
-        _check_rule("volume energy", energy, 0.0, quad._RULE_TOL, lambda i: f"{cs}")
+        _check_rule("volume energy", energy, 0.0, lambda i: f"{cs}")
     return energy
 
 
@@ -374,7 +376,7 @@ def _section_pair_green(cs: CrossSection, s: np.ndarray) -> tuple[np.ndarray, np
         f = d * _face_pair(np.hypot(s[lo : lo + step, None, None], nodes) / d)  # (lags, panels, 15)
         values[lo : lo + step] = f.reshape(f.shape[0], -1) @ weights.ravel()
         errors[lo : lo + step] = np.abs((f * excess).sum(axis=2)).sum(axis=1)
-    _check_rule("pair integral", values, errors, quad._RULE_TOL, lambda i: f"s={s[i]:.17g}")
+    _check_rule("pair integral", values, errors, lambda i: f"s={s[i]:.17g}")
     return values, errors
 
 
@@ -413,7 +415,7 @@ def e_v_volume_oracle(p: Profile1D, cs: CrossSection) -> float:
     sums = _lag_sum(_lag_weights(g), h / cs.l, 1.0, floor, lambda s: _section_pair_green(unit, s)[0])
     # each factor moves toward the result, so none leaves the range first
     energy, error = (value / (4.0 * math.pi) * cs.l * cs.l * cs.l for value in sums)
-    _check_rule("volume energy", energy, error, quad._RULE_TOL, lambda i: f"{cs}")
+    _check_rule("volume energy", energy, error, lambda i: f"{cs}")
     return energy
 
 

@@ -25,7 +25,6 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from . import quad
 from .errors import StallError, WallscaleError
 from .kernels import CrossSection, a_c
 from .magnetostatics import RescalingParams, _e_v_bound_coefficients, _face_pair
@@ -197,7 +196,7 @@ def _real_space_surface(cs: CrossSection, lam: float, lo: float, hi: float) -> C
         weighted = u * jump
         e_s = s * (weighted.sum() + flat)
         error = s * abs(u @ alternate + flat_alternate)
-        _check_rule("surface energy", e_s, error, quad._RULE_TOL, lambda i: f"{cs}, s={s!r}")
+        _check_rule("surface energy", e_s, error, lambda i: f"{cs}, s={s!r}")
         # s g(a xi) in t = ln s has the derivatives s (g - x g') = s u y and
         # s x^2 g'' = s u (u^2 + y^2 - 2y), with no 1/sinh^2 to overflow
         slope = s * (weighted @ y + flat)

@@ -187,11 +187,11 @@ def _halving_edges(top: float, floor: float) -> np.ndarray:
     return np.ldexp(top, -np.arange(panels + 1))
 
 
-def _check_rule(name: str, values, errors, rel_tol: float, where: Callable[[int], str]) -> None:
+def _check_rule(name: str, values, errors, where: Callable[[int], str]) -> None:
     """Raise QuadratureError at the first of values (array or scalar) that is not a
-    finite normal double, or whose error is not within rel_tol of it, located by where(i)."""
+    finite normal double, or whose error is not within _RULE_TOL of it, located by where(i)."""
     size = abs(values)
-    ok = (size >= _TINY) & (size < math.inf) & (errors <= rel_tol * size)
+    ok = (size >= _TINY) & (size < math.inf) & (errors <= _RULE_TOL * size)
     if not (ok.all() if isinstance(ok, np.ndarray) else ok):  # a scalar's .all() costs 2 us
         i = int(np.argmin(ok))  # the first failure
         value, error, size = (np.ravel(a)[i] for a in (values, errors, size))

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import logging
 import math
 import tempfile
@@ -301,6 +302,73 @@ def test_verification_failure_maps_to_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(cli_mod.lab, "corollary33_report", boom)
     assert run(["sweep", "corollary", "--c-grid", "1e-4"]) == 2
     assert "verification failure" in capsys.readouterr().err
+
+
+def test_kernel_verify_failure_writes_table_then_exits_2(monkeypatch, capsys):
+    import dataclasses
+
+    import wallscale.cli as cli_mod
+
+    argv = ["kernel", "verify", "--l", "0.1", "--d", "0.01"]
+    assert run(argv) == 0
+    table = capsys.readouterr().out
+    verify = cli_mod.verify_lemma32
+    monkeypatch.setattr(cli_mod, "verify_lemma32", lambda cs, xs: dataclasses.replace(verify(cs, xs), passed=False))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == table
+    assert captured.err == "verification failure: kernel bound verification failed\n"
+
+
+def test_sweep_rate_failure_writes_report_then_exits_2(tmp_path, capsys):
+    # l = 1 at c = 1e-150: gap 31.47 above rate_rhs 30.76 with the paper's E_v bound
+    out_path = tmp_path / "fail.csv"
+    assert run(["sweep", "rate", "--c-grid", "1e-150", "--l", "1", "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == f"{out_path}\n"
+    assert captured.err == "verification failure: rate bound violated for at least one case\n"
+    row = out_path.read_text().splitlines()[1].split(",")
+    assert float(row[7]) > float(row[8]) and row[9] == "false"
+
+
+def test_sweep_corollary_failure_writes_table_then_exits_2(capsys):
+    # a repeated c repeats its deviation, which does not decrease
+    assert run(["sweep", "corollary", "--c-grid", "1e-3,1e-3"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "c,ratio,bracket_low,bracket_high,in_bracket" and len(lines) == 4
+    assert lines[1] == lines[2] and lines[3] == "deviations_decreasing,false"
+    assert captured.err == "verification failure: scaling-ratio deviations not decreasing along the grid\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "corollary", "--c-grid", ","],
+        ["sweep", "rate", "--c-grid", ",", "--l", "1e-3"],
+        ["sweep", "rate", "--c-grid", "1e-2", "--l", ","],
+    ],
+    ids=["corollary-c-grid", "rate-c-grid", "rate-l"],
+)
+def test_empty_numeric_list_is_usage_error(tmp_path, capsys, argv):
+    # each printed a header (or a header-only report) and exited 0
+    out_path = tmp_path / "empty.csv"
+    assert run([*argv, "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "usage error: empty numeric list ','\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_rate_json_report_is_strict_json(tmp_path, capsys):
+    # mu leaves the normal range at c = 1e-210: the NaN row was written as bare NaN tokens
+    out_path = tmp_path / "r.json"
+    assert run(["sweep", "rate", "--c-grid", "1e-210", "--l", "1e-3", "--format", "json", "--out", str(out_path)]) == 3
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    (row,) = json.loads(out_path.read_text(), parse_constant=refuse)
+    assert row["mu"] is None and row["gap"] is None and row["pass"] is False
 
 
 def test_numerical_failure_maps_to_exit_3(monkeypatch, capsys):

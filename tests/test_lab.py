@@ -125,6 +125,23 @@ class TestEmit:
         assert payload[0]["pass"] is True
         assert "lambda" in payload[0]
 
+    def test_json_nan_row_is_strict_json_and_round_trips_bitwise(self, tmp_path):
+        # mu leaves the normal range at c = 1e-210: a NaN row, which json.dumps
+        # wrote as the bare token NaN that a strict parser refuses
+        records = rate_sweep([CrossSection(l=1e-3, d=1e-3 * 1e-210), CrossSection(l=1e-3, d=1e-5)])
+        assert math.isnan(records[0].mu) and not records[0].passed
+        out = tmp_path / "sweep.json"
+        emit_report(records, "json", out)
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = json.loads(out.read_text(), parse_constant=refuse)
+        assert payload[0]["mu"] is None and payload[0]["rescaled_min_upper"] is None
+        assert payload[1]["mu"] == records[1].mu
+        back = read_report_json(out)
+        assert [struct.pack("11d", *r.as_row()) for r in back] == [struct.pack("11d", *r.as_row()) for r in records]
+
     def test_plot_companion(self, tmp_path):
         records = make_records()
         out = tmp_path / "sweep.csv"

@@ -18,6 +18,7 @@ from wallscale import (
     e_v_spectral,
     e_v_upper_bound,
     emag_lipschitz_check,
+    eval_wall,
     QuadratureConfig,
     full_energy,
     i_kernel,
@@ -260,6 +261,13 @@ class TestSurfaceEnergy:
         # h = 8.1 l, where the 2-D panel oracle at (64, 16) was 8.0 times the spectral E_s
         with pytest.raises(ResolutionError, match="half-width"):
             e_s_boundary_oracle(sample_wall(GOLDEN_WALL, GOLDEN_L, 65), GOLDEN_CS)
+
+    def test_richardson_oracle_refuses_even_node_count(self):
+        # the every-other-node subgrid of 2050 nodes is not symmetric, which
+        # raised about a grid the caller never built
+        with pytest.raises(ValueError, match="odd node count, got 2050$"):
+            x = np.linspace(-GOLDEN_L, GOLDEN_L, 2050)
+            richardson_boundary_oracle(Profile1D(x, eval_wall(GOLDEN_WALL, x), check_boundary=False), GOLDEN_CS)
 
     def test_oracle_m3_family_mirrors_m2_on_square_section(self):
         # at l = d the theta = pi/2 wall is the theta = 0 wall reflected, so
