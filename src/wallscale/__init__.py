@@ -2,7 +2,7 @@
 domain walls in thin rectangular magnetic films.
 
 Modules:
-    quad            adaptive quadrature (public API); the GK15 and Gauss-Laguerre fixed-rule tables
+    quad            adaptive quadrature on GK15, no scipy (public API); the GK15 and Gauss-Laguerre tables
     kernels         magnetostatic kernels a_c, b_c, I, K and bounds on I
     walls           closed-form transverse walls, the discrete reduced energies, the table format
     minimize        sphere-constrained descent and ansatz-family search

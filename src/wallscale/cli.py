@@ -32,9 +32,16 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpShown(Exception):
+    """argparse printed --help, which is a success."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: D102 - argparse hook
         raise _UsageError(message)
+
+    def exit(self, status: int = 0, message: str | None = None) -> None:  # noqa: D102 - argparse hook, only --help reaches it
+        raise _HelpShown
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -222,6 +229,8 @@ def run(argv: list[str]) -> int:
     try:
         args = build_parser().parse_args(argv)
         args.handler(args)
+    except _HelpShown:
+        return EXIT_OK
     except (_UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -157,23 +157,28 @@ def plot_companion_path(path: str | Path) -> Path:
     return p.with_name(p.stem + "_plot.dat")
 
 
+def _json_value(v):  # strict JSON has no NaN or inf; float() reads "inf" and "-inf" back
+    return None if math.isnan(v) else repr(v) if math.isinf(v) else v
+
+
+def _from_json(v):
+    return math.nan if v is None else float(v) if isinstance(v, str) else v
+
+
 def emit_report(records: Sequence[SweepRecord], format: str, path: str | Path) -> Path:
     """Persist sweep records as CSV or JSON plus a plot companion file.
 
     CSV columns follow the declared record field order, in the package's one
     table format (walls._table_text); JSON is an array of objects keyed
-    identically, with a non-finite float written as null (strict JSON has no
-    NaN).  The companion file holds three whitespace columns (|ln c|, gap,
+    identically, with NaN written as null and +-inf as the strings "inf" and
+    "-inf".  The companion file holds three whitespace columns (|ln c|, gap,
     rate_rhs) next to the main output.
     """
     out = Path(path)
     if format == "csv":
         out.write_text(_table_text(_CSV_COLUMNS, [r.as_row() for r in records]))
     elif format == "json":
-        payload = [
-            {col: None if isinstance(v, float) and not math.isfinite(v) else v for col, v in zip(_CSV_COLUMNS, r.as_row())}
-            for r in records
-        ]
+        payload = [{col: _json_value(v) for col, v in zip(_CSV_COLUMNS, r.as_row())} for r in records]
         out.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     else:
         raise ValueError(f"unknown format {format!r} (expected 'csv' or 'json')")
@@ -185,6 +190,7 @@ def emit_report(records: Sequence[SweepRecord], format: str, path: str | Path) -
 
 
 def read_report_json(path: str | Path) -> list[SweepRecord]:
-    """Parse a JSON report back into records (round-trip inverse of emit), null as NaN."""
+    """Parse a JSON report back into records (round-trip inverse of emit), null as NaN
+    and the strings "inf" and "-inf" as floats."""
     payload = json.loads(Path(path).read_text())
-    return [SweepRecord(*(math.nan if obj[col] is None else obj[col] for col in _CSV_COLUMNS)) for obj in payload]
+    return [SweepRecord(*(_from_json(obj[col]) for col in _CSV_COLUMNS)) for obj in payload]

@@ -347,7 +347,7 @@ def e_v_spectral(p: Profile1D, cs: CrossSection) -> float:
 def _face_pair(t: np.ndarray) -> np.ndarray:
     """phi(q)/d = F(q/d) for the face-pair integral phi(q) = int_0^2d (2d - u)
     / sqrt(u^2 + q^2) du = 2d asinh(2d/q) - 4d^2/(sqrt(4d^2 + q^2) + q), with
-    t = q/d: F(t) = 2 asinh(2/t) - 4/(hypot(2, t) + t), which overflows nowhere."""
+    t = q/d: F(t) = 2 asinh(2/t) - 4/(hypot(2, t) + t), whose overflow at the top of the double range gives its limit 0."""
     return 2.0 * np.arcsinh(2.0 / t) - 4.0 / (np.hypot(2.0, t) + t)
 
 

@@ -181,8 +181,10 @@ def _real_space_surface(cs: CrossSection, lam: float, lo: float, hi: float) -> C
     # down to 1e-19 min(d, lo sqrt(pi)): the head left out is about 1e-17 of E_s
     j = np.arange(math.ceil((log_top - math.log(1e-19 * min(d, lo * root_pi))) / _STEP) + 1)
     xi = np.exp(log_top - _STEP * j)
-    # (8/pi^1.5) (pi/2) (d/mu) h xi [phi(xi) - phi(r)]/d, with d/mu = lam/l
-    jump = (4.0 * _STEP * lam / (root_pi * cs.l)) * xi * (_face_pair(xi / d) - _face_pair(np.hypot(xi, tl) / d))
+    # (8/pi^1.5) (pi/2) (d/mu) h xi [phi(xi) - phi(r)]/d, with d/mu = lam/l; on
+    # the widest, thinnest sections xi/d overflows to inf, where F is exactly 0
+    with np.errstate(over="ignore"):
+        jump = (4.0 * _STEP * lam / (root_pi * cs.l)) * xi * (_face_pair(xi / d) - _face_pair(np.hypot(xi, tl) / d))
     alternate = np.where(j % 2, jump, -jump)  # T_h - T_2h
     curved = np.count_nonzero(xi >= 1e-8 * lo * root_pi)
     flat, flat_alternate = jump[curved:].sum(), alternate[curved:].sum()

@@ -1,14 +1,14 @@
 """Deterministic adaptive quadrature for smooth, oscillatory integrands.
 
-Finite intervals go to QUADPACK (adaptive 21-point Gauss-Kronrod, scipy's
-``quad``).  Semi-infinite integrals over [a, inf) are split at a + 60; the
-head is handled by QUADPACK and the tail by fixed Gauss-Kronrod panels of
-length pi, matching sin^2-type oscillations, whose partial sums are
-extrapolated to infinity (Neville in the reciprocal endpoint) for envelopes
-decaying as slowly as 1/t^2.  Only the public API uses these integrators,
-so scipy.integrate is imported by the first call, not with the package.
+Every adaptive integral uses one Gauss-Kronrod rule, GK15 (_gk15), and no
+scipy.  Finite intervals are bisected globally, the panel of largest estimate
+first.  Semi-infinite integrals over [a, inf) are split at a + 60; the head
+is integrated that way and the tail by fixed GK15 panels of length pi,
+matching sin^2-type oscillations, whose partial sums are extrapolated to
+infinity (Neville in the reciprocal endpoint) for envelopes decaying as
+slowly as 1/t^2.
 The module also holds the two fixed-rule tables: GK15 (_gk_panels) for the
-tail panels and, on panels halving to a floor (_halving_edges), the kernel
+adaptive panels and, on panels halving to a floor (_halving_edges), the kernel
 rule (both kernels), the section pair function and the lag-cell averages of
 the real-space oracles, and 16-point Gauss-Laguerre for the spectral E_v's k = 0 cell average.
 _check_rule holds every value it is given (both kernels, the ansatz surface,
@@ -21,8 +21,9 @@ bit-identical results.
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -78,59 +79,8 @@ class QuadratureResult:
     subdivisions_used: int
 
 
-def _checked(f: Callable[[float], float]) -> Callable[[float], float]:
-    def wrapped(t: float) -> float:
-        v = f(t)
-        if not math.isfinite(v):
-            raise NonFiniteIntegrandError(f"integrand returned {v!r} at t={t!r}")
-        return v
-
-    return wrapped
-
-
 def _tolerance_bound(cfg: QuadratureConfig, value: float) -> float:
     return max(cfg.abs_tol, cfg.rel_tol * abs(value))
-
-
-def integrate_finite(
-    f: Callable[[float], float], a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> QuadratureResult:
-    """Integrate f over [a, b] adaptively.
-
-    Integrable endpoint singularities are tolerated (QUADPACK never evaluates
-    the endpoints); the integrand must be finite at every interior node.
-
-    Raises:
-        SubdivisionLimitError: adaptive budget exhausted.
-        NonFiniteIntegrandError: NaN/inf at an interior node.
-        QuadratureError: converged estimate still above tolerance.
-    """
-    from scipy.integrate import quad as quadpack
-
-    if not (a < b):
-        raise ValueError(f"require a < b, got a={a!r}, b={b!r}")
-    out = quadpack(
-        _checked(f),
-        a,
-        b,
-        epsabs=cfg.abs_tol,
-        epsrel=cfg.rel_tol,
-        limit=cfg.max_subdivisions,
-        full_output=1,
-    )
-    value, err, info = out[0], out[1], out[2]
-    if len(out) > 3:
-        if info["last"] >= cfg.max_subdivisions:
-            raise SubdivisionLimitError(
-                f"subdivision budget {cfg.max_subdivisions} exhausted on [{a}, {b}]: {out[3]}"
-            )
-        if err > _tolerance_bound(cfg, value):
-            raise QuadratureError(f"quadrature on [{a}, {b}] did not converge: {out[3]}")
-    if err > _tolerance_bound(cfg, value):
-        raise QuadratureError(
-            f"error estimate {err:.3e} exceeds tolerance on [{a}, {b}] (value {value:.6e})"
-        )
-    return QuadratureResult(value=value, error_estimate=err, subdivisions_used=info["last"])
 
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule on [-1, 1]: QUADPACK's
@@ -201,9 +151,49 @@ def _check_rule(name: str, values, errors, where: Callable[[int], str]) -> None:
 
 
 def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """(Kronrod value, |Kronrod - Gauss|) of f on [a, b]; NonFiniteIntegrandError at a non-finite node."""
     nodes, kronrod, excess = (x[0] for x in _gk_panels(np.array([a, b])))
+    if not (a < nodes[0] and nodes[-1] < b):  # bisection toward a singular end other than 0
+        raise QuadratureError(f"panel [{a!r}, {b!r}] too narrow: GK15 nodes round onto its ends")
     fx = np.array([f(t) for t in nodes.tolist()])
+    if not np.isfinite(fx).all():
+        i = int(np.argmin(np.isfinite(fx)))
+        raise NonFiniteIntegrandError(f"integrand returned {float(fx[i])!r} at t={float(nodes[i])!r}")
     return float(fx @ kronrod), abs(float(fx @ excess))
+
+
+def integrate_finite(
+    f: Callable[[float], float], a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG
+) -> QuadratureResult:
+    """Integrate f over [a, b] by global adaptive bisection of GK15 panels:
+    the panel with the largest Kronrod-minus-Gauss estimate is halved until
+    the estimates sum to within max(abs_tol, rel_tol |value|).  GK15 never
+    evaluates the endpoints, and its estimate bounds the true error of
+    integrable singularities at 0, such as ln u and u^-1/2 on [0, 1]; at
+    any other end the spacing of doubles limits the accuracy, so substitute
+    to move the singularity to 0.
+
+    Raises:
+        SubdivisionLimitError: max_subdivisions panels reached first.
+        NonFiniteIntegrandError: NaN/inf at a node.
+        QuadratureError: a panel too narrow for its nodes to lie inside it.
+    """
+    if not (a < b):
+        raise ValueError(f"require a < b, got a={a!r}, b={b!r}")
+    value, err = _gk15(f, a, b)
+    panels = [(-err, a, b, value)]  # a heap: the largest estimate first, the leftmost among equals
+    while err > _tolerance_bound(cfg, value):
+        if len(panels) >= cfg.max_subdivisions:
+            raise SubdivisionLimitError(
+                f"subdivision budget {cfg.max_subdivisions} exhausted on [{a}, {b}] (error estimate {err:.3e})"
+            )
+        _, lo, hi, _ = heapq.heappop(panels)
+        mid = 0.5 * (lo + hi)
+        for left, right in ((lo, mid), (mid, hi)):
+            part, part_err = _gk15(f, left, right)
+            heapq.heappush(panels, (-part_err, left, right, part))
+        value, err = math.fsum(p[3] for p in panels), -math.fsum(p[0] for p in panels)
+    return QuadratureResult(value=value, error_estimate=err, subdivisions_used=len(panels))
 
 
 def _tail_extrapolation(
@@ -226,8 +216,6 @@ def _tail_extrapolation(
         target = _TAIL_BASE_PANELS * (2**k)
         while count < target:
             v, e = _gk15(f, b + count * _PANEL, b + (count + 1) * _PANEL)
-            if not math.isfinite(v):
-                raise NonFiniteIntegrandError(f"non-finite tail panel at t~{b + count * _PANEL}")
             total += v
             panel_err += e
             count += 1
@@ -273,15 +261,9 @@ def integrate_semi_infinite(
         (plus the integrate_finite error modes for the head)
     """
     split = a + _SEMI_INFINITE_SPLIT
-    head_cfg = QuadratureConfig(
-        abs_tol=0.5 * cfg.abs_tol,
-        rel_tol=0.5 * cfg.rel_tol,
-        max_subdivisions=cfg.max_subdivisions,
-    )
-    head = integrate_finite(f, a, split, head_cfg)
-    tail_budget = 0.5 * max(cfg.abs_tol, cfg.rel_tol * abs(head.value))
-    fc = _checked(f)
-    tail_value, tail_err, panels = _tail_extrapolation(fc, split, tail_budget)
+    head = integrate_finite(f, a, split, replace(cfg, abs_tol=0.5 * cfg.abs_tol, rel_tol=0.5 * cfg.rel_tol))
+    tail_budget = 0.5 * _tolerance_bound(cfg, head.value)
+    tail_value, tail_err, panels = _tail_extrapolation(f, split, tail_budget)
     value = head.value + tail_value
     err = head.error_estimate + tail_err
     if err > _tolerance_bound(cfg, value):

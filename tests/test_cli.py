@@ -287,6 +287,13 @@ def test_removed_global_flags_rejected(capsys):
     assert run(["kernel", "a_c", "--c", "1", "--tol", "1e-6"]) == 1
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["kernel", "a_c", "--help"]], ids=["root", "leaf"])
+def test_help_returns_exit_ok(capsys, argv):
+    # argparse's --help raised SystemExit(0) out of run()
+    assert run(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: wallscale " + " ".join(argv[:-1]))
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert run(["kernel"]) == 1
     assert run([]) == 1

@@ -142,6 +142,22 @@ class TestEmit:
         back = read_report_json(out)
         assert [struct.pack("11d", *r.as_row()) for r in back] == [struct.pack("11d", *r.as_row()) for r in records]
 
+    def test_json_inf_row_is_strict_json_and_round_trips_bitwise(self, tmp_path):
+        # 20 l overflows the rate bound at l = 1e307: json.dumps wrote inf as
+        # null, which read back as NaN
+        records = rate_sweep([CrossSection(l=1e307, d=1e305)])
+        assert records[0].rate_rhs == math.inf
+        out = tmp_path / "sweep.json"
+        emit_report(records, "json", out)
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = json.loads(out.read_text(), parse_constant=refuse)
+        assert payload[0]["rate_rhs"] == "inf" and payload[0]["mu"] is None
+        back = read_report_json(out)
+        assert [struct.pack("11d", *r.as_row()) for r in back] == [struct.pack("11d", *r.as_row()) for r in records]
+
     def test_plot_companion(self, tmp_path):
         records = make_records()
         out = tmp_path / "sweep.csv"

@@ -315,6 +315,13 @@ class TestAnsatzSearch:
         res = minimize_full_ansatz(cs)
         assert res.energy == pytest.approx(closed_form_minimum(cs), rel=1e-14, abs=0.0)
 
+    def test_widest_thinnest_section_warns_nothing(self):
+        # xi/d and the face pair's hypot + t overflowed to inf in the node
+        # setup, where F is exactly 0, with RuntimeWarnings that the suite's
+        # error::RuntimeWarning setting turns into failures
+        res = minimize_full_ansatz(CrossSection(l=1e72, d=1e-227))
+        assert res.energy == 3.9441577883740007e37
+
     @staticmethod
     def _count_kernel_batch_calls(monkeypatch) -> list:
         calls = []

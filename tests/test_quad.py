@@ -147,6 +147,30 @@ def test_tail_nonconvergence_raises():
         integrate_semi_infinite(lambda t: 1.0 / (1.0 + t) ** 1.2, 0.0)
 
 
+@pytest.mark.parametrize("f, exact", [(math.log, -1.0), (lambda u: u**-0.5, 2.0)], ids=["log", "inverse_sqrt"])
+@pytest.mark.parametrize("cfg", [quad.DEFAULT_CONFIG, QuadratureConfig(abs_tol=0.0, rel_tol=1e-13)], ids=["default", "rel1e-13"])
+def test_endpoint_singularity_error_within_estimate_within_tolerance(f, exact, cfg):
+    # GK15 never evaluates the endpoint; bisection toward it shrinks the one
+    # singular panel, and its Kronrod-minus-Gauss estimate bounds the error
+    res = integrate_finite(f, 0.0, 1.0, cfg)
+    assert abs(res.value - exact) <= res.error_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
+
+
+def test_panel_too_narrow_for_its_nodes_raises_before_an_end_is_evaluated():
+    # toward a singular end other than 0 the panels shrink until their outer
+    # nodes round onto the end, where (1 - u)^-1/2 raised ZeroDivisionError
+    ends = []
+
+    def f(u):
+        if u in (0.0, 1.0):
+            ends.append(u)
+        return (1.0 - u) ** -0.5
+
+    with pytest.raises(QuadratureError, match="too narrow"):
+        integrate_finite(f, 0.0, 1.0, QuadratureConfig(abs_tol=0.0, rel_tol=1e-13))
+    assert ends == []
+
+
 def test_gk15_panel_weights_are_exact_on_monomials():
     # Kronrod weights integrate degree <= 22 exactly; the Kronrod-minus-Gauss
     # weights annihilate degree <= 13, where the embedded Gauss rule is exact;
@@ -220,11 +244,9 @@ def test_physics_modules_bind_no_scipy_optimizer(name):
 
 
 def test_package_import_loads_no_scipy_integrate_or_optimize():
-    # scipy.integrate (which pulls in scipy.optimize) is imported by the first
-    # integrate_finite call, not with the package, and no kernel loads
-    # scipy.special: the rate sweep on the criterion-8 grid, the ansatz
-    # search on wide films, the descent and a kernel call load none of them;
-    # a fresh interpreter shows it
+    # the package imports no scipy module, and no kernel loads one: the rate
+    # sweep on the criterion-8 grid, the ansatz search on wide films, the
+    # descent and a kernel call load none of them; a fresh interpreter shows it
     code = """
 import sys, wallscale, wallscale.cli
 from wallscale import CrossSection, arc_profile, kernels, minimize_full_ansatz, minimize_reduced, rate_sweep
@@ -262,6 +284,19 @@ wall = Profile1D(base.x, m)
 assert emag_lipschitz_check(wall, base, cs).passed
 richardson_boundary_oracle(wall, cs)
 assert abs(e_v_spectral(wall, cs) / e_v_volume_oracle(wall, cs) - 1.0) < 0.05
+print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))
+"""
+    assert _fresh_interpreter(code).split("\n")[0] == "[]"
+
+
+def test_adaptive_integrators_load_no_scipy():
+    # both criterion-1 identities run on quad's own GK15 rule, with no
+    # QUADPACK call, so a fresh interpreter loads no scipy module at all
+    code = """
+import math, sys
+from wallscale import integrate_semi_infinite
+integrate_semi_infinite(lambda t: (math.sin(t) / t) ** 2 if t != 0.0 else 1.0, 0.0)
+integrate_semi_infinite(lambda t: math.sin(t) ** 2 / (t * t + 1.0), 0.0)
 print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))
 """
     assert _fresh_interpreter(code).split("\n")[0] == "[]"
