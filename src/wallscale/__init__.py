@@ -14,7 +14,6 @@ Modules:
 from .errors import (
     NonFiniteIntegrandError,
     QuadratureError,
-    ResolutionError,
     StallError,
     SubdivisionLimitError,
     TailNonconvergenceError,

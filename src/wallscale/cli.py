@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     e_f.add_argument("--profile", type=str, required=True)
     e_f.add_argument("--l", type=float, required=True)
     e_f.add_argument("--d", type=float, required=True)
-    e_f.add_argument("--e-v-exact", action="store_true", help="also evaluate the spectral volume term")
+    e_f.add_argument("--e-v-exact", action="store_true", help="also evaluate the real-space lag-sum volume term")
 
     mini = sub.add_parser("minimize", help="energy minimization")
     msub = mini.add_subparsers(dest="subcommand", required=True)

@@ -29,9 +29,5 @@ class StallError(WallscaleError):
     """Backtracking line search could not find a decrease step."""
 
 
-class ResolutionError(WallscaleError):
-    """A discretized oracle was run too coarse to be trustworthy."""
-
-
 class VerificationError(WallscaleError):
     """A verified inequality was violated beyond the numerical budget."""

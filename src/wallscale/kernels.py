@@ -291,6 +291,8 @@ def _channel(cs: CrossSection, swap: bool, k: np.ndarray, complement: bool) -> t
     values, errors = np.empty(k.size), np.zeros(k.size)
     i0 = 2.0 * math.pi * cs.l * cs.d * (a_c(cs.c) if swap else b_c(cs.c))
     values[k == 0.0] = i0
+    if w > 1e150:  # before the far asymptote, whose pi w/k overflows there
+        raise QuadratureError(f"{cs} is outside the double range of the kernel rule")
     with np.errstate(over="ignore"):  # a product that overflows lies past the series edge, in the far branch
         series = np.flatnonzero((k > 0.0) & (k * rho <= _SERIES_EDGE))
         rest = np.flatnonzero(k * rho > _SERIES_EDGE)
@@ -302,7 +304,7 @@ def _channel(cs: CrossSection, swap: bool, k: np.ndarray, complement: bool) -> t
     values[rest[far]] = i0 - asymptote if complement else asymptote
     near = rest[~far]
     # the rule's floor must be normal, and its weights (2w - u) du (sum 2 w^2, times logs below 1e3) finite
-    if w > 1e150 or (near.size or series.size) and _FLOOR * min(w, s) < _TINY:
+    if (near.size or series.size) and _FLOOR * min(w, s) < _TINY:
         raise QuadratureError(f"{cs} is outside the double range of the kernel rule")
     u, kronrod, excess, floor = _surface_rule(w, s)
 

@@ -10,9 +10,9 @@ boundary oracle over the four cross-section faces provides an independent
 check of both the constant and the convention.
 
 The volume-charge energy E_v is reported through an explicit closed-form
-upper bound (always) and optionally through the spectral evaluation
-(4/pi^2) int K(l,d,k) |g_hat(k)|^2 dk, g = d m1/dx, with the volume kernel
-K of the kernels module, validated against a real-space Green-function oracle.
+upper bound (always) and optionally through the real-space Green-function
+lag sum of e_v_volume_oracle, whose referee is the spectral (4/pi^2) int
+K(l,d,k) |g_hat(k)|^2 dk, g = d m1/dx, with the volume kernel K of kernels.
 
 Both real-space oracles are one lag sum (_lag_sum) of the charge's
 autocorrelation on the grid and a pair function averaged over each lag cell
@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .errors import ResolutionError, WallscaleError
+from .errors import QuadratureError, WallscaleError
 from .kernels import CrossSection
 from .quad import _LAGUERRE16_NODES, _LAGUERRE16_WEIGHTS, _TINY, _check_rule, _gk_panels, _halving_edges
 from .walls import Profile1D, _trapezoid, exchange_integral, profile_derivative
@@ -209,8 +209,8 @@ def _lag_weights(g: np.ndarray) -> np.ndarray:
     return w
 
 
-# the lag sum averages the pair function over every lag cell out to this
-# span, in units of the section half-width l, and takes point values beyond
+# the lag sum averages the pair function over at least 20 lag cells and out to
+# this span, in units of the section half-width l, and takes point values beyond
 _CELL_SPAN = 10.0
 
 
@@ -223,12 +223,12 @@ def _lag_sum(
     which integrates the pair function, singular or steep at 0 on the scale
     d, and samples only the smooth autocorrelation w.  The lag-0 cell takes
     GK15 on panels halving from h/2 down to floor and the panel below, the
-    cells out to _CELL_SPAN l a panel each, held to quad._RULE_TOL by
-    quad._check_rule; past the span the pair function is smooth on the
-    scale l, and pair(m h) stands for P_m.  The error sums |w| times each
-    average's Kronrod-minus-Gauss estimate.
+    cells out to _CELL_SPAN l, at least 20, a panel each, held to
+    quad._RULE_TOL by quad._check_rule; past them the pair function is
+    smooth on the scale of the lag, and pair(m h) stands for P_m.  The error
+    sums |w| times each average's Kronrod-minus-Gauss estimate.
     """
-    cells = min(w.size, math.ceil(_CELL_SPAN * l / h))
+    cells = min(w.size, max(math.ceil(min(_CELL_SPAN * l / h, w.size)), 20))  # 40 and 20 on the golden grids
     sums = np.zeros((2, cells))  # per cell over s > 0: Kronrod sums, Kronrod-minus-Gauss estimates
     # the half cell [0, h/2], then the cells beyond, the lag-1 cell in two
     # halves as it lies as close to 0 as it is wide; one pair call each, so
@@ -236,14 +236,14 @@ def _lag_sum(
     for edges in (np.append(_halving_edges(0.5 * h, floor), 0.0), h * np.append([0.5, 1], np.arange(1.5, cells))):
         nodes, kronrod, excess = _gk_panels(edges)
         f = pair(nodes.ravel()).reshape(nodes.shape)
-        lag = np.rint((0.5 / h) * (edges[:-1] + edges[1:])).astype(int)
+        lag = np.rint((edges[:-1] + edges[1:]) / (2.0 * h)).astype(int)  # 0.5/h overflows at a subnormal h
         sums[0] += np.bincount(lag, (f * kronrod).sum(axis=1), cells)
         sums[1] += np.bincount(lag, np.abs((f * excess).sum(axis=1)), cells)
     sums[:, 0] *= 2.0  # the lag-0 cell [-h/2, h/2] is twice its half on s > 0
     averages, errors = sums / h
     _check_rule("cell average", averages, errors, lambda m: f"lag {m}")
-    far = pair(h * np.arange(cells, w.size))
-    return float(w[:cells] @ averages + w[cells:] @ far), float(np.abs(w[:cells]) @ errors)
+    far = w[cells:] @ pair(h * np.arange(cells, w.size)) if cells < w.size else 0.0
+    return float(w[:cells] @ averages + far), float(np.abs(w[:cells]) @ errors)
 
 
 def e_s_boundary_oracle(p: Profile1D, cs: CrossSection) -> float:
@@ -263,19 +263,16 @@ def e_s_boundary_oracle(p: Profile1D, cs: CrossSection) -> float:
     reflection symmetry of the rectangle.  Converges like h^2.
 
     Raises:
-        ResolutionError: the grid spacing exceeds l, so that fewer than
-            _CELL_SPAN cells are averaged before point values take over.
         QuadratureError: a cell average misses its tolerance, or E_s of a
             charged profile is not a normal double within its rule error.
     """
     h = p.spacing
-    if h > cs.l:
-        raise ResolutionError(f"grid spacing {h:.3e} exceeds the section half-width {cs.l:.3e}; refine the grid")
-    sums = [  # per charged face family (charge column, face half-width a, face separation b)
-        _lag_sum(_lag_weights(p.m[:, column]), h, cs.l, _ZERO_LAG_FLOOR * min(cs.d, h),
-                 lambda s: a * (_face_pair(s / a) - _face_pair(np.hypot(s, b) / a)))
-        for column, a, b in ((1, cs.d, 2.0 * cs.l), (2, cs.l, 2.0 * cs.d)) if p.m[:, column].any()
-    ]
+    with np.errstate(all="ignore"):  # F(s/a) overflows on faces wider than ~1e300 h: _check_rule refuses it
+        sums = [  # per charged face family (charge column, face half-width a, face separation b)
+            _lag_sum(_lag_weights(p.m[:, column]), h, cs.l, _ZERO_LAG_FLOOR * min(cs.d, h),
+                     lambda s: a * (_face_pair(s / a) - _face_pair(np.hypot(s, b) / a)))
+            for column, a, b in ((1, cs.d, 2.0 * cs.l), (2, cs.l, 2.0 * cs.d)) if p.m[:, column].any()
+        ]
     if not sums:
         return 0.0
     energy, error = (sum(terms) * h * h / math.pi for terms in zip(*sums))
@@ -319,7 +316,8 @@ def _e_v_bound_coefficients(cs: CrossSection) -> tuple[float, float, float]:
 
 def e_v_spectral(p: Profile1D, cs: CrossSection) -> float:
     """Volume-charge energy (4/pi^2) int K(l,d,k) |g_hat(k)|^2 dk with g the
-    sampled derivative of m1.
+    sampled derivative of m1, the referee of e_v_volume_oracle: its window
+    biases it low like 1/L, 3.52e-3 on the golden wall and 1.63e-3 thin.
 
     The k = 0 node (where K ~ A ln k + B has an integrable logarithmic
     singularity) is replaced by the average of K over (0, dk/2], the integral
@@ -360,15 +358,15 @@ def _section_pair_green(cs: CrossSection, s: np.ndarray) -> tuple[np.ndarray, np
     at every axial separation s >= 0, with phi the face pair of _face_pair;
     F(0) is the flat 2l x 2d cell's self integral, whose closed form cancels
     on thin cells.  quad's GK15 rule runs on panels halving from 2l toward
-    u = 0 until the last is at most min(s), or _ZERO_LAG_FLOOR d when
-    min(s) = 0, then on the panel down to 0, all panels at once for blocks
+    u = 0 until the last is at most min(s), or _ZERO_LAG_FLOOR d when min(s)
+    is smaller, then on the panel down to 0, all panels at once for blocks
     of lags of at most _PAIR_BLOCK node values.  The errors sum each panel's
     Kronrod-minus-Gauss estimate, held to quad._RULE_TOL by quad._check_rule.
     F(0) is within 1.1e-15 of the closed form in mpmath for l from 1e-3 to
     100 and c from 1 to 1e-150.
     """
     tl, d = 2.0 * cs.l, cs.d
-    nodes, kronrod, excess = _gk_panels(np.append(_halving_edges(tl, s.min() or _ZERO_LAG_FLOOR * d), 0.0))
+    nodes, kronrod, excess = _gk_panels(np.append(_halving_edges(tl, max(s.min(), _ZERO_LAG_FLOOR * d)), 0.0))
     weights, excess = 4.0 * (tl - nodes) * kronrod, 4.0 * (tl - nodes) * excess
     values, errors = np.empty(s.size), np.empty(s.size)
     step = max(1, _PAIR_BLOCK // nodes.size)
@@ -390,25 +388,24 @@ def e_v_volume_oracle(p: Profile1D, cs: CrossSection) -> float:
     as l^3 F(1, c, s/l), so that only E_v itself need be a normal double.
 
     The lag sum (_lag_sum) dots the lag weights of g h with F averaged over
-    each lag cell, and converges like h^2 at any thickness: F falls steeply
-    over d < s < l on thin sections, which the cell averages integrate.
+    each lag cell; F falls steeply over d < s < l on thin sections, which
+    the cell averages integrate.  Where h > l/2 the point values past the
+    20 cells, about 1/(12 m^2) off the average at lag m, stall it near -1.3e-5.
 
     Raises:
-        ResolutionError: the grid spacing exceeds l/2, so the lag sum cannot
-            resolve F, which varies on the scale of the section; at l = 1e-3
-            and h = 13 l to 51 l the sum is 2e-3 off and does not converge
-            like h^2.
-        QuadratureError: a cell average misses its tolerance, or E_v of a
-            charged profile is not a normal double within its rule error.
+        QuadratureError: a bound on F(1, c, 0) (c < 6e-157) or on E_v below
+            the normal range, a cell average off its tolerance, or E_v of a
+            charged profile not a normal double within its rule error.
     """
     h = p.spacing
-    if h > 0.5 * cs.l:
-        raise ResolutionError(
-            f"grid spacing {h:.3e} exceeds half the section half-width {cs.l:.3e}; refine the grid"
-        )
     g = profile_derivative(p)[:, 0] * h  # dimensionless, as are F(1, c, s/l) = F(l, d, s)/l^3
     if not g.any():
         return 0.0
+    # F(1, c, s) <= F(1, c, 0) <= peak, the area times 1/r integrated over the section about its centre
+    peak = 16.0 * cs.c**2 * (1.0 + math.log(2.0 + cs.c) - math.log(cs.c))
+    bound = peak * float(np.abs(g).sum()) ** 2 / (4.0 * math.pi) * cs.l * cs.l * cs.l  # >= |E_v|
+    if not (peak >= _TINY and bound >= _TINY):
+        raise QuadratureError(f"F(1, c, 0) <= {peak:.3e} or E_v <= {bound:.3e} below the normal range at {cs}")
     unit = CrossSection(1.0, cs.c)
     # F is bounded, with a kink at 0 and its fall on the scale d, to a tenth of which the lag-0 cell halves
     floor = 0.1 * min(cs.c, h / cs.l)
@@ -453,13 +450,13 @@ def full_energy(
 
     exchange = 4*l*d * int |dm/dx|^2 (cross-section area times line integral);
     the volume/surface cross term vanishes by the symmetry of the rectangular
-    cross-section.  e_v_exact is evaluated only on request; the closed-form
-    bound is always reported and enters the rescaled upper total.
+    cross-section.  e_v_exact (e_v_volume_oracle) is evaluated only on
+    request; the closed-form bound is always reported and enters the rescaled upper total.
     """
     exchange = 4.0 * cs.l * cs.d * exchange_integral(p)
     e_s = e_s_spectral(p, cs, cache=cache)
     e_v_bound = e_v_upper_bound(p, cs)
-    e_v_exact = e_v_spectral(p, cs) if include_e_v_exact else None
+    e_v_exact = e_v_volume_oracle(p, cs) if include_e_v_exact else None
     total_upper = exchange + e_s + e_v_bound
     return EnergyBreakdown(
         exchange=exchange,

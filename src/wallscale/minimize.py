@@ -248,7 +248,8 @@ def minimize_full_ansatz(cs: CrossSection) -> AnsatzSearchResult:
     """Minimize the full rescaled energy over the recovery family m0(x/s) by
     Newton steps from the closed-form start of _ansatz_energy until a step is
     within 1e-12 of s; the result bounds the rescaled minimal energy from
-    above.  Raises WallscaleError rather than return an unconverged scale."""
+    above.  Its domain is c < 1 (ValueError at c = 1, where lambda is
+    undefined); it raises WallscaleError rather than return an unconverged scale."""
     energy, s = _ansatz_energy(cs)
     for evaluations in range(1, _NEWTON_STEPS + 1):
         e, slope, curvature = energy(s)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wallscale import ClosedFormWall, CrossSection, full_energy, kernels, sample_wall
+from wallscale.magnetostatics import _section_pair_green
 from wallscale.minimize import _ansatz_energy
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -57,6 +58,27 @@ def closed_form_spectrum_energies(cs: CrossSection, a: float) -> tuple[float, fl
     volume, _ = kernels.volume_kernel_batch(cs, k)
     scale = (8.0 / math.pi**2) * 0.02
     return scale * float(surface * m2_hat2 @ k), scale * float(volume * g_hat2 @ k)
+
+
+def grid_free_e_v(cs: CrossSection, a: float) -> float:
+    """Test referee for E_v of the wall m1 = tanh(ax) with no grid or
+    window: E_v = (1/2 pi) int_0^inf A(s) F(s) ds with F the section pair
+    integral (magnetostatics._section_pair_green, as l^3 F(1, c, s/l)) and
+    A(s) = a h(as) the autocorrelation of g = dm1/dx, h(t) = 4 (t cosh t -
+    sinh t)/sinh^3 t (series 4/3 - 8t^2/15 + 8t^4/63 below t = 1e-2), by the
+    trapezoid rule in ln s with step 0.05 from 1e-14 l to as = 40.  It gives
+    2.0036953923065e-4 on the golden section, 1.75936972165857e-15 at (l, d)
+    = (1e-3, 1e-5) and 1.76135417433156e-23 at (1e-3, 1e-9), the same to 13
+    digits at step 0.025 or from 1e-16 l to as = 50."""
+    s = np.exp(np.arange(math.log(1e-14 * cs.l), math.log(40.0 / a), 0.05))
+    t = a * s
+    small = t < 1e-2
+    h = np.empty_like(t)
+    h[small] = 4.0 / 3.0 - 8.0 * t[small] ** 2 / 15.0 + 8.0 * t[small] ** 4 / 63.0
+    big = t[~small]
+    h[~small] = 4.0 * (big * np.cosh(big) - np.sinh(big)) / np.sinh(big) ** 3
+    pair, _ = _section_pair_green(CrossSection(1.0, cs.c), s / cs.l)
+    return 0.05 / (2.0 * math.pi) * float(s * a * h @ pair) * cs.l**3
 
 
 def golden_dir() -> Path:

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wallscale import CrossSection, Profile1D
 from wallscale.cli import run
+from wallscale.magnetostatics import e_v_volume_oracle
 
 
 def test_kernel_a_c_prints_round_trippable_value(capsys):
@@ -150,6 +152,21 @@ def test_energy_full_e_v_exact_thin_section(tmp_path, capsys):
     assert 0.0 < fields["e_v_exact"] <= fields["e_v_bound"]
 
 
+@pytest.mark.parametrize("l, d, referee, bound", [("0.1", "0.05", 2.0036953923065e-4, 6e-5),
+                                                   ("1e-3", "1e-5", 1.75936972165857e-15, 7e-5)])
+def test_energy_full_e_v_exact_is_the_lag_sum(tmp_path, capsys, l, d, referee, bound):
+    # the spectral E_v it printed before is 3.52e-3 / 1.63e-3 below the grid-free referee
+    profile_path = tmp_path / "wall.csv"
+    run(["--out", str(profile_path), "wall", "sample", "--alpha", str(1.0 / math.pi),
+         "--half-length", "26.0", "--nodes", "2049"])
+    capsys.readouterr()
+    assert run(["energy", "full", "--profile", str(profile_path), "--l", l, "--d", d, "--e-v-exact"]) == 0
+    fields = {key: float(value) for key, value in (line.split(",") for line in capsys.readouterr().out.splitlines())}
+    p = Profile1D.from_csv(profile_path)
+    assert fields["e_v_exact"] == e_v_volume_oracle(p, CrossSection(l=float(l), d=float(d)))
+    assert abs(fields["e_v_exact"] / referee - 1.0) <= bound
+
+
 @pytest.mark.parametrize("l, d, code, rows", [("0.1", "0.1", 0, 4), ("1e100", "1e60", 3, 0)])
 def test_energy_full_square_and_overflowing_sections(tmp_path, capsys, l, d, code, rows):
     # a square section has no rescaled total, so its breakdown has four rows;
@@ -185,6 +202,13 @@ def test_minimize_ansatz(capsys):
     assert run(["minimize", "ansatz", "--l", "1", "--d", "1e-2"]) == 0  # a wide film
     fields = dict(line.split(",") for line in capsys.readouterr().out.strip().splitlines())
     assert float(fields["energy"]) == pytest.approx(58.94354635030375, rel=1e-15, abs=0.0)
+
+
+def test_minimize_ansatz_on_square_section_is_a_usage_error(capsys):
+    # the search's domain is c < 1, where lambda = 1/sqrt(c |ln c|) is defined
+    assert run(["minimize", "ansatz", "--l", "1", "--d", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "usage error: rescaling requires aspect ratio c < 1\n"
 
 
 def test_ansatz_commands_reject_removed_nodes_flag(tmp_path, capsys):

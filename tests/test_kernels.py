@@ -394,6 +394,11 @@ class TestKernelBatch:
             with pytest.raises(QuadratureError, match="double range"):
                 kernel_batch(CrossSection(l=l, d=d), False, [k])
 
+    def test_far_asymptote_on_a_very_wide_section_raises_before_it_overflows(self):
+        # pi w/k overflowed with three RuntimeWarnings before the w > 1e150 check
+        with pytest.raises(QuadratureError, match="double range"):
+            i_kernel(CrossSection(l=1e175, d=1e175), True, 1e-172)
+
     @pytest.mark.parametrize("l, d, k", [(1e300, 1e-3, 1e-3), (1e300, 1.0, 1e3), (1e100, 1e51, 1e-60)])
     def test_volume_rule_on_a_very_wide_section_raises_typed_error(self, l, d, k):
         # K ~ l^2 d^2 leaves the double range, and the l channel's rule weights overflow

@@ -1,4 +1,6 @@
 import math
+import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -25,8 +27,8 @@ from wallscale import (
     sample_wall,
     spectrum,
 )
-from wallscale import kernels, magnetostatics, quad
-from wallscale.errors import QuadratureError, ResolutionError, WallscaleError
+from wallscale import cli, kernels, magnetostatics, quad
+from wallscale.errors import QuadratureError, WallscaleError
 from wallscale.magnetostatics import (
     _face_pair,
     _section_pair_green,
@@ -38,7 +40,9 @@ from wallscale.minimize import _real_space_surface
 from wallscale.quad import _gk_panels, _halving_edges
 from wallscale.walls import DiscreteReducedEnergy, profile_derivative
 
-from conftest import GOLDEN_CS, GOLDEN_WALL, GOLDEN_L, GOLDEN_N, closed_form_spectrum_energies, load_golden
+from conftest import (
+    GOLDEN_CS, GOLDEN_WALL, GOLDEN_L, GOLDEN_N, closed_form_spectrum_energies, grid_free_e_v, load_golden,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -244,22 +248,25 @@ class TestSurfaceEnergy:
         value = e_s_spectral(p, cs)
         assert 0.0 < value <= bound
 
-    def test_oracle_resolution_flag(self):
-        # h = 2.03 l: the averaged cells would span fewer than _CELL_SPAN lags
-        with pytest.raises(ResolutionError):
-            e_s_boundary_oracle(sample_wall(GOLDEN_WALL, GOLDEN_L, 257), GOLDEN_CS)
+    def test_oracle_takes_spacing_above_half_width(self):
+        # h = 2.03 l, which the oracle refused while its cells stopped at
+        # 10 l: the 20 averaged cells put it 5.48e-5 below the referee
+        value = e_s_boundary_oracle(sample_wall(GOLDEN_WALL, GOLDEN_L, 257), GOLDEN_CS)
+        assert -6e-5 <= value / GOLDEN_E_S - 1.0 <= -5e-5
 
     @pytest.mark.parametrize("l, c, theta", [(1e-3, 0.5, math.pi / 2), (1e-3, 1e-4, 0.0)])
     def test_oracle_refuses_axial_cells_wider_than_section(self, l, c, theta):
-        # h = 25 l on the subgrid of 51 l, far past the section
+        # h = 25 l on the subgrid of 51 l, far past the section: the lag-1
+        # cell average, a difference of two near face pairs, misses its tolerance
         wall = ClosedFormWall(alpha=1.0 / math.pi, beta=1.0, theta=theta)
-        with pytest.raises(ResolutionError, match="half-width"):
+        with pytest.raises(QuadratureError, match="above tolerance at lag 1$"):
             richardson_boundary_oracle(sample_wall(wall, GOLDEN_L, GOLDEN_N), CrossSection(l=l, d=c * l))
 
-    def test_oracle_refuses_coarse_axial_cells_on_golden_section(self):
-        # h = 8.1 l, where the 2-D panel oracle at (64, 16) was 8.0 times the spectral E_s
-        with pytest.raises(ResolutionError, match="half-width"):
-            e_s_boundary_oracle(sample_wall(GOLDEN_WALL, GOLDEN_L, 65), GOLDEN_CS)
+    def test_oracle_takes_coarse_axial_cells_on_golden_section(self):
+        # h = 8.1 l, where the 2-D panel oracle at (64, 16) was 8.0 times the
+        # spectral E_s: the lag sum is 1.31e-4 above the referee
+        value = e_s_boundary_oracle(sample_wall(GOLDEN_WALL, GOLDEN_L, 65), GOLDEN_CS)
+        assert 1.2e-4 <= value / GOLDEN_E_S - 1.0 <= 1.4e-4
 
     def test_richardson_oracle_refuses_even_node_count(self):
         # the every-other-node subgrid of 2050 nodes is not symmetric, which
@@ -589,19 +596,34 @@ class TestVolumeSpectral:
         value = e_v_volume_oracle(standard_wall_profile, GOLDEN_CS)
         assert value == pytest.approx(0.0002003595475069492, rel=1e-13, abs=0.0)
 
-    @pytest.mark.parametrize("n_nodes", [1025, 2049])
-    def test_volume_oracle_rejects_spacing_above_half_width(self, n_nodes):
-        # h = 0.05 / 0.025 cannot resolve F on the scale l = 1e-3; unchecked,
-        # the lag sum returned 2.90e-14 / 1.51e-14 against a spectral 1.756e-15
-        p = sample_wall(GOLDEN_WALL, GOLDEN_L, n_nodes)
-        with pytest.raises(ResolutionError):
-            e_v_volume_oracle(p, CrossSection(l=1e-3, d=1e-5))
+    @pytest.mark.parametrize("n_nodes, measured", [(1025, -2.129e-4), (2049, -6.221e-5)])
+    def test_volume_oracle_takes_spacing_above_half_width(self, n_nodes, measured):
+        # h = 51 l / 25 l: with its cells out to 10 l, a single averaged cell
+        # here, the lag sum returned 2.90e-14 / 1.51e-14 against a grid-free
+        # 1.759e-15; 20 averaged cells put it this far below, where the
+        # spectral E_v is 1.78e-3 / 1.63e-3 below
+        cs = CrossSection(l=1e-3, d=1e-5)
+        error = e_v_volume_oracle(sample_wall(GOLDEN_WALL, GOLDEN_L, n_nodes), cs) / grid_free_e_v(cs, GOLDEN_A) - 1.0
+        assert error == pytest.approx(measured, rel=0.01, abs=0.0)
 
-    def test_volume_oracle_rejects_spacing_above_half_of_half_width(self):
-        # h = 0.508 l: the lag sum is off its own N = 16385 value by 1.45%
-        p = sample_wall(GOLDEN_WALL, GOLDEN_L, 1025)
-        with pytest.raises(ResolutionError):
-            e_v_volume_oracle(p, GOLDEN_CS)
+    def test_volume_oracle_takes_spacing_above_half_of_half_width(self):
+        # h = 0.508 l, on the same 20 cells as before: the sum is 2.0e-4 low
+        value = e_v_volume_oracle(sample_wall(GOLDEN_WALL, GOLDEN_L, 1025), GOLDEN_CS)
+        assert value / grid_free_e_v(GOLDEN_CS, GOLDEN_A) - 1.0 == pytest.approx(-1.997e-4, rel=0.01, abs=0.0)
+
+    @pytest.mark.parametrize("c", [1e-2, 1e-6])
+    def test_volume_oracle_on_thin_sections_falls_to_its_floor(self, c):
+        # h = 203 l down to 6.3 l, 20 averaged cells each: the error falls
+        # like h^2 to N = 2049, then stalls near -1.3e-5 (-1.27e-5 at 16385),
+        # as past the averaged cells the point value of the ~1/s pair
+        # function at lag m is off its cell average by about 1/(12 m^2)
+        # whatever h; the spectral E_v is 1.63e-3 low at N = 2049
+        cs = CrossSection(l=1e-3, d=c * 1e-3)
+        referee = grid_free_e_v(cs, GOLDEN_A)
+        table = ((257, -3.195e-3), (1025, -2.129e-4), (2049, -6.22e-5), (4097, -2.45e-5), (8193, -1.507e-5))
+        for n_nodes, measured in table:
+            error = e_v_volume_oracle(sample_wall(GOLDEN_WALL, GOLDEN_L, n_nodes), cs) / referee - 1.0
+            assert error == pytest.approx(measured, rel=0.01, abs=0.0), n_nodes
 
     def test_below_closed_form_bound(self):
         p = sample_wall(GOLDEN_WALL, GOLDEN_L, 513)
@@ -641,6 +663,53 @@ class TestLagSumOracles:
             assert abs(e_v_volume_oracle(p, cs) / e_v - 1.0) <= 1e-4 * bound
         extrapolated, _ = richardson_boundary_oracle(sample_wall(GOLDEN_WALL, GOLDEN_L, 2049), cs)
         assert abs(extrapolated / e_s - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "l, d, expected", [(0.1, 0.05, 2.0036953923065e-4), (1e-3, 1e-5, 1.75936972165857e-15),
+                           (1e-3, 1e-9, 1.76135417433156e-23)]
+    )
+    def test_grid_free_e_v_referees_agree(self, l, d, expected):
+        # the real-space referee against the closed-form spectrum: 1.8e-13 apart
+        cs = CrossSection(l=l, d=d)
+        value = grid_free_e_v(cs, GOLDEN_A)
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert value == pytest.approx(closed_form_spectrum_energies(cs, GOLDEN_A)[1], rel=1e-12, abs=0.0)
+
+    def test_oracles_and_e_v_exact_give_a_value_or_a_typed_error_over_the_domain(self, tmp_path, capsys):
+        # no warning escapes (the suite makes RuntimeWarnings errors).  At l = 6
+        # no lag lies past the averaged cells, where the pair function was
+        # called on no lags and raised a bare ValueError; at c = 1e-300 the
+        # pair integral underflows, which the volume oracle now refuses before
+        # any rule runs; at l = 1e300 s/a underflows in the face pair
+        p = sample_wall(GOLDEN_WALL, GOLDEN_L, 257)
+        path = tmp_path / "wall.csv"
+        p.to_csv(path)
+        values, printed = 0, 0
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for l in (1e-300, 1e-3, 1.0, 6.0, 1e300):
+                for c in (1.0, 1e-2, 1e-300):
+                    if c * l == 0.0:  # d underflows: not a cross-section
+                        continue
+                    cs = CrossSection(l=l, d=c * l)
+                    for oracle in (e_s_boundary_oracle, e_v_volume_oracle):
+                        try:
+                            value = oracle(p, cs)
+                        except WallscaleError:
+                            continue
+                        assert quad._TINY <= value < math.inf
+                        values += 1
+                    code = cli.run(["energy", "full", "--profile", str(path), "--l", repr(cs.l), "--d", repr(cs.d),
+                                    "--e-v-exact"])
+                    assert code in (cli.EXIT_OK, cli.EXIT_NUMERICAL)
+                    printed += code == cli.EXIT_OK
+            # at the top of the double range the unit spacing h/l is subnormal, and 0.5/h overflowed
+            with pytest.raises(QuadratureError, match="not finite"):
+                e_v_volume_oracle(p, CrossSection(l=1.7e308, d=1.7e308))
+        capsys.readouterr()
+        assert time.perf_counter() - start < 5.0
+        assert (values, printed) == (11, 6)
 
     def test_work_counts(self, monkeypatch, standard_wall_profile):
         # counts, unlike seconds, do not depend on the host: E_s needs no
