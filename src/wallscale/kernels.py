@@ -21,11 +21,11 @@ Over the whole cross-section the same transform gives the volume kernel
 K = (pi/2) int_0^{2l} int_0^{2d} (2l - u)(2d - v) K0(|x| sqrt(u^2 + v^2)) dv du,
 which weights the spectrum of d m1/dx.  By the trace of the demagnetizing
 tensor x^2 K = J(l, d, x) + J(d, l, x), J = I(0) - I, so one per-channel
-evaluation (_channel) gives both kernels for many x at once: the K0 series
-(DLMF 10.31.2) on x-free moments where |x| hypot(2w, 2s) <= 1, an asymptotic
-form far out, and otherwise quad's GK15 table on panels halving toward u = 0,
-whose embedded Gauss rule gives an error estimate, on gaps of K0 from the
-series and a trapezoid rule (_k0_gap): no Bessel library call, no scipy.
+evaluation (_channel) gives both kernels for many x at once: the closed forms
+at x = 0, an asymptotic form far out, and at every other x one trapezoid rule
+in t, u = 2w sigma(t) with sigma the logistic function, whose |T_h - T_2h|
+gives the error estimate, on gaps of K0 from its series and a trapezoid rule
+(_k0_gap): no Bessel library call, no scipy.
 Each value is returned only when that estimate is within quad._RULE_TOL =
 1e-9 of it and it is a finite normal double (quad._check_rule); otherwise
 the call raises QuadratureError.
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadratureError, WallscaleError
-from .quad import _TINY, _check_rule, _gk_panels, _halving_edges
+from .quad import _TINY, _check_rule
 
 __all__ = [
     "CrossSection",
@@ -59,11 +59,9 @@ __all__ = [
     "a_c_scaling_ratio",
 ]
 
-# Panels [2w/2^(j+1), 2w/2^j] down to _FLOOR*min(w, s) keep the log endpoint, the
-# scales s and 1/|x| a panel width away: Gauss is good to ~1e-11, Kronrod to rounding.
-_FLOOR = 1e-12
-_SERIES_EDGE = 1.0  # |x| hypot(2w, 2s) up to this: I from the K0 ascending series
-_TERMS = 12  # series terms; the first one left out is at most 2.1e-28 of I(0) at the edge
+_STEP = 3.0 / 16.0  # the rule's step h in t: dyadic, so that every node t is exact
+_REACH = 48.0  # the rule's nodes reach e^-48 past both ends of (0, 2w); at e^-42 the head left out was 1e-15
+_TERMS = 12  # terms of the H series in _series_gap; the K0 gap takes 9
 _FAR = 20.0  # see the asymptotic branch of _channel
 _ROUNDING = 1e-14  # relative rounding error claimed for every value
 _BLOCK = 16  # frequencies per block; bounds the (block x nodes) temporaries
@@ -165,28 +163,34 @@ def _rule_gap(z, dz: np.ndarray, complement: bool) -> np.ndarray:
     return np.log1p(dz / z) - gap if complement else gap
 
 
-def _series_gap(z: np.ndarray, dz: np.ndarray, complement: bool) -> np.ndarray:
-    """_k0_gap for normal z and z + dz <= 2 by the series K0(z) = sum_n
-    b^2n/(n!)^2 (psi(n+1) - ln b), b = z/2 (DLMF 10.31.2): the H gap is
+def _series_gap(k: np.ndarray, u: np.ndarray, du: np.ndarray, complement: bool) -> np.ndarray:
+    """_k0_gap for z = k u and z + dz = k (u + du) <= 2 by the series K0(z) =
+    sum_n b^2n/(n!)^2 (psi(n+1) - ln b), b = z/2 (DLMF 10.31.2): the H gap is
     sum_n a^2n/(n!)^2 [(psi(n+1) - ln a)(1 - q^2n) - L q^2n], a = (z + dz)/2,
     q = z/(z + dz), L = log1p(dz/z), 1 - q^2n = (1 - q^2) sum_{j<n} q^2j, and
-    the K0 gap is L minus it.
+    the K0 gap is L minus it.  The ratios come from u and du, ln a is ln k +
+    ln((u + du)/2), and with complement the first coefficient is a^2/k^2, so
+    that neither z, z + dz nor k^2 need be a normal double.
     """
-    end = z + dz
-    log_ratio = np.log1p(dz / z)  # L
-    q2 = (z / end) ** 2
-    shrink = (dz / end) * ((z + end) / end)  # 1 - q^2
-    log_shrink = np.log(0.5 * end) * shrink
-    a2 = 0.25 * end**2
-    power, geometric, coef, h_gap = np.ones(z.size), np.zeros(z.size), np.ones(z.size), np.zeros(z.size)
-    term, tail = np.empty(z.size), np.empty(z.size)
+    end, least = u + du, 1e-300 * du
+    log_ratio = np.log1p(du / np.maximum(u, least))  # L
+    deep = np.flatnonzero(u < least)  # du/u would overflow; ln(u + du) - ln u loses nothing there
+    log_ratio[deep] = np.log(end[deep]) - np.log(u[deep])
+    q2 = (u / end) ** 2
+    shrink = (du / end) * ((u + end) / end)  # 1 - q^2
+    log_shrink = (np.log(k) + np.log(0.5 * end)) * shrink
+    a2 = (0.5 * k * end) ** 2
+    coef = 0.25 * end**2 if complement else a2.copy()  # a^2/(1!)^2, over k^2 with complement
+    power, geometric, h_gap = np.ones(u.size), np.zeros(u.size), np.zeros(u.size)
+    term, tail = np.empty(u.size), np.empty(u.size)
     # term by term, in place: most of a kernel evaluation; the K0 gap's 10th
     # term is below 3e-18 of it for z + dz <= 1
     for n, psi in zip(_N[: _TERMS if complement else 9], _PSI):
+        if n > 1:
+            coef *= a2
+            coef /= n * n  # a^2n/(n!)^2
         geometric += power  # sum_{j<n} q^2j
         power *= q2  # q^2n
-        coef *= a2
-        coef /= n * n  # a^2n/(n!)^2
         np.multiply(shrink, psi, out=term)
         term -= log_shrink
         term *= geometric
@@ -197,73 +201,36 @@ def _series_gap(z: np.ndarray, dz: np.ndarray, complement: bool) -> np.ndarray:
 
 
 def _k0_gap(k: np.ndarray | float, u: np.ndarray, du: np.ndarray, complement: bool = False) -> np.ndarray:
-    """K0(z) - K0(z + dz), or with complement H(z + dz) - H(z) where
+    """K0(z) - K0(z + dz), or with complement [H(z + dz) - H(z)]/k^2 where
     H(t) = K0(t) + ln t, at z = k u > 0, dz = k du >= 0 (k broadcasting
-    against u and du), without cancellation: by _series_gap below a split, 2
-    for the H gap and 1 for the K0 gap (its L - H gap loses up to 3e-15 near
-    2), by _rule_gap above it, and as the sum of the pieces (z, split - z)
-    and (split, the rest) across it.  H(z) = H(0) below the smallest normal
-    double _TINY, K0(z) = K0(_TINY) + ln(_TINY/z) with ln z = ln k + ln u:
-    the product itself may have underflowed to a subnormal or to 0.
+    against u and du, all finite), without cancellation: by _series_gap
+    below a split, 2 for the H gap and 1 for the K0 gap (its L - H gap loses
+    up to 3e-15 near 2), by _rule_gap above it, and as the sum of the pieces
+    (z, split - z) and (split, the rest) across it.  The series works from
+    k, u and du apart, so z and z + dz may have underflowed to subnormals or
+    to 0, and k^2 with them.
     """
-    z, dz = (k * u).ravel(), (k * du).ravel()
-    gap = np.zeros(z.size)
-    if complement:
-        z = np.maximum(z, _TINY)
-    elif np.any(z < _TINY):  # 1/z overflows in the series
-        tiny, end = z < _TINY, z + dz
-        ln_z = (np.log(k) + np.log(u)).ravel()
-        gap = np.where(tiny, np.log(np.minimum(end, _TINY)) - ln_z, 0.0)
-        z, dz = np.where(tiny, _TINY, z), np.where(tiny, np.maximum(end - _TINY, 0.0), dz)
+    shape = np.broadcast(k, u, du).shape
+    k, u, du = (np.broadcast_to(a, shape).ravel() for a in (k, u, du))
+    z, dz = k * u, k * du
+    gap = np.zeros(u.size)
+
+    def rule(rows, z, dz):  # the H gap over k^2 by 1/k: k >= 2/(u + du) here, but k^2 overflows above 1e154
+        return _rule_gap(z, dz, complement) * ((1.0 / k[rows]) ** 2 if complement else 1.0)
+
     split = 2.0 if complement else 1.0
     rows = np.flatnonzero(z >= split)
     if rows.size:
-        gap[rows] += _rule_gap(z[rows], dz[rows], complement)
+        gap[rows] = rule(rows, z[rows], dz[rows])
     rows = np.flatnonzero(z < split)
-    zn, dn = z[rows], dz[rows]
+    zn, dn, kn, un = z[rows], dz[rows], k[rows], u[rows]
     over = zn + dn > split
-    head = np.where(over, split - zn, dn)
-    gap[rows] += _series_gap(zn, head, complement)
+    head = du[rows]
+    head[over] = split / kn[over] - un[over]
+    gap[rows] = _series_gap(kn, un, head, complement)
     if np.any(over):
-        gap[rows[over]] += _rule_gap(split, (dn - head)[over], complement)
-    return gap.reshape(np.broadcast(k, u).shape)
-
-
-def _surface_rule(w: float, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(u, kronrod, excess, floor): GK15 nodes on the panels [2w/2^(j+1), 2w/2^j]
-    down to floor, with Kronrod and Kronrod-minus-Gauss weights times 2w - u."""
-    edges = _halving_edges(2.0 * w, _FLOOR * min(w, s))
-    u, kronrod, excess = _gk_panels(edges)
-    u = u.ravel()
-    kronrod = kronrod.ravel() * (2.0 * w - u)
-    excess = excess * (2.0 * w - u).reshape(excess.shape)
-    return u, kronrod, excess, edges[-1]
-
-
-def _series_moments(w, s, rho, u, kronrod, excess, floor):
-    """(P, Q, dP, dQ) for n = 1.._TERMS: the k-free moments of the K0 series
-    of I, P_n = int (2w - u) D_n du and Q_n = int (2w - u) [D_n ln(r/rho) +
-    (u/rho)^2n ln(r/u)] du with r = hypot(u, 2s) and D_n = (r^2n - u^2n) /
-    rho^2n, on the rule's panels plus the sliver below its floor, and the
-    absolute per-panel Kronrod-minus-Gauss sums of each.  kronrod and excess
-    carry the factor 2w - u.
-    """
-    x2, y2, r_rho = (u / rho) ** 2, (2.0 * s / rho) ** 2, np.hypot(u, 2.0 * s) / rho
-    big = np.maximum(u, 2.0 * s)
-    # ln(r/u) from the smaller squared ratio: (2s/u)^2 overflows on thin sections
-    ln_r_u = np.log(big) - np.log(u) + 0.5 * np.log1p((np.minimum(u, 2.0 * s) / big) ** 2)
-    power = np.ones((_TERMS + 1, u.size))  # (u/rho)^2n
-    d = np.zeros_like(power)
-    r2 = r_rho**2
-    for n in _N:
-        # D_n = (r/rho)^2 D_(n-1) + (2s/rho)^2 (u/rho)^(2n-2): no term cancels
-        d[n] = r2 * d[n - 1] + y2 * power[n - 1]
-        power[n] = power[n - 1] * x2
-    rows = np.concatenate([d[1:], d[1:] * np.log(r_rho) + power[1:] * ln_r_u])
-    sliver = 2.0 * w * floor * y2**_N  # D_n(0) = (2s/rho)^2n
-    moments = rows @ kronrod + np.concatenate([sliver, sliver * math.log(2.0 * s / rho)])
-    deltas = np.abs((rows.reshape(2 * _TERMS, *excess.shape) * excess).sum(axis=2)).sum(axis=1)
-    return moments[:_TERMS], moments[_TERMS:], deltas[:_TERMS], deltas[_TERMS:]
+        gap[rows[over]] += rule(rows[over], split, (dn - (split - zn))[over])
+    return gap.reshape(shape)
 
 
 def _channel(cs: CrossSection, swap: bool, k: np.ndarray, complement: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -273,69 +240,59 @@ def _channel(cs: CrossSection, swap: bool, k: np.ndarray, complement: bool) -> t
     complement, of J/k^2 at k > 0, where J = I(0) - I = (pi/2) int_0^{2w}
     (2w - u) [H(k r) - H(k u)] du with H(t) = K0(t) + ln t.
 
-    k = 0 takes the closed forms 2*pi*l*d*a_c and 2*pi*l*d*b_c; 0 < k rho <=
-    _SERIES_EDGE, rho = hypot(2w, 2s), the K0 ascending series to _TERMS terms,
-
-        I - I(0) = -J = (pi/2) sum_n kappa^2n/(n!)^2 [(ln kappa - psi(n+1)) P_n + Q_n],
-
-    kappa = k rho/2, on the k-free moments of _series_moments, with their
-    Gauss estimates times the coefficients plus the last term as error; very
-    large k a closed asymptotic form; all other k the Kronrod rule on the
-    integrand of _k0_gap, with the error from its embedded Gauss rule, in
-    blocks of _BLOCK rows, each reduced on its own, so that batches are
-    bitwise consistent.  Every error carries the _ROUNDING term.  Raises
-    QuadratureError for w > 1e150 or a rule floor below the normal range.
+    k = 0 takes the closed forms 2*pi*l*d*a_c and 2*pi*l*d*b_c, very large k
+    a closed asymptotic form, and every other k one trapezoid rule: u = 2w
+    sigma(t), sigma the logistic function, maps (-inf, inf) onto (0, 2w), and
+    (2w - u) du = (2w)^2 sigma(t) sigma(-t)^2 dt.  The integrand, _k0_gap, is
+    analytic in a strip about the real t axis, whose nearest singularities,
+    r = 0, lie about pi/2 off it, so the rule converges like exp(-pi^2/h)
+    (Trefethen and Weideman, SIAM Rev. 56 (2014) 385).  Its nodes t_j =
+    _REACH/2 - j h, h = _STEP, run from where sigma(-t)^2 = e^-_REACH down
+    to e^-_REACH below the smaller scale min(2w, 2s), or to the smallest
+    normal double, and depend on the section alone, not on k or the batch.
+    The error is |T_h - T_2h|, plus a bound on the head [0, u_b] below the
+    bottom node, pi w u_b (gap(u_b) + 1) for I as K0(a) - K0(b) <= ln(b/a),
+    and pi w u_b gap(u_b) for J/k^2 as H increases, plus the _ROUNDING
+    term; rows are summed one by one, so that batches are bitwise
+    consistent.  Raises QuadratureError for w > 1e150
+    or, at k > 0, a subnormal w or s or an s with 2s past the double range.
     """
     w, s = (cs.d, cs.l) if swap else (cs.l, cs.d)
-    rho = math.hypot(2.0 * w, 2.0 * s)
     values, errors = np.empty(k.size), np.zeros(k.size)
     i0 = 2.0 * math.pi * cs.l * cs.d * (a_c(cs.c) if swap else b_c(cs.c))
     values[k == 0.0] = i0
     if w > 1e150:  # before the far asymptote, whose pi w/k overflows there
         raise QuadratureError(f"{cs} is outside the double range of the kernel rule")
-    with np.errstate(over="ignore"):  # a product that overflows lies past the series edge, in the far branch
-        series = np.flatnonzero((k > 0.0) & (k * rho <= _SERIES_EDGE))
-        rest = np.flatnonzero(k * rho > _SERIES_EDGE)
-        kn = k[rest]
+    live = np.flatnonzero(k > 0.0)
+    kn = k[live]
+    with np.errstate(over="ignore"):  # k s overflows on the widest sections, in the far branch
         # far out the integral is (pi/2)(pi w/k - 1/k^2) up to a relative e^-40
         far = (kn * w >= _FAR) & (kn * s >= _FAR + 0.5 * np.maximum(0.0, np.log(kn) + math.log(w)))
     inv = 1.0 / kn[far]  # squaring k itself overflows above |k| ~ 1e154
     asymptote = 0.5 * math.pi * (math.pi * w * inv - inv**2)
-    values[rest[far]] = i0 - asymptote if complement else asymptote
-    near = rest[~far]
-    # the rule's floor must be normal, and its weights (2w - u) du (sum 2 w^2, times logs below 1e3) finite
-    if (near.size or series.size) and _FLOOR * min(w, s) < _TINY:
-        raise QuadratureError(f"{cs} is outside the double range of the kernel rule")
-    u, kronrod, excess, floor = _surface_rule(w, s)
-
-    if series.size:
-        p, q, dp, dq = _series_moments(w, s, rho, u, kronrod, excess, floor)
-        kb = k[series][:, None]
-        log_kappa = np.log(kb) + math.log(0.5 * rho) - _PSI  # ln kappa - psi(n+1), exact for tiny k
-        ratio = (0.5 * rho * kb) ** 2 / _N**2
-        if complement:
-            ratio[:, 0] = (0.5 * rho) ** 2  # kappa^2/k^2: J/k^2 does not underflow with k^2 at tiny k
-        coef = np.cumprod(ratio, axis=1)  # kappa^2n / (n!)^2, over k^2 with complement
-        terms = coef * (log_kappa * p + q)
-        total = 0.5 * math.pi * terms.sum(axis=1)
-        values[series] = -total if complement else i0 + total
-        errors[series] = 0.5 * math.pi * ((coef * (np.abs(log_kappa) * dp + dq)).sum(axis=1) + np.abs(terms[:, -1]))
-
-    nodes = np.append(u, floor)  # the last column gives the sliver below the floor
-    du = 2.0 * s * (2.0 * s / (np.hypot(nodes, 2.0 * s) + nodes))  # sqrt(u^2 + 4 s^2) - u, no s^2 to underflow
-    for start in range(0, near.size, _BLOCK):
-        idx = near[start : start + _BLOCK]
-        kb = k[idx, None]
-        gaps = _k0_gap(kb, nodes, du, complement)
-        f = gaps[:, :-1]
-        # int_0^floor (2w - u) [...] du to leading order in floor: int_0^f K0(k u) du = f (1 + K0(k f))
-        sliver = 2.0 * w * floor * (gaps[:, -1] + (0.0 if complement else 1.0))
-        values[idx] = 0.5 * math.pi * ((f * kronrod).sum(axis=1) + sliver)
-        errors[idx] = 0.5 * math.pi * np.abs((f.reshape(idx.size, *excess.shape) * excess).sum(axis=2)).sum(axis=1)
+    values[live[far]] = (i0 - asymptote) * inv**2 if complement else asymptote
+    near = live[~far]
+    if near.size:
+        if min(w, s) < _TINY or 2.0 * s == math.inf:
+            raise QuadratureError(f"{cs} is outside the double range of the kernel rule")
+        # 2w e^t as (2w e^-shift) e^(t + shift), shift = ln 2w in sixteenths, so that t + shift is
+        # exact and no subnormal e^t costs u its digits; u stays normal down to the bottom node
+        shift = round(16.0 * math.log(2.0 * w)) / 16.0
+        bottom = max(math.log(min(w, s)) - math.log(w) - _REACH, math.log(_TINY) + 1.0 - shift)
+        j = np.arange(math.floor((0.5 * _REACH - bottom) / _STEP) + 1)
+        t = 0.5 * _REACH - _STEP * j
+        tail = 1.0 / (1.0 + np.exp(t))  # sigma(-t) = 1 - sigma(t)
+        u = (2.0 * w * math.exp(-shift)) * np.exp(t + shift) * tail  # 2w sigma(t)
+        weight = (math.pi * _STEP * w) * u * tail**2  # (pi/2) (2w)^2 sigma sigma(-t)^2 h
+        alternate = np.where(j % 2, weight, -weight)  # T_h - T_2h
+        du = 2.0 * s * (s / (np.hypot(0.5 * u, s) + 0.5 * u))  # r - u = 4 s^2/(r + u), no s^2 to underflow
+        for start in range(0, near.size, _BLOCK):
+            idx = near[start : start + _BLOCK]
+            gaps = _k0_gap(k[idx, None], u, du, complement)
+            values[idx] = (gaps * weight).sum(axis=1)
+            head = math.pi * w * u[-1] * (gaps[:, -1] + (0.0 if complement else 1.0))
+            errors[idx] = np.abs((gaps * alternate).sum(axis=1)) + head
     errors += _ROUNDING * np.abs(values)
-    if complement:  # J/k^2 outside the series, by (1/k)^2: k^2 overflows above k ~ 1e154
-        for array in (values, errors):
-            array[rest] *= (1.0 / kn) ** 2
     return values, errors
 
 
@@ -343,7 +300,8 @@ def kernel_batch(cs: CrossSection, swap: bool, ks) -> tuple[np.ndarray, np.ndarr
     """Surface kernel I(l, d, k) (swap=False) or I(d, l, k) (swap=True) at
     every frequency in ks, as (values, errors) shaped like ks (see _channel).
     Raises ValueError for a non-finite frequency, QuadratureError for w >
-    1e150, a value below the smallest normal double or an error estimate not
+    1e150, a section outside the rule's double range, a value that is not
+    finite or is below the smallest normal double, or an error estimate not
     within quad._RULE_TOL.
     """
     k = np.abs(np.asarray(ks, dtype=float)).ravel()
@@ -360,12 +318,12 @@ def volume_kernel_batch(cs: CrossSection, ks) -> tuple[np.ndarray, np.ndarray]:
 
     By the trace of the demagnetizing tensor, k^2 K + I(l,d,k) + I(d,l,k) =
     pi^2 l d = I(l,d,0) + I(d,l,0), so K = (J(l,d,k) + J(d,l,k))/k^2 with
-    J = I(0) - I, each taken by _channel from the same series, asymptotic
-    form and Kronrod rule as I, and the errors summed.  Raises ValueError
+    J = I(0) - I, each taken by _channel from the same asymptotic form and
+    trapezoid rule as I, and the errors summed.  Raises ValueError
     for a zero or non-finite frequency (K diverges like -ln|k|), and
     QuadratureError for l or l d above 1e150 (K ~ l^2 d^2 leaves the double
-    range), a section too thin for the rule, a value below the smallest
-    normal double or an error estimate not within quad._RULE_TOL.
+    range), a section outside the rule's double range, a value below the
+    smallest normal double or an error estimate not within quad._RULE_TOL.
     """
     k = np.abs(np.asarray(ks, dtype=float)).ravel()
     if not np.all(np.isfinite(k) & (k > 0.0)):

@@ -8,9 +8,10 @@ matching sin^2-type oscillations, whose partial sums are extrapolated to
 infinity (Neville in the reciprocal endpoint) for envelopes decaying as
 slowly as 1/t^2.
 The module also holds the two fixed-rule tables: GK15 (_gk_panels) for the
-adaptive panels and, on panels halving to a floor (_halving_edges), the kernel
-rule (both kernels), the section pair function and the lag-cell averages of
-the real-space oracles, and 16-point Gauss-Laguerre for the spectral E_v's k = 0 cell average.
+adaptive panels and, on panels halving to a floor (_halving_edges), the
+section pair function and the lag-cell averages of the real-space oracles,
+and 16-point Gauss-Laguerre for the spectral E_v's k = 0 cell average.  The
+kernels take no GK15 panel: theirs is a trapezoid rule in a mapped variable.
 _check_rule holds every value it is given (both kernels, the ansatz surface,
 the pair function, the cell averages, the energies) to a finite normal double
 whose error estimate, 0.0 where none is formed, is within the one _RULE_TOL.

@@ -1,5 +1,6 @@
 import csv
 import math
+import time
 import warnings
 from pathlib import Path
 
@@ -317,9 +318,10 @@ class TestKernelBatch:
     @pytest.mark.parametrize(
         "l, d, swap, k, ref",
         [
-            # 30-digit references from reference() in scripts/make_kernel_refs.py;
-            # on the three thin m3-channel rows the Kronrod rule is 1.3e-14,
-            # 9.5e-15 and 8.9e-15 off, as its K0(k u) - K0(k r) cancels ln(k u)
+            # 30-digit references from reference() in scripts/make_kernel_refs.py,
+            # at k hypot(2w, 2s) <= 1; on the three thin m3-channel rows a rule
+            # that formed K0(k u) - K0(k r) directly cancelled ln(k u) and was
+            # up to 1.3e-14 off
             (0.4067686476293595, 4.837358055803282e-13, False, 0.0020795732687521455, 1.942027840281081e-12),
             (0.0011185454495727409, 3.4662411431705776e-13, False, 0.011144045005592497, 3.8265919420704145e-15),
             (0.10835373627039399, 2.394409334246475e-09, False, 4.748250500363349e-08, 2.560601379621015e-09),
@@ -327,7 +329,7 @@ class TestKernelBatch:
             (1.0, 1.0, True, 0.35319983720268044, 4.406982981132753),
         ],
     )
-    def test_series_branch_matches_mpmath(self, l, d, swap, k, ref):
+    def test_small_frequency_rows_match_mpmath(self, l, d, swap, k, ref):
         (value,), (error,) = kernel_batch(CrossSection(l=l, d=d), swap, [k])
         assert abs(value - ref) <= 1e-15 * ref
         assert abs(value - ref) <= error
@@ -455,8 +457,8 @@ class TestKernelBatch:
             volume_kernel_batch(cs, [3.0])
 
     def test_estimates_keep_headroom_under_the_rule_tolerance(self):
-        # quad._RULE_TOL = 1e-9 holds every rule; both kernels estimate at most
-        # 3.3e-11 of their values here, on 60 frequencies from 1e-8/l to 1e8/l
+        # quad._RULE_TOL = 1e-9 holds every rule; I estimates at most 2.1e-11 and
+        # K 4.0e-12 of their values here, on 60 frequencies from 1e-8/l to 1e8/l
         for l in (1e-3, 1.0, 100.0):
             for c in (1.0, 1e-2, 1e-6, 1e-12, 1e-100):
                 cs = CrossSection(l=l, d=c * l)
@@ -465,19 +467,18 @@ class TestKernelBatch:
                                        volume_kernel_batch(cs, ks)):
                     assert np.all(errors <= 1e-10 * values), (l, c)
 
-    @pytest.mark.parametrize("cs, most", [(CrossSection(l=0.1, d=0.05), 630), (CrossSection(l=1.0, d=1e-12), 1215)])
-    def test_surface_rule_node_gate(self, monkeypatch, cs, most):
-        # GK15 nodes per channel of the kernel rule: 630 and 615 on the golden
-        # section, 1,215 and 615 at c = 1e-12; counts do not depend on the machine
+    @pytest.mark.parametrize("cs, most", [(CrossSection(l=0.1, d=0.05), 388), (CrossSection(l=1.0, d=1e-12), 532)])
+    def test_kernel_rule_node_gate(self, monkeypatch, cs, most):
+        # trapezoid nodes per channel of the kernel rule: 388 and 385 on the
+        # golden section, 532 and 385 at c = 1e-12; counts do not depend on the machine
         sizes = []
-        surface_rule = kernels._surface_rule
+        k0_gap = kernels._k0_gap
 
-        def counted(w, s):
-            rule = surface_rule(w, s)
-            sizes.append(rule[0].size)
-            return rule
+        def counted(k, u, du, complement=False):
+            sizes.append(u.size)
+            return k0_gap(k, u, du, complement)
 
-        monkeypatch.setattr(kernels, "_surface_rule", counted)
+        monkeypatch.setattr(kernels, "_k0_gap", counted)
         kernel_batch(cs, False, [3.0])
         kernel_batch(cs, True, [3.0])
         volume_kernel_batch(cs, [3.0])
@@ -517,8 +518,44 @@ class TestKernelBatch:
             volume_kernel_batch(CrossSection(l=0.1, d=0.05), [1.0, k])
 
 
+def test_kernels_give_a_value_or_a_typed_error_over_the_domain():
+    # l over 1e-300 .. 1e300 and c over 1 .. 1e-300 at k = x/l, from 0 and
+    # the subnormal 5e-324 to 1e3; a kernel value above I(0) once came from
+    # a subnormal k u + k du taken as a logarithm.  No warning escapes (the
+    # suite makes RuntimeWarnings errors).  The counts may grow, never
+    # shrink; six of the I(d,l,k) values lie on sections whose l d, and so
+    # I(0), is past the double range
+    counts = {"I(l,d,k)": 0, "I(d,l,k)": 0, "K": 0}
+    start = time.perf_counter()
+    for l in (10.0**e for e in range(-300, 301, 50)):
+        for c in (1.0, 1e-2, 1e-12, 1e-50, 1e-100, 1e-150, 1e-200, 1e-250, 1e-300):
+            if c * l == 0.0:  # d underflows: not a cross-section
+                continue
+            cs = CrossSection(l=l, d=c * l)
+            for x in (0.0, 5e-324, 1.56e-321, 1e-300, 1e-3, 1.0, 1e3):
+                k = x / l
+                for name, swap in (("I(l,d,k)", False), ("I(d,l,k)", True)):
+                    try:
+                        (value,), _ = kernel_batch(cs, swap, [k])
+                    except (QuadratureError, ValueError):
+                        continue
+                    i0 = 2.0 * math.pi * cs.l * cs.d * (a_c(cs.c) if swap else b_c(cs.c))
+                    assert 0.0 < value <= i0 * (1.0 + 1e-14), (l, c, x, swap, value, i0)
+                    counts[name] += 1
+                if k == 0.0:
+                    continue
+                try:
+                    (value,), _ = volume_kernel_batch(cs, [k])
+                except (QuadratureError, ValueError):
+                    continue
+                assert 0.0 < value < math.inf
+                counts["K"] += 1
+    assert time.perf_counter() - start < 5.0
+    assert counts == {"I(l,d,k)": 344, "I(d,l,k)": 368, "K": 105}
+
+
 # (z, dz): the H series with L = log1p(dz/z) for z + dz <= 2, from 1e-20
-# (subnormal z counts as the smallest normal one); L minus the trapezoid rule
+# (H(z) is H(0) to rounding at subnormal z); L minus the trapezoid rule
 # for z >= 2, with its far form K0(z) - K0(z + dz) where dz > z; and the sum
 # of both pieces for rows across 2, from just below it to far above
 H_GAP_ROWS = [

@@ -680,7 +680,9 @@ class TestLagSumOracles:
         # no lag lies past the averaged cells, where the pair function was
         # called on no lags and raised a bare ValueError; at c = 1e-300 the
         # pair integral underflows, which the volume oracle now refuses before
-        # any rule runs; at l = 1e300 s/a underflows in the face pair
+        # any rule runs; at l = 1e300 s/a underflows in the face pair.  At
+        # l = 1.7e308, where 2l overflows, the kernel rule warned before the
+        # CLI's typed error; E_s returns at c = 1e-300
         p = sample_wall(GOLDEN_WALL, GOLDEN_L, 257)
         path = tmp_path / "wall.csv"
         p.to_csv(path)
@@ -688,7 +690,7 @@ class TestLagSumOracles:
         start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for l in (1e-300, 1e-3, 1.0, 6.0, 1e300):
+            for l in (1e-300, 1e-3, 1.0, 6.0, 1e300, 1.7e308):
                 for c in (1.0, 1e-2, 1e-300):
                     if c * l == 0.0:  # d underflows: not a cross-section
                         continue
@@ -709,7 +711,7 @@ class TestLagSumOracles:
                 e_v_volume_oracle(p, CrossSection(l=1.7e308, d=1.7e308))
         capsys.readouterr()
         assert time.perf_counter() - start < 5.0
-        assert (values, printed) == (11, 6)
+        assert (values, printed) == (12, 6)
 
     def test_work_counts(self, monkeypatch, standard_wall_profile):
         # counts, unlike seconds, do not depend on the host: E_s needs no
